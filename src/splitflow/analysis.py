@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelopes import (DR, FB, check_mu_domain, fb_envelope_value,
-                        generalized_gradient)
+from .dynamics import ConvexSchedule, acc_fb_mu_bound, strongly_convex_point
+from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
+                        fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
                          WindowTooLateError)
 
@@ -178,7 +179,7 @@ def _polish(problem, x):
     return None
 
 
-def solve_reference(problem, mu, tol=1e-12, max_iter=200000, cache=True):
+def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
     """High-accuracy minimizer of F, certified via the gradient map.
 
     Runs the accelerated proximal iteration with objective restarts, with
@@ -187,11 +188,10 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000, cache=True):
     """
     mu = check_mu_domain(mu, problem.f.L)
     key = (round(float(mu), 15), float(tol))
-    if cache:
-        bucket = _reference_cache.setdefault(problem, {})
-        hit = bucket.get(key)
-        if hit is not None:
-            return hit
+    bucket = _reference_cache.setdefault(problem, {})
+    hit = bucket.get(key)
+    if hit is not None:
+        return hit
 
     f, g = problem.f, problem.g
     n = problem.dim
@@ -245,8 +245,7 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000, cache=True):
             f"reference solve stalled at ||G_mu|| = {gn:.3e} > tol = {tol:.1e}")
     sol = ReferenceSolution(x=x_best, value=problem.objective(x_best),
                             grad_map_norm=gn, iterations=iterations)
-    if cache:
-        bucket[key] = sol
+    bucket[key] = sol
     return sol
 
 
@@ -311,17 +310,14 @@ def make_lyapunov_spec(problem, mu, alpha, case, theta, envelope_kind=FB,
             raise ValueError("general case needs the extrapolation weight beta")
         if envelope_kind != FB:
             raise ValueError("general case is defined for the FB envelope")
-        return LyapunovSpec(case=case, problem=problem, envelope_kind=FB,
-                            alpha=alpha, mu=mu, theta=theta,
-                            psi1_star=x_star, e_star=float(f_star),
-                            H=None, beta=float(beta))
-    if case not in (QUAD_CONVEX, QUAD_STRONG):
+        H, psi1_star, beta = None, x_star, float(beta)
+    elif case not in (QUAD_CONVEX, QUAD_STRONG):
         raise ValueError(f"unknown Lyapunov case {case!r}")
-    if problem.f.kind != "quadratic":
+    elif problem.f.kind != "quadratic":
         raise ValueError(
             "the weighted Lyapunov cases require a quadratic smooth part; "
             "use the general strongly convex case otherwise")
-    if envelope_kind == FB:
+    elif envelope_kind == FB:
         H = fb_weight_matrix(problem, mu)
         psi1_star = x_star
     elif envelope_kind == DR:
@@ -335,27 +331,19 @@ def make_lyapunov_spec(problem, mu, alpha, case, theta, envelope_kind=FB,
                         e_star=float(f_star), H=H, beta=beta)
 
 
-def _envelope_at(spec, psi1):
-    problem, mu = spec.problem, spec.mu
-    if spec.envelope_kind == DR:
-        psi1 = problem.f.prox(psi1, mu)
-    return fb_envelope_value(problem, psi1, mu)
-
-
 def lyapunov_value(spec, t, psi):
     """Evaluate the Lyapunov function at time t and stacked state psi."""
     psi = np.asarray(psi, dtype=float)
     n = spec.problem.dim
     psi1, psi2 = psi[:n], psi[n:]
-    th = spec.theta_at(t)
-    d1 = psi1 - spec.psi1_star
+    r = spec.theta_at(t) * (psi1 - spec.psi1_star) + psi2
     if spec.case == GENERAL_STRONG:
         y = psi1 + spec.beta * psi2
         env = fb_envelope_value(spec.problem, y, spec.mu) - spec.e_star
-        r = th * d1 + psi2
         return spec.alpha * env + 0.5 * float(r @ r)
-    env = _envelope_at(spec, psi1) - spec.e_star
-    r = th * d1 + psi2
+    if spec.envelope_kind == DR:
+        psi1 = spec.problem.f.prox(psi1, spec.mu)
+    env = fb_envelope_value(spec.problem, psi1, spec.mu) - spec.e_star
     return spec.alpha * env + 0.5 * float(r @ (spec.H @ r))
 
 
@@ -480,11 +468,7 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
     for _ in range(n_pairs):
         x = radius * rng.standard_normal(n)
         xh = radius * rng.standard_normal(n)
-        gf = f.gradient(x)
-        p = problem.g.prox(x - mu * gf, mu)
-        G = (x - p) / mu
-        fmu = (f.value(x) + problem.g.value(p) - mu * float(gf @ G)
-               + 0.5 * mu * float(G @ G))
+        _, _, G, _, fmu = _fb_kernel(problem, x, mu)
         slack = 1e-8 * (1.0 + abs(fmu))
         d = x - xh
         upper_rhs = (float(G @ d) - 0.5 * m * float(d @ d)
@@ -537,20 +521,13 @@ def check_conditions(w, mu_L, beta, gamma, theta):
     return cond_i, cond_ii, float(iii_lhs - iii_rhs)
 
 
-def _schedule_point(w):
-    gamma = 2.0 * w / (w + 1.0)
-    beta = 1.0 - gamma
-    theta = w - 0.5 * w * w
-    return gamma, beta, theta
-
-
-def h_curve(w_grid, mu_L_rule="half_sqrt_gamma_beta"):
+def h_curve(w_grid):
     """Rate-condition curve h(w) = iii_residual(w) / w over a grid.
 
-    mu_L_rule is either 'half_sqrt_gamma_beta' (mu L = sqrt(gamma beta)/2)
-    or a fixed float. The certificate passes when h <= 0 on the whole
-    grid and w h(w) increases with mu L at every grid point (sampled at
-    half and full mu L).
+    Each grid point uses the strongly convex schedule at w and the largest
+    certified penalty, mu L = sqrt(gamma beta)/2. The certificate passes
+    when h <= 0 on the whole grid and w h(w) increases with mu L at every
+    grid point (sampled at half and full mu L).
     """
     w_grid = np.asarray(w_grid, dtype=float)
     if w_grid.size == 0:
@@ -562,11 +539,8 @@ def h_curve(w_grid, mu_L_rule="half_sqrt_gamma_beta"):
     cond_i_all = True
     cond_ii_all = True
     for j, w in enumerate(w_grid):
-        gamma, beta, theta = _schedule_point(w)
-        if mu_L_rule == "half_sqrt_gamma_beta":
-            mu_L = 0.5 * math.sqrt(gamma * beta)
-        else:
-            mu_L = float(mu_L_rule)
+        gamma, beta, theta = strongly_convex_point(w)
+        mu_L = acc_fb_mu_bound(gamma, beta, 1.0)
         ci, cii, resid = check_conditions(w, mu_L, beta, gamma, theta)
         cond_i_all &= ci
         cond_ii_all &= cii
@@ -585,12 +559,9 @@ def h_curve(w_grid, mu_L_rule="half_sqrt_gamma_beta"):
 
 def write_h_curve_csv(report, path):
     """Two-column CSV (w, h) suitable for external plotting."""
-    w = report.details["w"]
-    h = report.details["h"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("w,h\n")
-        for wi, hi in zip(w, h):
-            fh.write(f"{wi:.17e},{hi:.17e}\n")
+    np.savetxt(path, np.column_stack([report.details["w"],
+                                      report.details["h"]]),
+               fmt="%.17e", delimiter=",", header="w,h", comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +570,10 @@ def write_h_curve_csv(report, path):
 
 def decay_form_timevarying(t, H):
     """Quadratic-form block of the decay bound under the time-varying
-    schedule; identically zero for gamma = 3/(t+3), theta = 2/(t+3)."""
-    theta = 2.0 / (t + 3.0)
-    gamma = 3.0 / (t + 3.0)
-    theta_dot = -2.0 / (t + 3.0) ** 2
+    schedule (:class:`ConvexSchedule`); identically zero."""
+    theta = ConvexSchedule.theta(t)
+    gamma = ConvexSchedule.gamma(t)
+    theta_dot = -0.5 * theta ** 2         # d/dt of 2/(t+3)
     coeff = np.array([
         [2.0 * theta_dot * theta + theta ** 3,
          theta_dot + 2.0 * theta ** 2 - theta * gamma],

@@ -21,8 +21,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, envelopes, harness
-from .dynamics import read_trace_csv
-from .problems import load_problem
+from .dynamics import acc_fb_mu_bound, read_trace_csv, strongly_convex_point
+from .problems import CompositeProblem, L1, Quadratic, load_problem
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,16 +65,12 @@ def _cmd_certify(args):
 
 def _default_inequality_problems(seed):
     rng = np.random.default_rng(seed)
-    from .harness import gen_logistic
-    from .problems import CompositeProblem, L1, Quadratic
-    U = rng.standard_normal((20, 20))
-    Qf, R = np.linalg.qr(U)
-    Qf = Qf * np.sign(np.diag(R))
+    Qf = harness._random_orthogonal(20, rng)
     d = np.linspace(1.0, 10.0, 20)
     Q = Qf.T @ (d[:, None] * Qf)
     quad = CompositeProblem(Quadratic(0.5 * (Q + Q.T), rng.standard_normal(20),
                                       m=1.0, L=10.0), L1(0.5))
-    logi = gen_logistic(30, 20, ridge=0.5, seed=seed + 1)
+    logi = harness.gen_logistic(30, 20, ridge=0.5, seed=seed + 1)
     return [("quadratic_l1", quad, 0.05),
             ("logistic_l1", logi, 0.5 / logi.f.L)]
 
@@ -96,8 +92,8 @@ def _cmd_verify(args):
         rows = []
         all_pass = True
         for w in grid:
-            gamma, beta, theta = analysis._schedule_point(w)
-            mu_L = 0.5 * float(np.sqrt(gamma * beta))
+            gamma, beta, theta = strongly_convex_point(w)
+            mu_L = acc_fb_mu_bound(gamma, beta, 1.0)
             ci, cii, resid = analysis.check_conditions(w, mu_L, beta, gamma,
                                                        theta)
             rows.append({"w": float(w), "i": ci, "ii": cii,

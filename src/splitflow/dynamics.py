@@ -9,21 +9,18 @@ Four vector fields are available:
             with output map x = prox_{mu f}(z)
 
 Integration uses an embedded Dormand-Prince 5(4) stepper with dense output
-sampled on a uniform grid; a fixed-step classical RK4 path is provided for
-deterministic regression runs.
+sampled on a uniform grid.
 """
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import RK45
 
-from .envelopes import check_mu_domain, generalized_gradient
+from .envelopes import _fb_kernel, check_mu_domain, generalized_gradient
 from .exceptions import (IntegrationFailure, ParameterDomainError,
                          UnsupportedOperationError)
 
@@ -45,6 +42,11 @@ ACC_DR = "acc_dr"
 _FLOW_KINDS = (FB_FLOW, DR_FLOW)
 _ACC_KINDS = (ACC_FB, ACC_DR)
 _DR_KINDS = (DR_FLOW, ACC_DR)
+# kinds whose state z is mapped to the primal point x = prox_{mu f}(z)
+_Z_KINDS = _DR_KINDS + ("dr_discrete",)
+
+# rows per np.savetxt call when writing a trace
+_TRACE_ROWS = 256
 
 # damping offset r in theta(t) = 2/(t+r); r = 3 keeps beta(t) >= 0 for t >= 0
 _TIME_OFFSET = 3.0
@@ -57,27 +59,28 @@ def schedule_convex(t):
     """
     if t < 0:
         raise ParameterDomainError(f"schedule time must be nonnegative, got {t}")
-    gamma = 3.0 / (t + _TIME_OFFSET)
-    return gamma, 1.0 - gamma, 2.0 / (t + _TIME_OFFSET)
+    return (ConvexSchedule.gamma(t), ConvexSchedule.beta(t),
+            ConvexSchedule.theta(t))
 
 
 class ConvexSchedule:
     """Decaying damping schedule driving sublinear convergence."""
-
-    mode = "convex_time_varying"
 
     def __init__(self, alpha):
         if alpha <= 0:
             raise ParameterDomainError("alpha must be positive")
         self.alpha = float(alpha)
 
-    def gamma(self, t):
+    @staticmethod
+    def gamma(t):
         return 3.0 / (t + _TIME_OFFSET)
 
-    def beta(self, t):
-        return 1.0 - self.gamma(t)
+    @staticmethod
+    def beta(t):
+        return 1.0 - ConvexSchedule.gamma(t)
 
-    def theta(self, t):
+    @staticmethod
+    def theta(t):
         return 2.0 / (t + _TIME_OFFSET)
 
     def __repr__(self):
@@ -86,8 +89,6 @@ class ConvexSchedule:
 
 class ConstantSchedule:
     """Constant damping schedule for strongly convex problems."""
-
-    mode = "strongly_convex_constant"
 
     def __init__(self, alpha, gamma, beta, theta, rate):
         self.alpha = float(alpha)
@@ -110,25 +111,35 @@ class ConstantSchedule:
                 f"beta={self._beta:.6g}, theta={self._theta:.6g}, rate={self.rate:.6g})")
 
 
+def strongly_convex_point(w):
+    """Constant-schedule parameters (gamma, beta, theta) at w = sqrt(alpha m).
+
+    gamma = 2w/(w+1), beta = 1 - gamma, theta = w - w^2/2. The decay rate
+    theta also equals (gamma + w^2 beta)/2.
+    """
+    gamma = 2.0 * w / (w + 1.0)
+    return gamma, 1.0 - gamma, w - 0.5 * w * w
+
+
+def acc_fb_mu_bound(gamma, beta, L):
+    """Largest penalty sqrt(gamma beta)/(2L) certified for the accelerated FB
+    flow on a non-quadratic smooth part under a constant schedule."""
+    return math.sqrt(gamma * beta) / (2.0 * L)
+
+
 def schedule_strongly_convex(alpha, m_eff):
     """Constant schedule from the effective strong convexity constant.
 
-    gamma = 2 sqrt(alpha m_eff) / (sqrt(alpha m_eff) + 1), beta = 1 - gamma,
-    theta = (gamma + alpha m_eff beta)/2, and the certified decay rate is
-    rate = sqrt(alpha m_eff) - alpha m_eff / 2 (identical to theta).
+    The parameters are :func:`strongly_convex_point` at
+    w = sqrt(alpha m_eff), and the certified decay rate is theta.
     """
     x = float(alpha) * float(m_eff)
     if not (0.0 < x <= 1.0):
         raise ParameterDomainError(
             f"alpha * m_eff must lie in (0, 1], got {x}")
-    w = math.sqrt(x)
-    gamma = 2.0 * w / (w + 1.0)
-    beta = 1.0 - gamma
-    theta = 0.5 * (gamma + x * beta)
-    rate = w - 0.5 * x
-    assert abs(theta - rate) <= 1e-12 * (1.0 + rate)
+    gamma, beta, theta = strongly_convex_point(math.sqrt(x))
     return ConstantSchedule(alpha=alpha, gamma=gamma, beta=beta, theta=theta,
-                            rate=rate)
+                            rate=theta)
 
 
 @dataclass(frozen=True)
@@ -152,8 +163,8 @@ class DynamicsSpec:
         if (self.kind == ACC_FB
                 and isinstance(self.schedule, ConstantSchedule)
                 and self.problem.f.kind != "quadratic"):
-            bound = math.sqrt(self.schedule.gamma() * self.schedule.beta()) \
-                / (2.0 * self.problem.f.L)
+            bound = acc_fb_mu_bound(self.schedule.gamma(),
+                                    self.schedule.beta(), self.problem.f.L)
             if self.mu > bound * (1.0 + 1e-12):
                 raise ParameterDomainError(
                     f"mu={self.mu} exceeds the certified bound "
@@ -163,10 +174,6 @@ class DynamicsSpec:
     def state_dim(self):
         n = self.problem.dim
         return 2 * n if self.kind in _ACC_KINDS else n
-
-    @property
-    def second_order(self):
-        return self.kind in _ACC_KINDS
 
 
 def vector_field(spec, t, psi):
@@ -212,14 +219,6 @@ class Trajectory:
             return self.position
         return np.hstack([self.position, self.velocity])
 
-    def with_observable(self, name, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.times.shape[0]:
-            raise ValueError("observable length disagrees with sample count")
-        obs = dict(self.observables)
-        obs[name] = values
-        return dataclasses.replace(self, observables=obs)
-
 
 def _sample_grid(t_end, sample_dt):
     n = int(math.ceil(t_end / sample_dt - 1e-9))
@@ -230,19 +229,21 @@ def _sample_grid(t_end, sample_dt):
     return grid
 
 
+def _prox_rows(f, rows, mu):
+    """DR primal reconstruction x = prox_{mu f}(z), row by row."""
+    out = np.empty_like(rows)
+    for i in range(rows.shape[0]):
+        out[i] = f.prox(rows[i], mu)
+    return out
+
+
 def _compute_observables(problem, mu, primal, x_star=None, f_star=None):
-    f, g = problem.f, problem.g
     S = primal.shape[0]
     obj_prox = np.empty(S)
     env = np.empty(S)
     for i in range(S):
-        x = primal[i]
-        gf = f.gradient(x)
-        p = g.prox(x - mu * gf, mu)
-        G = (x - p) / mu
-        obj_prox[i] = f.value(p) + g.value(p)
-        env[i] = (f.value(x) + g.value(p) - mu * float(gf @ G)
-                  + 0.5 * mu * float(G @ G))
+        _, p, _, gp, env[i] = _fb_kernel(problem, primal[i], mu)
+        obj_prox[i] = problem.f.value(p) + gp
     obs = {"objective_of_prox": obj_prox, "envelope": env}
     if f_star is not None:
         obs["objective_gap"] = obj_prox - float(f_star)
@@ -252,30 +253,19 @@ def _compute_observables(problem, mu, primal, x_star=None, f_star=None):
     return obs
 
 
-def _build_trajectory(spec, times, states, x_star, f_star, meta,
-                      compute_observables=True):
-    n = spec.problem.dim
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    position = states[:, :n]
-    velocity = states[:, n:] if spec.second_order else states[:, :0]
-    if spec.kind in _DR_KINDS:
-        primal = np.empty_like(position)
-        for i in range(position.shape[0]):
-            primal[i] = spec.problem.f.prox(position[i], spec.mu)
-    else:
-        primal = position
-    obs = (_compute_observables(spec.problem, spec.mu, primal, x_star, f_star)
-           if compute_observables else {})
-    meta = dict(meta)
-    meta.setdefault("kind", spec.kind)
-    meta.setdefault("mu", spec.mu)
-    meta.setdefault("alpha", spec.schedule.alpha)
+def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
+                meta, observables=True):
+    """Package samples of a continuous or discrete run as a Trajectory."""
+    primal = (_prox_rows(problem.f, position, mu) if kind in _Z_KINDS
+              else position)
+    obs = (_compute_observables(problem, mu, primal, x_star, f_star)
+           if observables else {})
+    meta = dict(meta, kind=kind, mu=mu)
     if f_star is not None:
-        meta.setdefault("f_star", float(f_star))
-    return Trajectory(kind=spec.kind, mu=spec.mu, times=times,
-                      position=position, velocity=velocity, primal=primal,
-                      observables=obs, meta=meta)
+        meta["f_star"] = float(f_star)
+    return Trajectory(kind=kind, mu=mu, times=times, position=position,
+                      velocity=velocity, primal=primal, observables=obs,
+                      meta=meta)
 
 
 def _field_norm(spec, t, psi):
@@ -283,30 +273,29 @@ def _field_norm(spec, t, psi):
 
 
 def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
-              x_star=None, f_star=None, method="dopri5", early_stop=True,
-              compute_observables=True):
+              x_star=None, f_star=None, early_stop=True):
     """Integrate the selected dynamics and sample on a uniform grid.
 
     Parameters
     ----------
     spec : DynamicsSpec
     psi0 : initial state; defaults to the zero state.
-    t_end : final time, > 0.
+    t_end : final time, finite and > 0.
     tol : relative and absolute tolerance of the adaptive stepper,
         restricted to [1e-12, 1e-3].
-    sample_dt : spacing of the dense-output samples; defaults to t_end/2000.
+    sample_dt : spacing of the dense-output samples, finite and > 0;
+        defaults to t_end/2000.
     x_star, f_star : optional reference minimizer / optimal value; when
         supplied, squared-distance and objective-gap observables are
         attached to every sample.
-    method : 'dopri5' (adaptive, default) or 'rk4' (fixed step, one step
-        per sample, deterministic).
     early_stop : stop once the field norm stays below
         1e-12 (1 + ||psi||) for 5 consecutive samples.
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterDomainError(f"tolerance {tol} outside [1e-12, 1e-3]")
-    if t_end <= 0:
-        raise ParameterDomainError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ParameterDomainError(
+            f"t_end must be finite and positive, got {t_end}")
     if psi0 is None:
         psi0 = np.zeros(spec.state_dim)
     psi0 = np.asarray(psi0, dtype=float)
@@ -315,6 +304,9 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
             f"initial state has shape {psi0.shape}, expected ({spec.state_dim},)")
     if sample_dt is None:
         sample_dt = t_end / 2000.0
+    if not (math.isfinite(sample_dt) and sample_dt > 0):
+        raise ParameterDomainError(
+            f"sample_dt must be finite and positive, got {sample_dt}")
     grid = _sample_grid(t_end, sample_dt)
 
     def fun(t, y):
@@ -325,79 +317,52 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 
     times = [0.0]
     states = [psi0.copy()]
-    meta = {"tol": tol, "sample_dt": float(sample_dt), "method": method,
-            "stopped_early": False, "error_estimate": 0.0, "n_steps": 0}
+    meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
+            "stopped_early": False, "error_estimate": 0.0, "n_steps": 0,
+            "alpha": spec.schedule.alpha}
+
+    def build(observables=True):
+        block = np.array(states)
+        n = spec.problem.dim
+        return _trajectory(spec.problem, spec.kind, spec.mu, np.array(times),
+                           block[:, :n], block[:, n:], x_star, f_star, meta,
+                           observables)
 
     def _fail(message):
-        partial = _build_trajectory(spec, np.array(times), np.array(states),
-                                    x_star, f_star, meta,
-                                    compute_observables=False)
-        raise IntegrationFailure(message, partial=partial)
+        raise IntegrationFailure(message, partial=build(observables=False))
 
     def quiet_at(t, y):
         fn = _field_norm(spec, t, y)
         return fn <= 1e-12 * (1.0 + float(np.linalg.norm(y)))
 
-    if method == "rk4":
-        _integrate_rk4(fun, psi0, grid, times, states, meta,
-                       quiet_at if early_stop else None)
-    elif method == "dopri5":
-        solver = RK45(fun, 0.0, psi0, t_bound=float(t_end), rtol=tol, atol=tol)
-        idx = 0
-        quiet = 0
-        err_est = 0.0
-        while solver.status == "running":
-            try:
-                solver.step()
-            except FloatingPointError as exc:
-                _fail(str(exc))
-            if solver.status == "failed":
-                _fail("adaptive step-size underflow")
-            meta["n_steps"] += 1
-            err_est += tol * (1.0 + float(np.linalg.norm(solver.y)))
-            dense = solver.dense_output()
-            while idx < grid.size and grid[idx] <= solver.t + 1e-12:
-                y = dense(grid[idx])
-                if not np.all(np.isfinite(y)):
-                    _fail("non-finite state sample")
-                times.append(float(grid[idx]))
-                states.append(y)
-                if early_stop:
-                    quiet = quiet + 1 if quiet_at(grid[idx], y) else 0
-                idx += 1
-            if early_stop and quiet >= 5:
-                meta["stopped_early"] = True
-                break
-        meta["error_estimate"] = err_est
-    else:
-        raise ValueError(f"unknown integrator {method!r}")
-
-    return _build_trajectory(spec, np.array(times), np.array(states),
-                             x_star, f_star, meta,
-                             compute_observables=compute_observables)
-
-
-def _integrate_rk4(fun, psi0, grid, times, states, meta, quiet_at=None):
-    """Classical fixed-step RK4: one step per sample point."""
-    y = psi0.copy()
-    t_prev = 0.0
+    solver = RK45(fun, 0.0, psi0, t_bound=float(t_end), rtol=tol, atol=tol)
+    idx = 0
     quiet = 0
-    for t_next in grid:
-        h = t_next - t_prev
-        k1 = fun(t_prev, y)
-        k2 = fun(t_prev + 0.5 * h, y + 0.5 * h * k1)
-        k3 = fun(t_prev + 0.5 * h, y + 0.5 * h * k2)
-        k4 = fun(t_prev + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    err_est = 0.0
+    while solver.status == "running":
+        try:
+            solver.step()
+        except FloatingPointError as exc:
+            _fail(str(exc))
+        if solver.status == "failed":
+            _fail("adaptive step-size underflow")
         meta["n_steps"] += 1
-        times.append(float(t_next))
-        states.append(y.copy())
-        t_prev = t_next
-        if quiet_at is not None:
-            quiet = quiet + 1 if quiet_at(t_next, y) else 0
-            if quiet >= 5:
-                meta["stopped_early"] = True
-                break
+        err_est += tol * (1.0 + float(np.linalg.norm(solver.y)))
+        dense = solver.dense_output()
+        while idx < grid.size and grid[idx] <= solver.t + 1e-12:
+            y = dense(grid[idx])
+            if not np.all(np.isfinite(y)):
+                _fail("non-finite state sample")
+            times.append(float(grid[idx]))
+            states.append(y)
+            if early_stop:
+                quiet = quiet + 1 if quiet_at(grid[idx], y) else 0
+            idx += 1
+        if early_stop and quiet >= 5:
+            meta["stopped_early"] = True
+            break
+    meta["error_estimate"] = err_est
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -424,42 +389,31 @@ def discrete_dr_step(problem, z, mu):
     return z - xh + problem.g.prox(2.0 * xh - z, mu)
 
 
-def run_discrete(problem, kind, mu, n_steps, z0=None, alpha_bar=None,
-                 dt=1.0, x_star=None, f_star=None):
-    """Iterate a discrete splitting and package iterates as a Trajectory.
+def run_discrete(problem, kind, mu, n_steps, dt=1.0, x_star=None, f_star=None):
+    """Iterate a discrete splitting from zero and package the iterates as a
+    Trajectory.
 
+    fb_discrete is ISTA (step size mu); dr_discrete is Douglas-Rachford.
     Iterate k is placed at time k*dt so discrete baselines can be compared
     against continuous trajectories on a shared axis.
     """
-    n = problem.dim
-    z = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float).copy()
-    iterates = [z.copy()]
     if kind == "fb_discrete":
         step_mu = check_mu_domain(mu, problem.f.L)
-        ab = step_mu if alpha_bar is None else float(alpha_bar)
-        for _ in range(n_steps):
-            z = discrete_fb_step(problem, z, ab, step_mu)
-            iterates.append(z.copy())
-        positions = np.asarray(iterates)
-        primal = positions
+
+        def step(z):
+            return discrete_fb_step(problem, z, step_mu, step_mu)
     elif kind == "dr_discrete":
-        for _ in range(n_steps):
-            z = discrete_dr_step(problem, z, mu)
-            iterates.append(z.copy())
-        positions = np.asarray(iterates)
-        primal = np.empty_like(positions)
-        for i in range(positions.shape[0]):
-            primal[i] = problem.f.prox(positions[i], mu)
+        def step(z):
+            return discrete_dr_step(problem, z, mu)
     else:
         raise ValueError(f"unknown discrete kind {kind!r}")
+    iterates = [np.zeros(problem.dim)]
+    for _ in range(n_steps):
+        iterates.append(step(iterates[-1]))
+    positions = np.asarray(iterates)
     times = dt * np.arange(positions.shape[0], dtype=float)
-    obs = _compute_observables(problem, mu, primal, x_star, f_star)
-    meta = {"kind": kind, "mu": mu, "dt": dt, "n_steps": n_steps}
-    if f_star is not None:
-        meta["f_star"] = float(f_star)
-    return Trajectory(kind=kind, mu=mu, times=times, position=positions,
-                      velocity=positions[:, :0], primal=primal,
-                      observables=obs, meta=meta)
+    return _trajectory(problem, kind, mu, times, positions, positions[:, :0],
+                       x_star, f_star, {"dt": dt, "n_steps": n_steps})
 
 
 # ---------------------------------------------------------------------------
@@ -471,57 +425,42 @@ def export_trajectory_csv(traj, path):
 
     Columns: t, x_1..x_n, then z_1..z_n for DR kinds, then v_1..v_n for
     second-order kinds, then objective_gap, dist_sq, lyapunov. Missing
-    observables are written as nan. Full-precision scientific notation.
+    observables are written as nan. Full-precision scientific notation,
+    CRLF line endings.
     """
     n = traj.primal.shape[1]
-    has_z = traj.kind in (DR_FLOW, ACC_DR, "dr_discrete")
+    has_z = traj.kind in _Z_KINDS
     nv = traj.velocity.shape[1]
     header = ["t"] + [f"x_{i+1}" for i in range(n)]
+    blocks = [traj.times[:, None], traj.primal]
     if has_z:
         header += [f"z_{i+1}" for i in range(n)]
+        blocks.append(traj.position)
     header += [f"v_{i+1}" for i in range(nv)]
-    header += ["objective_gap", "dist_sq", "lyapunov"]
-    gap = traj.observables.get("objective_gap")
-    dist = traj.observables.get("dist_sq")
-    lyap = traj.observables.get("lyapunov")
-    S = traj.times.shape[0]
-
-    def fmt(v):
-        return f"{v:.17e}"
-
+    blocks.append(traj.velocity)
+    nan = np.full(traj.times.shape[0], np.nan)
+    for name in ("objective_gap", "dist_sq", "lyapunov"):
+        header.append(name)
+        blocks.append(traj.observables.get(name, nan)[:, None])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(S):
-            row = [fmt(traj.times[i])]
-            row += [fmt(v) for v in traj.primal[i]]
-            if has_z:
-                row += [fmt(v) for v in traj.position[i]]
-            row += [fmt(v) for v in traj.velocity[i]]
-            row.append(fmt(gap[i]) if gap is not None else "nan")
-            row.append(fmt(dist[i]) if dist is not None else "nan")
-            row.append(fmt(lyap[i]) if lyap is not None else "nan")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        # a few hundred rows at a time, so the text table never holds the
+        # whole (samples x columns) trace in memory at once
+        for start in range(0, traj.times.shape[0], _TRACE_ROWS):
+            rows = slice(start, start + _TRACE_ROWS)
+            np.savetxt(fh, np.hstack([b[rows] for b in blocks]),
+                       fmt="%.17e", delimiter=",", newline="\r\n")
 
 
 def read_trace_csv(path):
     """Read a trace written by export_trajectory_csv into arrays."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows, dtype=float)
-    cols = {name: data[:, j] for j, name in enumerate(header)}
-    x_cols = [name for name in header if name.startswith("x_")]
-    z_cols = [name for name in header if name.startswith("z_")]
-    v_cols = [name for name in header if name.startswith("v_")]
-    out = {
-        "t": cols["t"],
-        "x": np.stack([cols[c] for c in x_cols], axis=1) if x_cols else None,
-        "z": np.stack([cols[c] for c in z_cols], axis=1) if z_cols else None,
-        "v": np.stack([cols[c] for c in v_cols], axis=1) if v_cols else None,
-        "objective_gap": cols["objective_gap"],
-        "dist_sq": cols["dist_sq"],
-        "lyapunov": cols["lyapunov"],
-    }
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    out = {name: data[:, header.index(name)]
+           for name in ("t", "objective_gap", "dist_sq", "lyapunov")}
+    for prefix in ("x", "z", "v"):
+        idx = [j for j, name in enumerate(header)
+               if name.startswith(prefix + "_")]
+        out[prefix] = data[:, idx] if idx else None
     return out

@@ -28,8 +28,6 @@ __all__ = [
 FB = "fb"
 DR = "dr"
 
-_EQUIV_TOL = 1e-10
-
 
 def check_mu_domain(mu, L):
     """Validate mu in (0, 1/L); the interval is open at both ends."""
@@ -83,33 +81,29 @@ def generalized_gradient(problem, x, mu):
     return (x - forward_prox_point(problem, x, mu)) / mu
 
 
-def _fb_pieces(problem, x, mu):
-    """Shared computation: (grad f, prox point, gradient map, both values).
+def _fb_kernel(problem, x, mu):
+    """Shared FB computation at x: (grad f, prox point p, G_mu, g(p), value).
 
-    The value is computed two ways -- through the Moreau envelope of g and
-    through the prox-point expansion -- and the two must agree; the mismatch
-    would indicate a broken prox or gradient oracle.
+    The value is the FB envelope in its Moreau-envelope form
+    f(x) + g(p) + ||p - (x - mu grad f(x))||^2 / (2 mu)
+    - (mu/2) ||grad f(x)||^2. mu is not validated here.
     """
     f, g = problem.f, problem.g
     gf = f.gradient(x)
     forward = x - mu * gf
     p = g.prox(forward, mu)
     G = (x - p) / mu
-    fx = f.value(x)
     gp = g.value(p)
     diff = p - forward
-    val_moreau = (fx + gp + float(diff @ diff) / (2.0 * mu)
-                  - 0.5 * mu * float(gf @ gf))
-    val_alt = (fx + gp - mu * float(gf @ G) + 0.5 * mu * float(G @ G))
-    assert abs(val_moreau - val_alt) <= _EQUIV_TOL * (1.0 + abs(val_moreau)), \
-        "the two envelope value formulas disagree beyond tolerance"
-    return gf, p, G, val_moreau, val_alt
+    value = (f.value(x) + gp + float(diff @ diff) / (2.0 * mu)
+             - 0.5 * mu * float(gf @ gf))
+    return gf, p, G, gp, value
 
 
 def fb_envelope_value(problem, x, mu):
     """FB envelope value only (no Hessian action required)."""
     mu = check_mu_domain(mu, problem.f.L)
-    return _fb_pieces(problem, x, mu)[3]
+    return _fb_kernel(problem, x, mu)[4]
 
 
 def fb_envelope(problem, x, mu):
@@ -119,7 +113,7 @@ def fb_envelope(problem, x, mu):
     gradient = (I - mu hess f(x)) G_mu(x)
     """
     mu = check_mu_domain(mu, problem.f.L)
-    _, p, G, value, _ = _fb_pieces(problem, x, mu)
+    _, p, G, _, value = _fb_kernel(problem, x, mu)
     gradient = G - mu * problem.f.hess_vec(x, G)
     return EnvelopeEval(value=value, gradient=gradient, gen_grad=G,
                         prox_point=p)
@@ -146,7 +140,7 @@ def dr_envelope(problem, z, mu):
             "DR envelope needs prox of the smooth part (quadratic f, or a "
             "smooth part with the inner Newton solver enabled)")
     x_hat = f.prox(z, mu)
-    _, _, G, value, _ = _fb_pieces(problem, x_hat, mu)
+    _, _, G, _, value = _fb_kernel(problem, x_hat, mu)
     w = _apply_prox_jacobian(f, x_hat, mu, G)
     gradient = 2.0 * w - G
     return EnvelopeEval(value=value, gradient=gradient, gen_grad=G,

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,6 +186,8 @@ class BenchmarkConfig:
 
     @staticmethod
     def from_dict(d):
+        """Config from its JSON form; absent optional keys take the field
+        defaults, while "example" and "dynamics" are required."""
         schema = d.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(
@@ -192,19 +195,19 @@ class BenchmarkConfig:
         unknown = [k for k in d["dynamics"] if k not in _ALL_DYNAMICS]
         if unknown:
             raise ValueError(f"unknown dynamics {unknown}")
+        full = {**BenchmarkConfig().to_dict(), **d}
         return BenchmarkConfig(
             example=d["example"],
-            dims=tuple(d.get("dims", (20, 100))),
-            kappa=float(d.get("kappa", 1e3)),
-            ridge=float(d.get("ridge", 0.1)),
-            lambda_rule=LambdaRule.from_dict(
-                d.get("lambda_rule", {"type": "fraction_of_max", "fraction": 0.1})),
-            seed=int(d.get("seed", 0)),
+            dims=tuple(full["dims"]),
+            kappa=float(full["kappa"]),
+            ridge=float(full["ridge"]),
+            lambda_rule=LambdaRule.from_dict(full["lambda_rule"]),
+            seed=int(full["seed"]),
             dynamics=tuple(d["dynamics"]),
-            t_end=float(d.get("t_end", 200.0)),
-            tol=float(d.get("tol", 1e-9)),
-            sample_dt=float(d.get("sample_dt", 0.1)),
-            window=tuple(d["window"]) if d.get("window") else None,
+            t_end=float(full["t_end"]),
+            tol=float(full["tol"]),
+            sample_dt=float(full["sample_dt"]),
+            window=tuple(full["window"]) if full["window"] else None,
         )
 
     @staticmethod
@@ -236,80 +239,97 @@ class BenchmarkReport:
             json.dump(self.to_dict(), fh, indent=2)
 
 
+# ---------------------------------------------------------------------------
+# per-example plan
+# ---------------------------------------------------------------------------
+
+def _constant_schedule(alpha, m_eff):
+    sched = dynamics.schedule_strongly_convex(alpha, m_eff)
+    return sched, sched.rate
+
+
+def _envelope_schedule(problem, kind, mu):
+    env_kind = envelopes.FB if kind == "acc_fb" else envelopes.DR
+    consts = envelopes.envelope_constants(problem.f.m, problem.f.L, mu,
+                                          env_kind)
+    return _constant_schedule(1.0 / consts.L_tilde, consts.m_tilde)
+
+
+def _logistic_mu(problem):
+    f = problem.f
+    sched = dynamics.schedule_strongly_convex(1.0 / f.L, f.m)
+    return min(dynamics.acc_fb_mu_bound(sched.gamma(), sched.beta(), f.L),
+               1.0 / (f.L * (f.L / f.m) ** 0.25))
+
+
+def _half_inverse_L(problem):
+    return 1.0 / (2.0 * problem.f.L)
+
+
+def _inner_window(t_end):
+    return (0.1 * t_end, 0.9 * t_end)
+
+
+# Per-example plan: generate(config) -> problem, mu(problem) -> penalty, the
+# fit mode, window(t_end) -> default rate-fit window, and
+# accelerated(problem, kind, mu) -> (schedule, exponential rate or None).
+# Flows and discrete baselines run at alpha = 1/L with rate alpha m.
+_Example = namedtuple("_Example", "generate mu mode window accelerated")
+
+
+_EXAMPLES = {
+    LASSO: _Example(
+        lambda c: gen_lasso(c.dims[0], c.dims[1], lambda_rule=c.lambda_rule,
+                            seed=c.seed),
+        _half_inverse_L, "sublinear", lambda t_end: (10.0, min(200.0, t_end)),
+        lambda p, kind, mu: (dynamics.ConvexSchedule(alpha=1.0 / p.f.L), None)),
+    BOX_QP: _Example(
+        lambda c: gen_boxqp(c.dims[1], c.kappa, seed=c.seed),
+        _half_inverse_L, "exponential", _inner_window, _envelope_schedule),
+    LOGISTIC: _Example(
+        lambda c: gen_logistic(c.dims[0], c.dims[1], ridge=c.ridge,
+                               lambda_rule=c.lambda_rule, seed=c.seed),
+        _logistic_mu, "exponential", _inner_window,
+        lambda p, kind, mu: _constant_schedule(1.0 / p.f.L, p.f.m)),
+}
+
+
+def _example(config):
+    try:
+        return _EXAMPLES[config.example]
+    except KeyError:
+        raise ValueError(f"unknown example {config.example!r}") from None
+
+
 def generate_problem(config):
-    if config.example == LASSO:
-        return gen_lasso(config.dims[0], config.dims[1],
-                         lambda_rule=config.lambda_rule, seed=config.seed)
-    if config.example == BOX_QP:
-        return gen_boxqp(config.dims[1], config.kappa, seed=config.seed)
-    if config.example == LOGISTIC:
-        return gen_logistic(config.dims[0], config.dims[1],
-                            ridge=config.ridge,
-                            lambda_rule=config.lambda_rule, seed=config.seed)
-    raise ValueError(f"unknown example {config.example!r}")
+    return _example(config).generate(config)
 
 
 def _example_setup(config, problem):
     """Per-example penalty, flow time scale, and certification plan."""
-    m, L = problem.f.m, problem.f.L
-    alpha_flow = 1.0 / L
-    if config.example == LASSO:
-        mu = 1.0 / (2.0 * L)
-        window = config.window or (10.0, min(200.0, config.t_end))
-        return {"mu": mu, "alpha_flow": alpha_flow, "mode": "sublinear",
-                "window": window}
-    if config.example == BOX_QP:
-        mu = 1.0 / (2.0 * L)
-        window = config.window or (0.1 * config.t_end, 0.9 * config.t_end)
-        return {"mu": mu, "alpha_flow": alpha_flow, "mode": "exponential",
-                "window": window}
-    if config.example == LOGISTIC:
-        alpha = 1.0 / L
-        sched = dynamics.schedule_strongly_convex(alpha, m)
-        kappa = L / m
-        mu = min(math.sqrt(sched.gamma() * sched.beta()) / (2.0 * L),
-                 1.0 / (L * kappa ** 0.25))
-        window = config.window or (0.1 * config.t_end, 0.9 * config.t_end)
-        return {"mu": mu, "alpha_flow": alpha, "mode": "exponential",
-                "window": window}
-    raise ValueError(f"unknown example {config.example!r}")
-
-
-def _make_spec(config, problem, kind, setup):
-    """Dynamics spec plus the theoretical rate for certification."""
-    m, L = problem.f.m, problem.f.L
-    mu, alpha_flow = setup["mu"], setup["alpha_flow"]
-    if kind in ("fb_flow", "dr_flow"):
-        sched = dynamics.ConvexSchedule(alpha=alpha_flow)
-        rho = alpha_flow * m if m > 0 else None
-        return dynamics.DynamicsSpec(kind, problem, mu, sched), rho
-    if config.example == LASSO:
-        sched = dynamics.ConvexSchedule(alpha=alpha_flow)
-        return dynamics.DynamicsSpec(kind, problem, mu, sched), None
-    if config.example == BOX_QP:
-        env_kind = envelopes.FB if kind == "acc_fb" else envelopes.DR
-        consts = envelopes.envelope_constants(m, L, mu, env_kind)
-        alpha = 1.0 / consts.L_tilde
-        sched = dynamics.schedule_strongly_convex(alpha, consts.m_tilde)
-        return dynamics.DynamicsSpec(kind, problem, mu, sched), sched.rate
-    # logistic: accelerated FB certified via the smooth-part constants
-    sched = dynamics.schedule_strongly_convex(alpha_flow, m)
-    return dynamics.DynamicsSpec(kind, problem, mu, sched), sched.rate
+    example = _example(config)
+    return {"mu": example.mu(problem), "alpha_flow": 1.0 / problem.f.L,
+            "mode": example.mode,
+            "window": config.window or example.window(config.t_end)}
 
 
 def _run_one(config, problem, kind, setup, reference, out_dir):
-    mu = setup["mu"]
+    mu, alpha_flow = setup["mu"], setup["alpha_flow"]
     x_star, f_star = reference.x, reference.value
+    rho = alpha_flow * problem.f.m if problem.f.m > 0 else None
     t0 = time.perf_counter()
     if kind in ("fb_discrete", "dr_discrete"):
         h = 1.0 / problem.f.L
-        dt = h / setup["alpha_flow"]
+        dt = h / alpha_flow
         n_steps = int(math.ceil(config.t_end / dt))
         traj = dynamics.run_discrete(problem, kind, mu, n_steps, dt=dt,
                                      x_star=x_star, f_star=f_star)
-        rho = setup["alpha_flow"] * problem.f.m if problem.f.m > 0 else None
     else:
-        spec, rho = _make_spec(config, problem, kind, setup)
+        if kind in ("fb_flow", "dr_flow"):
+            sched = dynamics.ConvexSchedule(alpha=alpha_flow)
+        else:
+            sched, rho = _example(config).accelerated(problem, kind, mu)
+        spec = dynamics.DynamicsSpec(kind, problem, mu, sched)
         traj = dynamics.integrate(spec, t_end=config.t_end, tol=config.tol,
                                   sample_dt=config.sample_dt,
                                   x_star=x_star, f_star=f_star)

@@ -66,12 +66,15 @@ class SmoothFunction:
 
     Subclasses provide value / gradient / Hessian-vector oracles and the
     constants ``m`` (strong convexity, >= 0) and ``L`` (gradient Lipschitz).
+    The prox is available through the opt-in inner Newton solver
+    (``newton_prox=True``) unless a subclass has a closed form.
     """
 
     kind = "generic"
     m = 0.0
     L = 0.0
     dim = None
+    newton_prox = False
 
     def value(self, x):
         raise NotImplementedError
@@ -88,17 +91,15 @@ class SmoothFunction:
             f"{type(self).__name__} has no dense Hessian oracle")
 
     def supports_prox(self):
-        return False
+        return self.newton_prox
 
     def prox(self, v, mu):
-        raise UnsupportedOperationError(
-            f"prox of the smooth part is not available for {type(self).__name__}; "
-            "enable the inner Newton solver or use a quadratic f")
-
-    @property
-    def mu_max(self):
-        """Upper end of the admissible penalty range (0, 1/L)."""
-        return np.inf if self.L == 0 else 1.0 / self.L
+        if not self.newton_prox:
+            raise UnsupportedOperationError(
+                f"prox of the smooth part is not available for "
+                f"{type(self).__name__}; enable the inner Newton solver "
+                "(newton_prox=True) or use a quadratic f")
+        return _newton_prox(self, v, mu)
 
 
 class Quadratic(SmoothFunction):
@@ -247,16 +248,6 @@ class LogisticRidge(SmoothFunction):
         w = s * (1.0 - s)
         return self.A.T @ (w[:, None] * self.A) + self.ridge * np.eye(self.dim)
 
-    def supports_prox(self):
-        return self.newton_prox
-
-    def prox(self, v, mu):
-        if not self.newton_prox:
-            raise UnsupportedOperationError(
-                "prox of a logistic smooth part requires the opt-in inner "
-                "Newton solver (newton_prox=True)")
-        return _newton_prox(self, v, mu)
-
 
 class GenericOracle(SmoothFunction):
     """Black-box smooth function given by callables.
@@ -290,15 +281,6 @@ class GenericOracle(SmoothFunction):
             raise UnsupportedOperationError(
                 "GenericOracle was built without a Hessian-vector oracle")
         return np.asarray(self.hess_vec_fn(x, v), dtype=float)
-
-    def supports_prox(self):
-        return self.newton_prox
-
-    def prox(self, v, mu):
-        if not self.newton_prox:
-            raise UnsupportedOperationError(
-                "prox of a generic smooth part requires newton_prox=True")
-        return _newton_prox(self, v, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +427,6 @@ def moreau(g, v, mu):
     p = g.prox(v, mu)
     value = g.value(p) + float((p - v) @ (p - v)) / (2.0 * mu)
     gradient = (v - p) / mu
-    if g.kind == "l1":
-        # subdifferential membership: weight*sign(p_i) where p_i != 0,
-        # magnitude at most weight elsewhere
-        on = np.abs(p) > 0
-        tol = 1e-10 * (1.0 + g.weight)
-        assert np.all(np.abs(gradient[on] - g.weight * np.sign(p[on])) <= tol)
-        assert np.all(np.abs(gradient[~on]) <= g.weight + tol)
     return value, gradient
 
 

@@ -50,6 +50,21 @@ def scalar_moreau_l1(v, mu, weight):
     return weight * abs(p) + (p - v) ** 2 / (2.0 * mu)
 
 
+def fb_envelope_prox_form(problem, x, mu):
+    """FB envelope value through the prox-point expansion.
+
+    f(x) + g(p) - mu <grad f(x), G> + (mu/2) ||G||^2 with
+    p = prox_{mu g}(x - mu grad f(x)) and G = (x - p) / mu; equal to the
+    Moreau-envelope form the library evaluates.
+    """
+    f, g = problem.f, problem.g
+    gf = f.gradient(x)
+    p = g.prox(x - mu * gf, mu)
+    G = (x - p) / mu
+    return (f.value(x) + g.value(p) - mu * float(gf @ G)
+            + 0.5 * mu * float(G @ G))
+
+
 def finite_diff_grad(fun, x, h=None):
     """Central-difference gradient with step 1e-6 (1 + ||x||)."""
     x = np.asarray(x, dtype=float)

@@ -19,12 +19,12 @@ from splitflow import (CompositeProblem, ConvexSchedule, DynamicsSpec, L1,
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
                                 decay_form_constant, decay_form_timevarying,
                                 dr_weight_matrix, fb_weight_matrix)
-from splitflow.envelopes import _fb_pieces
+from splitflow.envelopes import _fb_kernel
 from splitflow.harness import gen_boxqp, gen_lasso, gen_logistic
 
 from conftest import make_logistic_l1, make_quadratic_box, make_quadratic_l1
-from oracles import (finite_diff_grad, random_spd_matrix,
-                     second_directional_difference)
+from oracles import (fb_envelope_prox_form, finite_diff_grad,
+                     random_spd_matrix, second_directional_difference)
 
 
 def verdict(name, passed, detail=""):
@@ -266,7 +266,8 @@ class TestGradientOracles:
             fd = finite_diff_grad(lambda z: dr_envelope(p, z, mu).value, v)
             worst["dr"] = max(worst["dr"], np.linalg.norm(fd - dv.gradient)
                               / (1 + np.linalg.norm(dv.gradient)))
-            _, _, _, v1, v2 = _fb_pieces(p, v, mu)
+            v1 = _fb_kernel(p, v, mu)[4]
+            v2 = fb_envelope_prox_form(p, v, mu)
             worst["equiv"] = max(worst["equiv"],
                                  abs(v1 - v2) / (1 + abs(v1)))
         ok = (worst["moreau"] <= 1e-5 and worst["fb"] <= 1e-5

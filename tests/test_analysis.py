@@ -15,7 +15,8 @@ from splitflow import (ACC_DR, ACC_FB, CompositeProblem, ConvexSchedule,
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
                                 decay_form_constant, decay_form_timevarying,
                                 dr_weight_matrix, fb_weight_matrix,
-                                lyapunov_series, _schedule_point)
+                                lyapunov_series)
+from splitflow.dynamics import strongly_convex_point
 from splitflow.envelopes import fb_envelope_value, generalized_gradient
 
 from conftest import make_logistic_l1, make_quadratic_l1
@@ -326,14 +327,14 @@ class TestEnvelopeInequalities:
 
 class TestConditions:
     def test_boundary_w_one(self):
-        gamma, beta, theta = _schedule_point(1.0)
+        gamma, beta, theta = strongly_convex_point(1.0)
         assert gamma == 1.0 and beta == 0.0 and theta == 0.5
         ci, cii, resid = check_conditions(1.0, 0.0, beta, gamma, theta)
         assert ci and cii and resid <= 0.0
 
     def test_trivially_satisfied_i_ii(self):
         for w in np.linspace(0.01, 1.0, 100):
-            gamma, beta, theta = _schedule_point(w)
+            gamma, beta, theta = strongly_convex_point(w)
             mu_L = 0.5 * math.sqrt(gamma * beta)
             ci, cii, _ = check_conditions(w, mu_L, beta, gamma, theta)
             assert ci and cii
@@ -341,7 +342,7 @@ class TestConditions:
 
     def test_residual_nonpositive_on_grid(self):
         for w in np.arange(0.01, 1.001, 0.01):
-            gamma, beta, theta = _schedule_point(w)
+            gamma, beta, theta = strongly_convex_point(w)
             mu_L = 0.5 * math.sqrt(gamma * beta)
             _, _, resid = check_conditions(w, mu_L, beta, gamma, theta)
             assert resid <= 0.0, (w, resid)

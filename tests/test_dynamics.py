@@ -9,7 +9,8 @@ from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        integrate, run_discrete, schedule_convex,
                        schedule_strongly_convex, solve_reference,
                        vector_field)
-from splitflow.dynamics import export_trajectory_csv, read_trace_csv
+from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
+                                strongly_convex_point)
 
 from conftest import make_logistic_l1, make_quadratic_l1
 from oracles import linear_flow_solution, random_spd_matrix, scalar_prox_l1
@@ -65,6 +66,11 @@ class TestSchedules:
             s = schedule_strongly_convex(1.0, x)
             assert s.theta() == pytest.approx(s.rate, rel=1e-12)
             assert s.gamma() + s.beta() == 1.0
+        # the rate w - w^2/2 is the damping average (gamma + w^2 beta)/2
+        for w in np.linspace(1e-3, 1.0, 1000):
+            gamma, beta, theta = strongly_convex_point(w)
+            assert theta == pytest.approx(0.5 * (gamma + w * w * beta),
+                                          rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
@@ -171,14 +177,6 @@ class TestIntegrate:
         assert traj.meta["stopped_early"]
         assert traj.times[-1] < 400.0
 
-    def test_early_stop_rk4(self):
-        p = CompositeProblem(Quadratic(np.eye(3), np.zeros(3)), L1(1.0))
-        spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
-        traj = integrate(spec, psi0=0.1 * np.ones(3), t_end=100.0,
-                         sample_dt=0.25, method="rk4")
-        assert traj.meta["stopped_early"]
-        assert traj.times[-1] < 100.0
-
     def test_integration_failure_carries_partial(self):
         f_bad = Quadratic(np.eye(2), np.zeros(2))
         p = CompositeProblem(f_bad, identity_prox())
@@ -204,11 +202,11 @@ class TestIntegrate:
         assert exc.value.partial is not None
         assert exc.value.partial.times.shape[0] >= 1
 
-    def test_rk4_deterministic(self):
+    def test_deterministic(self):
         p = make_quadratic_l1(n=5, seed=11)
         spec = DynamicsSpec(ACC_FB, p, 0.05, ConvexSchedule(alpha=0.1))
-        a = integrate(spec, t_end=2.0, sample_dt=0.01, method="rk4")
-        b = integrate(spec, t_end=2.0, sample_dt=0.01, method="rk4")
+        a = integrate(spec, t_end=2.0, sample_dt=0.01)
+        b = integrate(spec, t_end=2.0, sample_dt=0.01)
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_tol_domain(self):
@@ -216,6 +214,15 @@ class TestIntegrate:
         spec = DynamicsSpec(FB_FLOW, p, 0.05, ConvexSchedule(alpha=1.0))
         with pytest.raises(ParameterDomainError):
             integrate(spec, t_end=1.0, tol=1e-2)
+
+    @pytest.mark.parametrize("t_end, sample_dt", [
+        (1.0, -0.1), (1.0, 0.0), (1.0, np.nan), (1.0, np.inf),
+        (np.nan, 0.1), (np.inf, 0.1)])
+    def test_time_domain(self, t_end, sample_dt):
+        p = make_quadratic_l1()
+        spec = DynamicsSpec(FB_FLOW, p, 0.05, ConvexSchedule(alpha=1.0))
+        with pytest.raises(ParameterDomainError):
+            integrate(spec, t_end=t_end, sample_dt=sample_dt)
 
     def test_acc_dr_output_map_residual(self):
         p = make_quadratic_l1(n=8, seed=13)

@@ -5,10 +5,11 @@ from splitflow import (CompositeProblem, L1, ParameterDomainError, Quadratic,
                        dr_envelope, envelope_constants, fb_envelope,
                        fb_envelope_value, generalized_gradient, identity_prox,
                        prox_f, solve_reference)
-from splitflow.envelopes import _fb_pieces
+from splitflow.envelopes import _fb_kernel
 
 from conftest import make_logistic_l1, make_quadratic_l1
-from oracles import (finite_diff_grad, random_spd_matrix, scalar_prox_l1,
+from oracles import (fb_envelope_prox_form, finite_diff_grad,
+                     random_spd_matrix, scalar_prox_l1,
                      second_directional_difference)
 
 
@@ -95,8 +96,9 @@ class TestFbEnvelope:
         mu = 0.08
         for _ in range(100):
             x = 3.0 * rng.standard_normal(p.dim)
-            _, _, _, v1, v2 = _fb_pieces(p, x, mu)
-            assert abs(v1 - v2) <= 1e-10 * (1 + abs(v1))
+            value = _fb_kernel(p, x, mu)[4]
+            expected = fb_envelope_prox_form(p, x, mu)
+            assert abs(value - expected) <= 1e-10 * (1 + abs(value))
 
     def test_gradient_is_weighted_gradient_map(self, rng):
         p = make_quadratic_l1()
