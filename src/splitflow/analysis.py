@@ -22,6 +22,7 @@ from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
                          WindowTooLateError)
+from .problems import _dot
 
 __all__ = [
     "CertificateReport",
@@ -202,12 +203,9 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
     obj_prev = np.inf
     iterations = 0
 
-    def grad_map_norm(z):
-        return float(np.linalg.norm(generalized_gradient(problem, z, mu)))
-
     def consider(z):
         nonlocal best
-        gn = grad_map_norm(z)
+        gn = float(np.linalg.norm(generalized_gradient(problem, z, mu)))
         if best is None or gn < best[1]:
             best = (z.copy(), gn)
         return gn
@@ -224,22 +222,22 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
                 y = x.copy()
                 t_mom = 1.0
             obj_prev = obj
-            if consider(x) <= tol:
+            if (gn_x := consider(x)) <= tol:
                 break
             if k % 200 == 0:
                 polished = _polish(problem, x)
                 if polished is not None and np.all(np.isfinite(polished)):
                     # one prox-gradient sweep re-projects onto the model
                     swept = g.prox(polished - mu * f.gradient(polished), mu)
-                    if consider(swept) <= tol:
+                    if (gn_swept := consider(swept)) <= tol:
                         x = swept
                         break
-                    if grad_map_norm(swept) < grad_map_norm(x):
+                    if gn_swept < gn_x:
                         x = swept
                         y = x.copy()
                         t_mom = 1.0
 
-    x_best, gn = best if best is not None else (x, grad_map_norm(x))
+    x_best, gn = best if best is not None else (x, consider(x))
     if gn > tol:
         raise RuntimeError(
             f"reference solve stalled at ||G_mu|| = {gn:.3e} > tol = {tol:.1e}")
@@ -286,14 +284,15 @@ class LyapunovSpec:
     envelope_kind: str
     alpha: float
     mu: float
-    theta: object                 # scalar or callable t -> theta(t)
+    theta: object                 # scalar, or callable on an array of times
     psi1_star: np.ndarray
     e_star: float
     H: np.ndarray | None = None   # quadratic cases
     beta: float | None = None     # general case evaluation point weight
 
     def theta_at(self, t):
-        return self.theta(t) if callable(self.theta) else float(self.theta)
+        theta = self.theta(t) if callable(self.theta) else self.theta
+        return np.broadcast_to(theta, np.shape(t))
 
 
 def make_lyapunov_spec(problem, mu, alpha, case, theta, envelope_kind=FB,
@@ -332,29 +331,28 @@ def make_lyapunov_spec(problem, mu, alpha, case, theta, envelope_kind=FB,
 
 
 def lyapunov_value(spec, t, psi):
-    """Evaluate the Lyapunov function at time t and stacked state psi."""
+    """Evaluate the Lyapunov function at time t and state psi (2n,), or at
+    times (S,) and a stack of states (S, 2n)."""
     psi = np.asarray(psi, dtype=float)
     n = spec.problem.dim
-    psi1, psi2 = psi[:n], psi[n:]
-    r = spec.theta_at(t) * (psi1 - spec.psi1_star) + psi2
+    psi1, psi2 = psi[..., :n], psi[..., n:]
+    r = spec.theta_at(t)[..., None] * (psi1 - spec.psi1_star) + psi2
     if spec.case == GENERAL_STRONG:
         y = psi1 + spec.beta * psi2
         env = fb_envelope_value(spec.problem, y, spec.mu) - spec.e_star
-        return spec.alpha * env + 0.5 * float(r @ r)
+        return spec.alpha * env + 0.5 * _dot(r, r)
     if spec.envelope_kind == DR:
         psi1 = spec.problem.f.prox(psi1, spec.mu)
     env = fb_envelope_value(spec.problem, psi1, spec.mu) - spec.e_star
-    return spec.alpha * env + 0.5 * float(r @ (spec.H @ r))
+    return spec.alpha * env + 0.5 * _dot(r, (spec.H @ r.T).T)
 
 
 def lyapunov_series(traj, spec):
     """Lyapunov values at every trajectory sample."""
-    states = traj.states
-    return np.array([lyapunov_value(spec, t, states[i])
-                     for i, t in enumerate(traj.times)])
+    return lyapunov_value(spec, traj.times, traj.states)
 
 
-def check_lyapunov_decay(traj, spec, theta_of_t=None):
+def check_lyapunov_decay(traj, spec):
     """Verify V' + theta V <= eps (1 + V) at every interior sample.
 
     The derivative is approximated by central differences on the sample
@@ -364,12 +362,9 @@ def check_lyapunov_decay(traj, spec, theta_of_t=None):
         raise ValueError("need at least 3 samples for the decay check")
     V = lyapunov_series(traj, spec)
     t = traj.times
-    theta_fn = theta_of_t if theta_of_t is not None else spec.theta_at
-    th = np.array([theta_fn(ti) for ti in t])
     Vdot = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
-    resid = Vdot + th[1:-1] * V[1:-1]
-    norm = 1.0 + V[1:-1]
-    rel = resid / norm
+    resid = Vdot + spec.theta_at(t)[1:-1] * V[1:-1]
+    rel = resid / (1.0 + V[1:-1])
     worst = float(rel.max())
     passed = bool(worst <= _DECAY_EPS)
     i_worst = int(np.argmax(rel)) + 1
@@ -459,25 +454,21 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
     if reference is None:
         reference = solve_reference(problem, mu, tol=1e-10)
     x_star, f_star = reference.x, reference.value
-    rng = np.random.default_rng(seed)
-    n = problem.dim
+    # pair i is (x_i, xh_i), drawn in that order
+    pairs = radius * np.random.default_rng(seed).standard_normal(
+        (n_pairs, 2, problem.dim))
+    x, xh = pairs[:, 0], pairs[:, 1]
     m, L = f.m, f.L
     lower_coef = m * m * (1.0 - mu * L) / (2.0 * L)
-    worst_upper = np.inf
-    worst_lower = np.inf
-    for _ in range(n_pairs):
-        x = radius * rng.standard_normal(n)
-        xh = radius * rng.standard_normal(n)
-        _, _, G, _, fmu = _fb_kernel(problem, x, mu)
-        slack = 1e-8 * (1.0 + abs(fmu))
-        d = x - xh
-        upper_rhs = (float(G @ d) - 0.5 * m * float(d @ d)
-                     - 0.5 * mu * float(G @ G))
-        margin_u = (upper_rhs + slack) - (fmu - problem.objective(xh))
-        ds = x - x_star
-        margin_l = (fmu - f_star + slack) - lower_coef * float(ds @ ds)
-        worst_upper = min(worst_upper, margin_u)
-        worst_lower = min(worst_lower, margin_l)
+    _, _, G, _, fmu = _fb_kernel(problem, x, mu)
+    slack = 1e-8 * (1.0 + np.abs(fmu))
+    d = x - xh
+    upper_rhs = _dot(G, d) - 0.5 * m * _dot(d, d) - 0.5 * mu * _dot(G, G)
+    margin_u = (upper_rhs + slack) - (fmu - problem.objective(xh))
+    ds = x - x_star
+    margin_l = (fmu - f_star + slack) - lower_coef * _dot(ds, ds)
+    worst_upper = float(np.min(margin_u, initial=np.inf))
+    worst_lower = float(np.min(margin_l, initial=np.inf))
     worst = min(worst_upper, worst_lower)
     return CertificateReport(
         kind="envelope_inequalities", passed=bool(worst >= 0.0),

@@ -45,8 +45,9 @@ _DR_KINDS = (DR_FLOW, ACC_DR)
 # kinds whose state z is mapped to the primal point x = prox_{mu f}(z)
 _Z_KINDS = _DR_KINDS + ("dr_discrete",)
 
-# rows per np.savetxt call when writing a trace
-_TRACE_ROWS = 256
+# rows per block when post-processing or writing a trace, so that no
+# temporary spans the whole (samples x columns) trace
+_BLOCK_ROWS = 256
 
 # damping offset r in theta(t) = 2/(t+r); r = 3 keeps beta(t) >= 0 for t >= 0
 _TIME_OFFSET = 3.0
@@ -177,7 +178,8 @@ class DynamicsSpec:
 
 
 def vector_field(spec, t, psi):
-    """Right-hand side of the selected dynamics at time t and state psi."""
+    """Right-hand side of the selected dynamics at time t and state psi, or
+    at times (S,) and a stack of states (S, state_dim)."""
     problem, mu, sched = spec.problem, spec.mu, spec.schedule
     alpha = sched.alpha
     n = problem.dim
@@ -185,12 +187,13 @@ def vector_field(spec, t, psi):
     if spec.kind in _FLOW_KINDS:
         x = problem.f.prox(psi, mu) if spec.kind == DR_FLOW else psi
         return -alpha * generalized_gradient(problem, x, mu)
-    pos, vel = psi[:n], psi[n:]
+    t = np.asarray(t, dtype=float)[..., None]
+    pos, vel = psi[..., :n], psi[..., n:]
     y = pos + sched.beta(t) * vel
     if spec.kind == ACC_DR:
         y = problem.f.prox(y, mu)
     acc = -sched.gamma(t) * vel - alpha * generalized_gradient(problem, y, mu)
-    return np.concatenate([vel, acc])
+    return np.concatenate([vel, acc], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -215,8 +218,6 @@ class Trajectory:
     @property
     def states(self):
         """Full ODE state samples, (S, state_dim)."""
-        if self.velocity.shape[1] == 0:
-            return self.position
         return np.hstack([self.position, self.velocity])
 
 
@@ -229,21 +230,15 @@ def _sample_grid(t_end, sample_dt):
     return grid
 
 
-def _prox_rows(f, rows, mu):
-    """DR primal reconstruction x = prox_{mu f}(z), row by row."""
-    out = np.empty_like(rows)
-    for i in range(rows.shape[0]):
-        out[i] = f.prox(rows[i], mu)
-    return out
+def _blocks(n_rows):
+    return (slice(i, i + _BLOCK_ROWS) for i in range(0, n_rows, _BLOCK_ROWS))
 
 
 def _compute_observables(problem, mu, primal, x_star=None, f_star=None):
-    S = primal.shape[0]
-    obj_prox = np.empty(S)
-    env = np.empty(S)
-    for i in range(S):
-        _, p, _, gp, env[i] = _fb_kernel(problem, primal[i], mu)
-        obj_prox[i] = problem.f.value(p) + gp
+    obj_prox, env = np.empty((2, primal.shape[0]))
+    for rows in _blocks(primal.shape[0]):
+        _, p, _, gp, env[rows] = _fb_kernel(problem, primal[rows], mu)
+        obj_prox[rows] = problem.f.value(p) + gp
     obs = {"objective_of_prox": obj_prox, "envelope": env}
     if f_star is not None:
         obs["objective_gap"] = obj_prox - float(f_star)
@@ -256,8 +251,11 @@ def _compute_observables(problem, mu, primal, x_star=None, f_star=None):
 def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
                 meta, observables=True):
     """Package samples of a continuous or discrete run as a Trajectory."""
-    primal = (_prox_rows(problem.f, position, mu) if kind in _Z_KINDS
-              else position)
+    primal = position
+    if kind in _Z_KINDS:
+        primal = np.empty_like(position)
+        for rows in _blocks(position.shape[0]):
+            primal[rows] = problem.f.prox(position[rows], mu)
     obs = (_compute_observables(problem, mu, primal, x_star, f_star)
            if observables else {})
     meta = dict(meta, kind=kind, mu=mu)
@@ -269,7 +267,8 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
 
 
 def _field_norm(spec, t, psi):
-    return float(np.linalg.norm(vector_field(spec, t, psi)))
+    """Field norm at each state of a stack (S, state_dim), times (S,)."""
+    return np.linalg.norm(vector_field(spec, t, psi), axis=-1)
 
 
 def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
@@ -315,30 +314,22 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
             raise FloatingPointError("vector field evaluated to non-finite values")
         return dy
 
-    times = [0.0]
-    states = [psi0.copy()]
+    states = [psi0[None, :]]
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
-            "stopped_early": False, "error_estimate": 0.0, "n_steps": 0,
-            "alpha": spec.schedule.alpha}
+            "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha}
 
     def build(observables=True):
-        block = np.array(states)
-        n = spec.problem.dim
-        return _trajectory(spec.problem, spec.kind, spec.mu, np.array(times),
-                           block[:, :n], block[:, n:], x_star, f_star, meta,
-                           observables)
+        block, n = np.concatenate(states), spec.problem.dim
+        return _trajectory(spec.problem, spec.kind, spec.mu,
+                           np.append(0.0, grid[:idx]), block[:, :n],
+                           block[:, n:], x_star, f_star, meta, observables)
 
     def _fail(message):
         raise IntegrationFailure(message, partial=build(observables=False))
 
-    def quiet_at(t, y):
-        fn = _field_norm(spec, t, y)
-        return fn <= 1e-12 * (1.0 + float(np.linalg.norm(y)))
-
     solver = RK45(fun, 0.0, psi0, t_bound=float(t_end), rtol=tol, atol=tol)
     idx = 0
     quiet = 0
-    err_est = 0.0
     while solver.status == "running":
         try:
             solver.step()
@@ -347,21 +338,25 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         if solver.status == "failed":
             _fail("adaptive step-size underflow")
         meta["n_steps"] += 1
-        err_est += tol * (1.0 + float(np.linalg.norm(solver.y)))
-        dense = solver.dense_output()
-        while idx < grid.size and grid[idx] <= solver.t + 1e-12:
-            y = dense(grid[idx])
-            if not np.all(np.isfinite(y)):
-                _fail("non-finite state sample")
-            times.append(float(grid[idx]))
-            states.append(y)
-            if early_stop:
-                quiet = quiet + 1 if quiet_at(grid[idx], y) else 0
-            idx += 1
-        if early_stop and quiet >= 5:
-            meta["stopped_early"] = True
-            break
-    meta["error_estimate"] = err_est
+        # every grid point this step reached, in one dense-output call
+        end = int(np.searchsorted(grid, solver.t + 1e-12, side="right"))
+        if end == idx:
+            continue
+        ts = grid[idx:end]
+        ys = solver.dense_output()(ts).T
+        if not np.all(np.isfinite(ys)):
+            _fail("non-finite state sample")
+        states.append(ys)
+        idx = end
+        if early_stop:
+            quiet_now = (_field_norm(spec, ts, ys)
+                         <= 1e-12 * (1.0 + np.linalg.norm(ys, axis=-1)))
+            # length of the run of quiet samples that ends at the last one
+            quiet = (quiet + ts.size if quiet_now.all()
+                     else int(np.argmin(quiet_now[::-1])))
+            if quiet >= 5:
+                meta["stopped_early"] = True
+                break
     return build()
 
 
@@ -424,9 +419,9 @@ def export_trajectory_csv(traj, path):
     """Write a trajectory trace.
 
     Columns: t, x_1..x_n, then z_1..z_n for DR kinds, then v_1..v_n for
-    second-order kinds, then objective_gap, dist_sq, lyapunov. Missing
-    observables are written as nan. Full-precision scientific notation,
-    CRLF line endings.
+    second-order kinds, then objective_gap, dist_sq. Missing observables
+    are written as nan. Full-precision scientific notation, CRLF line
+    endings.
     """
     n = traj.primal.shape[1]
     has_z = traj.kind in _Z_KINDS
@@ -439,15 +434,12 @@ def export_trajectory_csv(traj, path):
     header += [f"v_{i+1}" for i in range(nv)]
     blocks.append(traj.velocity)
     nan = np.full(traj.times.shape[0], np.nan)
-    for name in ("objective_gap", "dist_sq", "lyapunov"):
+    for name in ("objective_gap", "dist_sq"):
         header.append(name)
         blocks.append(traj.observables.get(name, nan)[:, None])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        # a few hundred rows at a time, so the text table never holds the
-        # whole (samples x columns) trace in memory at once
-        for start in range(0, traj.times.shape[0], _TRACE_ROWS):
-            rows = slice(start, start + _TRACE_ROWS)
+        for rows in _blocks(traj.times.shape[0]):
             np.savetxt(fh, np.hstack([b[rows] for b in blocks]),
                        fmt="%.17e", delimiter=",", newline="\r\n")
 
@@ -458,7 +450,7 @@ def read_trace_csv(path):
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     out = {name: data[:, header.index(name)]
-           for name in ("t", "objective_gap", "dist_sq", "lyapunov")}
+           for name in ("t", "objective_gap", "dist_sq")}
     for prefix in ("x", "z", "v"):
         idx = [j for j, name in enumerate(header)
                if name.startswith(prefix + "_")]

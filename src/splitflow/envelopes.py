@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterDomainError, UnsupportedOperationError
+from .problems import _dot
 
 __all__ = [
     "EnvelopeConstants",
@@ -84,6 +85,7 @@ def generalized_gradient(problem, x, mu):
 def _fb_kernel(problem, x, mu):
     """Shared FB computation at x: (grad f, prox point p, G_mu, g(p), value).
 
+    x is a point (n,) or a stack (S, n); the values then have shape (S,).
     The value is the FB envelope in its Moreau-envelope form
     f(x) + g(p) + ||p - (x - mu grad f(x))||^2 / (2 mu)
     - (mu/2) ||grad f(x)||^2. mu is not validated here.
@@ -95,8 +97,8 @@ def _fb_kernel(problem, x, mu):
     G = (x - p) / mu
     gp = g.value(p)
     diff = p - forward
-    value = (f.value(x) + gp + float(diff @ diff) / (2.0 * mu)
-             - 0.5 * mu * float(gf @ gf))
+    value = (f.value(x) + gp + _dot(diff, diff) / (2.0 * mu)
+             - 0.5 * mu * _dot(gf, gf))
     return gf, p, G, gp, value
 
 

@@ -5,6 +5,10 @@ with a strong convexity constant ``m`` and a gradient Lipschitz constant
 ``L``; the nonsmooth part g is accessed through its proximal operator.
 All oracles are pure functions of immutable problem data and are safe to
 call concurrently (internal factorization caches are idempotent).
+
+The ``value``, ``gradient`` and ``prox`` oracles take a point ``(n,)`` or a
+stack of points ``(S, n)`` and return one result per point; black-box
+callables and the inner Newton prox are applied row by row.
 """
 
 from __future__ import annotations
@@ -48,6 +52,16 @@ def _check_vector(v, name="v"):
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _dot(a, b):
+    """Last-axis inner product; on two vectors the BLAS dot of ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
+
+
+def _by_rows(fn, x, *args):
+    """Float results of a single-point callable on each row of x."""
+    return np.asarray(np.apply_along_axis(fn, -1, x, *args), dtype=float)[()]
 
 
 def _check_mu(mu):
@@ -99,7 +113,7 @@ class SmoothFunction:
                 f"prox of the smooth part is not available for "
                 f"{type(self).__name__}; enable the inner Newton solver "
                 "(newton_prox=True) or use a quadratic f")
-        return _newton_prox(self, v, mu)
+        return _by_rows(lambda r: _newton_prox(self, r, mu), v)
 
 
 class Quadratic(SmoothFunction):
@@ -135,11 +149,12 @@ class Quadratic(SmoothFunction):
         self.L = float(max(eigs[-1], 0.0)) if L is None else float(L)
         self._prox_factors = {}
 
+    # on a point, (Q @ x.T).T is the same BLAS call as Q @ x (same rounding)
     def value(self, x):
-        return 0.5 * float(x @ (self.Q @ x)) + float(self.q @ x)
+        return 0.5 * _dot(x, (self.Q @ x.T).T) + _dot(self.q, x)
 
     def gradient(self, x):
-        return self.Q @ x + self.q
+        return (self.Q @ x.T).T + self.q
 
     def hess_vec(self, x, v):
         return self.Q @ v
@@ -160,8 +175,8 @@ class Quadratic(SmoothFunction):
         return fac
 
     def solve_shifted(self, mu, rhs):
-        """Solve (I + mu Q) z = rhs."""
-        return sla.cho_solve(self._shifted_factor(mu), rhs)
+        """Solve (I + mu Q) z = rhs, for one right-hand side or a stack."""
+        return sla.cho_solve(self._shifted_factor(mu), rhs.T).T
 
     def prox(self, v, mu):
         return self.solve_shifted(mu, v - mu * self.q)
@@ -230,13 +245,13 @@ class LogisticRidge(SmoothFunction):
         self.newton_prox = bool(newton_prox)
 
     def value(self, x):
-        t = self.A @ x
-        return float(np.sum(np.logaddexp(0.0, t) - self.y * t)
-                     + 0.5 * self.ridge * (x @ x))
+        t = (self.A @ x.T).T
+        return (np.sum(np.logaddexp(0.0, t) - self.y * t, axis=-1)
+                + 0.5 * self.ridge * _dot(x, x))
 
     def gradient(self, x):
-        s = expit(self.A @ x)
-        return self.A.T @ (s - self.y) + self.ridge * x
+        s = expit((self.A @ x.T).T)
+        return (self.A.T @ (s - self.y).T).T + self.ridge * x
 
     def hess_vec(self, x, v):
         s = expit(self.A @ x)
@@ -271,10 +286,10 @@ class GenericOracle(SmoothFunction):
         self.newton_prox = bool(newton_prox)
 
     def value(self, x):
-        return float(self.value_fn(x))
+        return _by_rows(self.value_fn, x)
 
     def gradient(self, x):
-        return np.asarray(self.grad_fn(x), dtype=float)
+        return _by_rows(self.grad_fn, x)
 
     def hess_vec(self, x, v):
         if self.hess_vec_fn is None:
@@ -312,7 +327,7 @@ class L1(NonsmoothFunction):
         self.weight = weight
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * np.sum(np.abs(x), axis=-1)
 
     def prox(self, v, mu):
         t = mu * self.weight
@@ -337,9 +352,9 @@ class BoxIndicator(NonsmoothFunction):
 
     def value(self, x):
         slack = 1e-12 * (1.0 + np.abs(self.lower) + np.abs(self.upper))
-        if np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack):
-            return 0.0
-        return np.inf
+        inside = np.all((x >= self.lower - slack) & (x <= self.upper + slack),
+                        axis=-1)
+        return np.where(inside, 0.0, np.inf)[()]
 
     def prox(self, v, mu):
         return np.clip(v, self.lower, self.upper)
@@ -356,10 +371,10 @@ class GenericProx(NonsmoothFunction):
         self.dim = dim
 
     def value(self, x):
-        return float(self.value_fn(x))
+        return _by_rows(self.value_fn, x)
 
     def prox(self, v, mu):
-        return np.asarray(self.prox_fn(v, mu), dtype=float)
+        return _by_rows(self.prox_fn, v, mu)
 
 
 def identity_prox(dim=None):

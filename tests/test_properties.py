@@ -1,15 +1,23 @@
-"""Property-based checks of the prox and envelope oracles.
+"""Property-based checks of the prox and envelope oracles, and of the
+stack convention: every oracle, the FB kernel, the vector fields and the
+Lyapunov function give on an (S, n) stack what they give row by row.
 
 Examples are derandomized, so every run draws the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splitflow import (BoxIndicator, L1, generalized_gradient, prox_g,
-                       solve_reference)
+from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
+                       CompositeProblem, ConvexSchedule, DynamicsSpec,
+                       GenericOracle, GenericProx, L1, LogisticRidge,
+                       generalized_gradient, lyapunov_value,
+                       make_lyapunov_spec, prox_g, solve_reference,
+                       vector_field)
+from splitflow.analysis import GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG
 from splitflow.envelopes import _fb_kernel
 
 from conftest import make_logistic_l1, make_quadratic_box, make_quadratic_l1
@@ -77,3 +85,101 @@ def test_prox_firmly_nonexpansive(gname, a, b, mu, scale):
                                                      scale * np.ones(N))
     d = prox_g(g, a, mu) - prox_g(g, b, mu)
     assert d @ d <= d @ (a - b) + 1e-12 * (1.0 + np.abs(a - b).max() ** 2)
+
+
+# ---------------------------------------------------------------------------
+# a stack of points gives the row-by-row results
+# ---------------------------------------------------------------------------
+
+S = 5
+STACK = settings(derandomize=True, max_examples=10, deadline=None)
+stacks = arrays(np.float64, (S, N), elements=finite)
+times = arrays(np.float64, S, elements=st.floats(0.0, 50.0))
+
+
+def assert_rows_match(stacked, rows):
+    stacked, rows = np.asarray(stacked), np.asarray(rows)
+    assert stacked.shape == rows.shape
+    with np.errstate(invalid="ignore"):         # inf - inf for the box
+        close = np.abs(stacked - rows) <= 1e-12 * (1.0 + np.abs(rows))
+    assert np.all(close | (stacked == rows))
+
+
+def oracles(seed, mu):
+    """Every value / gradient / prox oracle, as a function of x alone."""
+    quad = make_quadratic_l1(n=N, seed=seed).f
+    logi = make_logistic_l1(s=10, n=N, seed=seed).f
+    newton = LogisticRidge(logi.A, logi.y, logi.ridge, newton_prox=True)
+    gen_f = GenericOracle(lambda x: float(x @ x), lambda x: 2.0 * x, N,
+                          2.0, 2.0)
+    gen_g = GenericProx(lambda x: float(np.abs(x).sum()),
+                        lambda v, m: np.sign(v) * np.maximum(np.abs(v) - m, 0))
+    l1, box = L1(0.7), BoxIndicator(-np.ones(N), np.ones(N))
+    smooth = {"quadratic": quad, "logistic": newton, "generic_f": gen_f}
+    parts = dict(smooth, l1=l1, box=box, generic_g=gen_g)
+    out = {"objective": CompositeProblem(logi, l1).objective}
+    for name, part in parts.items():
+        out[name + ".value"] = part.value
+        if name in smooth:
+            out[name + ".gradient"] = part.gradient
+        if name != "generic_f":         # built without the Newton prox
+            out[name + ".prox"] = lambda x, part=part: part.prox(x, mu)
+    return out
+
+
+ORACLES = sorted(oracles(0, 0.1))
+
+
+@pytest.mark.parametrize("name", ORACLES)
+@STACK
+@given(seeds, stacks, st.floats(0.01, 2.0))
+def test_oracle_stack_equals_rows(name, seed, x, mu):
+    # rows outside and inside the box
+    x = np.vstack([x, np.clip(x, -1.0, 1.0)])
+    fn = oracles(seed, mu)[name]
+    assert_rows_match(fn(x), [fn(row) for row in x])
+
+
+@STACK
+@given(problem_kinds, seeds, stacks, mu_fractions)
+def test_kernel_stack_equals_rows(kind, seed, x, frac):
+    p = problem_for(kind, seed)
+    mu = frac / p.f.L
+    stacked = _fb_kernel(p, x, mu)
+    rows = [_fb_kernel(p, row, mu) for row in x]
+    for j, part in enumerate(stacked):
+        assert_rows_match(part, [r[j] for r in rows])
+
+
+@pytest.mark.parametrize("kind", [FB_FLOW, DR_FLOW, ACC_FB, ACC_DR])
+@STACK
+@given(seeds, times, stacks, stacks, mu_fractions)
+def test_vector_field_stack_equals_rows(kind, seed, t, pos, vel, frac):
+    p = make_quadratic_l1(n=N, seed=seed)
+    spec = DynamicsSpec(kind, p, frac / p.f.L, ConvexSchedule(alpha=0.5))
+    psi = pos if kind in (FB_FLOW, DR_FLOW) else np.hstack([pos, vel])
+    assert_rows_match(vector_field(spec, t, psi),
+                      [vector_field(spec, ti, row) for ti, row in zip(t, psi)])
+
+
+@pytest.mark.parametrize("case", [QUAD_CONVEX, QUAD_STRONG, GENERAL_STRONG])
+@STACK
+@given(seeds, times, stacks, stacks, mu_fractions)
+def test_lyapunov_stack_equals_rows(case, seed, t, pos, vel, frac):
+    if case == GENERAL_STRONG:
+        p = make_logistic_l1(s=10, n=N, seed=seed)
+        kw = dict(theta=0.3, beta=0.4)
+    elif case == QUAD_CONVEX:
+        p = make_quadratic_l1(n=N, seed=seed)
+        kw = dict(theta=lambda s: 2.0 / (s + 3.0))
+    else:
+        p = make_quadratic_l1(n=N, seed=seed)
+        kw = dict(theta=0.3, envelope_kind="dr")
+    # the identity holds for any reference point
+    spec = make_lyapunov_spec(p, frac / p.f.L, alpha=0.1, case=case,
+                              x_star=np.linspace(-1.0, 1.0, N), f_star=0.5,
+                              **kw)
+    psi = np.hstack([pos, vel])
+    assert_rows_match(lyapunov_value(spec, t, psi),
+                      [lyapunov_value(spec, ti, row)
+                       for ti, row in zip(t, psi)])
