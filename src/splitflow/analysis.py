@@ -451,6 +451,8 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
         raise ParameterDomainError(
             "envelope inequalities require a strongly convex smooth part")
     mu = check_mu_domain(mu, f.L)
+    if n_pairs < 1:
+        raise ParameterDomainError(f"n_pairs must be >= 1, got {n_pairs}")
     if reference is None:
         reference = solve_reference(problem, mu, tol=1e-10)
     x_star, f_star = reference.x, reference.value
@@ -467,8 +469,7 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
     margin_u = (upper_rhs + slack) - (fmu - problem.objective(xh))
     ds = x - x_star
     margin_l = (fmu - f_star + slack) - lower_coef * _dot(ds, ds)
-    worst_upper = float(np.min(margin_u, initial=np.inf))
-    worst_lower = float(np.min(margin_l, initial=np.inf))
+    worst_upper, worst_lower = float(margin_u.min()), float(margin_l.min())
     worst = min(worst_upper, worst_lower)
     return CertificateReport(
         kind="envelope_inequalities", passed=bool(worst >= 0.0),

@@ -187,7 +187,8 @@ def vector_field(spec, t, psi):
     if spec.kind in _FLOW_KINDS:
         x = problem.f.prox(psi, mu) if spec.kind == DR_FLOW else psi
         return -alpha * generalized_gradient(problem, x, mu)
-    t = np.asarray(t, dtype=float)[..., None]
+    if np.ndim(t):  # times (S,) of a stack; a scalar stays a scalar
+        t = np.asarray(t, dtype=float)[:, None]
     pos, vel = psi[..., :n], psi[..., n:]
     y = pos + sched.beta(t) * vel
     if spec.kind == ACC_DR:
@@ -266,9 +267,9 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
                       meta=meta)
 
 
-def _field_norm(spec, t, psi):
-    """Field norm at each state of a stack (S, state_dim), times (S,)."""
-    return np.linalg.norm(vector_field(spec, t, psi), axis=-1)
+def _field_norm(dy):
+    """Norm of a field value along its last axis."""
+    return np.linalg.norm(dy, axis=-1)
 
 
 def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
@@ -287,8 +288,13 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     x_star, f_star : optional reference minimizer / optimal value; when
         supplied, squared-distance and objective-gap observables are
         attached to every sample.
-    early_stop : stop once the field norm stays below
-        1e-12 (1 + ||psi||) for 5 consecutive samples.
+    early_stop : stop after 5 consecutive accepted steps, judged on the FSAL
+        derivative: the field at each step's end, which the stepper already
+        evaluated, has norm <= 1e-12 (1 + ||psi||).
+
+    ``meta`` holds tol, sample_dt, method, alpha, n_steps (accepted steps),
+    stopped_early and rhs_calls (every field evaluation of the stepper,
+    initial-step selection included).
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterDomainError(f"tolerance {tol} outside [1e-12, 1e-3]")
@@ -310,7 +316,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 
     def fun(t, y):
         dy = vector_field(spec, t, y)
-        if not np.all(np.isfinite(dy)):
+        if not np.isfinite(dy).all():
             raise FloatingPointError("vector field evaluated to non-finite values")
         return dy
 
@@ -319,6 +325,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
             "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha}
 
     def build(observables=True):
+        meta["rhs_calls"] = solver.nfev
         block, n = np.concatenate(states), spec.problem.dim
         return _trajectory(spec.problem, spec.kind, spec.mu,
                            np.append(0.0, grid[:idx]), block[:, :n],
@@ -328,8 +335,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         raise IntegrationFailure(message, partial=build(observables=False))
 
     solver = RK45(fun, 0.0, psi0, t_bound=float(t_end), rtol=tol, atol=tol)
-    idx = 0
-    quiet = 0
+    idx = quiet = 0
     while solver.status == "running":
         try:
             solver.step()
@@ -340,20 +346,16 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         meta["n_steps"] += 1
         # every grid point this step reached, in one dense-output call
         end = int(np.searchsorted(grid, solver.t + 1e-12, side="right"))
-        if end == idx:
-            continue
-        ts = grid[idx:end]
-        ys = solver.dense_output()(ts).T
-        if not np.all(np.isfinite(ys)):
-            _fail("non-finite state sample")
-        states.append(ys)
-        idx = end
+        if end > idx:
+            ys = solver.dense_output()(grid[idx:end]).T
+            if not np.isfinite(ys).all():
+                _fail("non-finite state sample")
+            states.append(ys)
+            idx = end
         if early_stop:
-            quiet_now = (_field_norm(spec, ts, ys)
-                         <= 1e-12 * (1.0 + np.linalg.norm(ys, axis=-1)))
-            # length of the run of quiet samples that ends at the last one
-            quiet = (quiet + ts.size if quiet_now.all()
-                     else int(np.argmin(quiet_now[::-1])))
+            # solver.f is the field at (solver.t, solver.y) (FSAL)
+            quiet = (quiet + 1 if _field_norm(solver.f)
+                     <= 1e-12 * (1.0 + np.linalg.norm(solver.y)) else 0)
             if quiet >= 5:
                 meta["stopped_early"] = True
                 break

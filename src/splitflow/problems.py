@@ -17,6 +17,7 @@ import json
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import expit
 
@@ -176,7 +177,12 @@ class Quadratic(SmoothFunction):
 
     def solve_shifted(self, mu, rhs):
         """Solve (I + mu Q) z = rhs, for one right-hand side or a stack."""
-        return sla.cho_solve(self._shifted_factor(mu), rhs.T).T
+        # the LAPACK call of sla.cho_solve, without its per-call checks
+        c, lower = self._shifted_factor(mu)
+        z, info = dpotrs(c, rhs.T, lower=lower)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potrs failed with info={info}")
+        return z.T
 
     def prox(self, v, mu):
         return self.solve_shifted(mu, v - mu * self.q)

@@ -10,8 +10,9 @@ from splitflow import (ACC_DR, ACC_FB, CompositeProblem, ConvexSchedule,
                        certify_exponential, certify_sublinear,
                        check_conditions, check_envelope_inequalities,
                        check_lyapunov_decay, envelope_constants, h_curve,
-                       integrate, lyapunov_value, make_lyapunov_spec,
-                       schedule_strongly_convex, solve_reference)
+                       identity_prox, integrate, lyapunov_value,
+                       make_lyapunov_spec, schedule_strongly_convex,
+                       solve_reference)
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
                                 decay_form_constant, decay_form_timevarying,
                                 dr_weight_matrix, fb_weight_matrix,
@@ -301,6 +302,20 @@ class TestEnvelopeInequalities:
         lhs = fmu - p.objective(x)
         rhs = float(G @ (x - x)) - 0.5 * p.f.m * 0.0 - 0.5 * mu * float(G @ G)
         assert abs(lhs) <= 1e-9 and abs(rhs) <= 1e-9
+
+    @pytest.mark.parametrize("g", ["l1", "identity"])
+    def test_no_pairs_refused(self, monkeypatch, g):
+        # a zero-sample certificate is refused before the reference solve
+        p = make_quadratic_l1(n=6, seed=2)
+        if g == "identity":
+            p = CompositeProblem(p.f, identity_prox())
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference solved for an empty certificate")
+
+        monkeypatch.setattr("splitflow.analysis.solve_reference", no_reference)
+        with pytest.raises(ParameterDomainError):
+            check_envelope_inequalities(p, 0.05, n_pairs=0)
 
     def test_requires_strong_convexity(self):
         gen = np.random.default_rng(0)

@@ -183,6 +183,42 @@ class TestIntegrate:
         assert traj.meta["stopped_early"]
         assert traj.times[-1] < 400.0
 
+    def test_early_stop_after_five_quiet_steps(self):
+        # at rest at [x*, 0] every accepted step ends quiet, so the run stops
+        # after exactly 5 of them
+        p = make_quadratic_l1()
+        mu = 0.05
+        ref = solve_reference(p, mu, tol=1e-12)
+        spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
+        psi0 = np.concatenate([ref.x, np.zeros(p.dim)])
+        traj = integrate(spec, psi0=psi0, t_end=5.0, sample_dt=0.1)
+        assert traj.meta["stopped_early"]
+        assert traj.meta["n_steps"] == 5
+        assert traj.times[-1] == pytest.approx(1.1)
+
+    @pytest.mark.parametrize("case", ["early_stop", "acc_dr"])
+    def test_rhs_calls_all_from_stepper(self, monkeypatch, case):
+        # the early-stop test reuses the stepper's FSAL derivative: every
+        # field evaluation is one the stepper counted
+        calls = []
+
+        def counting(spec, t, psi):
+            calls.append(t)
+            return vector_field(spec, t, psi)
+
+        monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
+        if case == "early_stop":
+            p = CompositeProblem(Quadratic(np.eye(3), np.zeros(3)), L1(1.0))
+            spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=0.1))
+            traj = integrate(spec, psi0=0.1 * np.ones(3), t_end=400.0,
+                             sample_dt=2.0, tol=1e-12)
+        else:
+            p = make_quadratic_l1()
+            spec = DynamicsSpec(ACC_DR, p, 0.05, ConvexSchedule(alpha=0.1))
+            traj = integrate(spec, t_end=5.0, sample_dt=0.1)
+        assert traj.meta["stopped_early"] == (case == "early_stop")
+        assert len(calls) == traj.meta["rhs_calls"] > 0
+
     def test_integration_failure_carries_partial(self):
         f_bad = Quadratic(np.eye(2), np.zeros(2))
         p = CompositeProblem(f_bad, identity_prox())

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from splitflow import (BoxIndicator, CompositeProblem, GenericOracle, L1,
                        LogisticRidge, ParameterDomainError, Quadratic,
@@ -96,6 +97,20 @@ class TestProxF:
             z = prox_f(f, v, mu)
             resid = f.gradient(z) + (z - v) / mu
             assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(v))
+
+    def test_solve_matches_cho_solve(self, rng):
+        # the direct LAPACK solve gives cho_solve's numbers bit for bit
+        n = 9
+        from oracles import random_spd_matrix
+        f = Quadratic(random_spd_matrix(n, 0.5, 4.0, rng),
+                      rng.standard_normal(n))
+        mu = 0.3
+        fac = f._shifted_factor(mu)
+        for v in (rng.standard_normal(n), rng.standard_normal((7, n))):
+            assert np.array_equal(f.solve_shifted(mu, v),
+                                  sla.cho_solve(fac, v.T).T)
+            assert np.array_equal(f.prox(v, mu),
+                                  sla.cho_solve(fac, (v - mu * f.q).T).T)
 
     def test_logistic_requires_newton_optin(self):
         problem = make_logistic_l1()
