@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvfmt import write_csv
 from .dynamics import ConvexSchedule, acc_fb_mu_bound, strongly_convex_point
 from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
@@ -550,10 +551,16 @@ def h_curve(w_grid):
 
 
 def write_h_curve_csv(report, path):
-    """Two-column CSV (w, h) suitable for external plotting."""
-    np.savetxt(path, np.column_stack([report.details["w"],
-                                      report.details["h"]]),
-               fmt="%.17e", delimiter=",", header="w,h", comments="")
+    """Two-column CSV (w, h) suitable for external plotting: a ``w,h``
+    header and LF line endings.
+
+    Values are written in exactly the bytes of ``'%.17e' % value``, by the
+    trace writer's vectorized formatter, which falls back to ``'%.17e'``
+    for the few values it cannot decide with certainty (see
+    :func:`splitflow.dynamics.export_trajectory_csv`)."""
+    write_csv(path, ["w", "h"],
+              [np.column_stack([report.details["w"], report.details["h"]])],
+              "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -340,12 +340,14 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
             raise ValueError(f"no theoretical rate available for {kind}")
         cert = analysis.certify_exponential(traj, rho, setup["window"])
     elapsed = time.perf_counter() - t0
+    export_s = 0.0
     if out_dir is not None:
         dynamics.export_trajectory_csv(
             traj, os.path.join(out_dir, f"trace_{kind}.csv"))
+        export_s = time.perf_counter() - t0 - elapsed
     gap = traj.observables["objective_gap"]
     dist = traj.observables["dist_sq"]
-    return {
+    record = {
         "pass": bool(cert.passed),
         "fitted": cert.fitted,
         "theoretical": cert.theoretical,
@@ -353,12 +355,25 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         "final_gap": float(gap[-1]),
         "final_dist_sq": float(dist[-1]),
         "wall_clock": elapsed,
+        "export_s": export_s,
     }
+    # integrator counters; a discrete run has iterations only
+    for key in ("n_steps", "rhs_calls", "stopped_early"):
+        if key in traj.meta:
+            record[key] = traj.meta[key]
+    return record
 
 
 def run_benchmark(config, out_dir=None):
     """Generate, solve, integrate, certify; failures are recorded per
-    dynamics without aborting the batch."""
+    dynamics without aborting the batch.
+
+    A dynamics' record holds its verdict, fitted and theoretical rates,
+    certificate, final gap and distance, ``wall_clock`` (seconds to
+    integrate and certify), ``export_s`` (seconds to write its trace, 0.0
+    without ``out_dir``) and the integrator's ``n_steps``, ``rhs_calls``
+    and ``stopped_early`` (``n_steps`` alone for a discrete baseline).
+    """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library code paths they are checking:
 scalar proxes come from golden-section search on the prox objective,
-gradients from central finite differences, and linear flows from the
-eigendecomposition solution of the ODE.
+gradients from central finite differences, linear flows from the
+eigendecomposition solution of the ODE, and CSV text from Python's own
+``'%.17e'`` formatting, one value at a time.
 """
 
 import math
@@ -104,3 +105,30 @@ def random_spd_matrix(n, m, L, rng):
     d = np.linspace(m, L, n)
     A = Qf.T @ (d[:, None] * Qf)
     return 0.5 * (A + A.T)
+
+
+def percent_e_csv(block, newline):
+    """CSV bytes of the rows of a 2-D block: ``'%.17e' % value`` fields
+    joined by ``,``, each row ended by ``newline``."""
+    return "".join(",".join("%.17e" % float(v) for v in row) + newline
+                   for row in block).encode("ascii")
+
+
+def trace_csv_reference(traj):
+    """Bytes of the trace file of a trajectory, written value by value:
+    t, x_i, z_i (DR kinds), v_i, objective_gap, dist_sq (nan when the
+    observable is missing), CRLF line endings."""
+    S = traj.times.shape[0]
+    parts = [("x", traj.primal)]
+    if traj.kind in ("dr_flow", "acc_dr", "dr_discrete"):
+        parts.append(("z", traj.position))
+    parts.append(("v", traj.velocity))
+    header = ["t"] + [f"{name}_{i + 1}" for name, block in parts
+                      for i in range(block.shape[1])]
+    header += ["objective_gap", "dist_sq"]
+    rows = np.column_stack(
+        [traj.times] + [block for _, block in parts]
+        + [traj.observables.get(name, np.full(S, np.nan))
+           for name in ("objective_gap", "dist_sq")])
+    return (",".join(header) + "\r\n").encode("ascii") + percent_e_csv(
+        rows, "\r\n")

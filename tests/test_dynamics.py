@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
-                       ConvexSchedule, DynamicsSpec, IntegrationFailure, L1,
+                       ConvexSchedule, DynamicsSpec, GenericProx,
+                       IntegrationFailure, L1,
                        ParameterDomainError, Quadratic,
                        UnsupportedOperationError, discrete_dr_step,
                        discrete_fb_step, generalized_gradient, identity_prox,
@@ -13,7 +14,8 @@ from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
 
 from conftest import make_logistic_l1, make_quadratic_l1
-from oracles import linear_flow_solution, random_spd_matrix, scalar_prox_l1
+from oracles import (linear_flow_solution, random_spd_matrix, scalar_prox_l1,
+                     trace_csv_reference)
 
 
 def smooth_problem(n=4, seed=0, m=0.5, L=3.0):
@@ -388,6 +390,41 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(back["dist_sq"],
                                       traj.observables["dist_sq"])
         assert set(back) == {"t", "x", "z", "v", "objective_gap", "dist_sq"}
+
+    @pytest.mark.parametrize("case", ["fb_flow", "acc_dr", "dr_discrete",
+                                      "no_reference", "one_row_partial"])
+    def test_bytes_match_percent_e(self, case, tmp_path):
+        p = make_quadratic_l1(n=4, seed=19)
+        mu = 0.05
+        ref = solve_reference(p, mu, tol=1e-12)
+        sched = ConvexSchedule(alpha=0.1)
+        if case == "dr_discrete":           # empty velocity block
+            traj = run_discrete(p, case, mu, 40, x_star=ref.x,
+                                f_star=ref.value)
+        elif case == "one_row_partial":
+            # the prox turns non-finite in the first step, after the two
+            # field evaluations of the stepper's set-up
+            calls = {"n": 0}
+
+            def bad_prox(v, m):
+                calls["n"] += 1
+                return v * np.nan if calls["n"] > 2 else v
+
+            p_bad = CompositeProblem(p.f, GenericProx(lambda x: 0.0, bad_prox))
+            with pytest.raises(IntegrationFailure) as exc:
+                integrate(DynamicsSpec(FB_FLOW, p_bad, mu, sched),
+                          psi0=np.linspace(-1.0, 1.0, 4), t_end=1.0)
+            traj = exc.value.partial
+            assert traj.times.shape[0] == 1
+        else:
+            kind = ACC_DR if case == "acc_dr" else FB_FLOW
+            known = {} if case == "no_reference" else dict(x_star=ref.x,
+                                                           f_star=ref.value)
+            traj = integrate(DynamicsSpec(kind, p, mu, sched), t_end=40.0,
+                             sample_dt=0.5, **known)
+        path = tmp_path / "trace.csv"
+        export_trajectory_csv(traj, path)
+        assert path.read_bytes() == trace_csv_reference(traj)
 
     def test_header_and_precision(self, tmp_path):
         p = make_quadratic_l1(n=2, seed=21)

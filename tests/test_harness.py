@@ -161,6 +161,26 @@ class TestRunBenchmark:
         assert "error" in report.dynamics["acc_dr"]
         assert "error" not in report.dynamics["acc_fb"]
 
+    def test_records_carry_run_telemetry(self, tmp_path):
+        cfg = BenchmarkConfig(dims=(8, 20), seed=0,
+                              dynamics=("acc_fb", "dr_flow", "fb_discrete"),
+                              t_end=20.0, sample_dt=0.5, window=(2.0, 20.0))
+        written = run_benchmark(cfg, out_dir=str(tmp_path))
+        in_memory = run_benchmark(cfg)
+        saved = json.loads((tmp_path / "report.json").read_text())
+        keys = ("n_steps", "rhs_calls", "stopped_early")
+        for kind in ("acc_fb", "dr_flow"):
+            rec = written.dynamics[kind]
+            assert rec["rhs_calls"] >= rec["n_steps"] > 0, rec
+            assert rec["stopped_early"] in (True, False)
+            assert rec["export_s"] > 0.0
+            assert in_memory.dynamics[kind]["export_s"] == 0.0
+            assert [saved["dynamics"][kind][k] for k in keys] == [
+                rec[k] for k in keys]
+        disc = written.dynamics["fb_discrete"]
+        assert disc["n_steps"] > 0 and disc["export_s"] > 0.0
+        assert "rhs_calls" not in disc and "stopped_early" not in disc
+
     def test_discrete_and_flow_share_limit(self):
         cfg = BenchmarkConfig(example=BOX_QP, dims=(0, 12), kappa=10.0,
                               seed=3, dynamics=("fb_flow", "fb_discrete"),

@@ -1,6 +1,7 @@
-"""Property-based checks of the prox and envelope oracles, and of the
-stack convention: every oracle, the FB kernel, the vector fields and the
-Lyapunov function give on an (S, n) stack what they give row by row.
+"""Property-based checks of the prox and envelope oracles, of the
+stack convention (every oracle, the FB kernel, the vector fields and the
+Lyapunov function give on an (S, n) stack what they give row by row), and
+of the CSV writer (the bytes of ``'%.17e'``, value by value).
 
 Examples are derandomized, so every run draws the same cases.
 """
@@ -17,11 +18,12 @@ from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
                        generalized_gradient, lyapunov_value,
                        make_lyapunov_spec, prox_g, solve_reference,
                        vector_field)
+from splitflow._csvfmt import write_csv
 from splitflow.analysis import GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG
 from splitflow.envelopes import _fb_kernel
 
 from conftest import make_logistic_l1, make_quadratic_box, make_quadratic_l1
-from oracles import fb_envelope_prox_form
+from oracles import fb_envelope_prox_form, percent_e_csv
 
 N = 6
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
@@ -183,3 +185,71 @@ def test_lyapunov_stack_equals_rows(case, seed, t, pos, vel, frac):
     assert_rows_match(lyapunov_value(spec, t, psi),
                       [lyapunov_value(spec, ti, row)
                        for ti, row in zip(t, psi)])
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer gives the bytes of '%.17e', value by value
+# ---------------------------------------------------------------------------
+
+def edge_values():
+    """Zeros, extremes, non-finite values, powers of ten with both
+    neighbours, powers of two, 1e17 and 1e18 with both neighbours, and
+    exact rounding ties; each with both signs."""
+    tiny = np.finfo(np.float64)
+    values = [0.0, 5e-324, tiny.smallest_normal, tiny.max, np.nan, np.inf]
+    for k in range(-300, 301):
+        p = float(f"1e{k}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    values += [2.0 ** k for k in range(-1074, 1024)]
+    for p in (1e17, 1e18):
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    # exact ties of the 18th digit: m / 8 for odd m ~ 8e15 ends in 125,
+    # 375, 625 or 875 at the 19th significant digit
+    values += list((8e15 + np.arange(1.0, 40.0, 2.0)) / 8.0)
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def written(path, block, newline):
+    write_csv(path, ["a"], [block], newline)
+    text = path.read_bytes()
+    header = ("a" + newline).encode("ascii")
+    assert text.startswith(header)
+    return text[len(header):]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 33])
+@pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+@pytest.mark.parametrize("log10_shift", [0.0, -1.0, 1.0])
+def test_csv_edge_values_match_percent_e(rows, newline, log10_shift,
+                                         tmp_path, monkeypatch):
+    # a shifted log10 puts every decimal exponent one too small or too
+    # large, as an inaccurate log10 could near a power of ten; such values
+    # must reach the exact fallback
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + log10_shift)
+    values = edge_values()
+    block = np.resize(values, (rows, -(-values.size // rows)))
+    assert (written(tmp_path / "edge.csv", block, newline)
+            == percent_e_csv(block, newline))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "rows.csv"
+
+
+EDGE_BITS = edge_values().view(np.uint64).tolist()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, 2, 33]), cols=st.integers(1, 5),
+       data=st.data())
+def test_csv_bit_patterns_match_percent_e(csv_path, rows, cols, data):
+    # any 64-bit pattern, NaN payloads and subnormals included, mixed with
+    # the edge values
+    bits = data.draw(arrays(np.uint64, (rows, cols), elements=st.one_of(
+        st.integers(0, 2**64 - 1), st.sampled_from(EDGE_BITS))))
+    block = bits.view(np.float64)
+    assert (written(csv_path, block, "\r\n")
+            == percent_e_csv(block, "\r\n"))

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,16 @@ def test_benchmark_span_targets_exist():
                if not hasattr(importlib.import_module(f"splitflow.{module}"),
                               name)]
     assert missing == []
+
+
+def test_import_builds_no_csv_tables():
+    # the trace writer's lookup tables are built on the first export; a
+    # build at import would add to every process's start-up time
+    code = ("import splitflow, sys; "
+            "print(sys.modules['splitflow._csvfmt']._tables.cache_info()"
+            ".currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
