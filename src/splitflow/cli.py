@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, envelopes, harness
-from .dynamics import acc_fb_mu_bound, read_trace_csv, strongly_convex_point
+from .dynamics import read_trace_csv
 from .problems import CompositeProblem, L1, Quadratic, load_problem
 
 EXIT_OK = 0
@@ -88,17 +88,11 @@ def _cmd_verify(args):
             all_pass &= report.passed
         return EXIT_OK if all_pass else EXIT_CERT_FAIL
     if args.suite == "conditions":
-        grid = np.linspace(0.01, 1.0, args.grid)
-        rows = []
-        all_pass = True
-        for w in grid:
-            gamma, beta, theta = strongly_convex_point(w)
-            mu_L = acc_fb_mu_bound(gamma, beta, 1.0)
-            ci, cii, resid = analysis.check_conditions(w, mu_L, beta, gamma,
-                                                       theta)
-            rows.append({"w": float(w), "i": ci, "ii": cii,
-                         "iii_residual": resid})
-            all_pass &= ci and cii and resid <= 0.0
+        d = analysis.h_curve(np.linspace(0.01, 1.0, args.grid)).details
+        keys = ("w", "i", "ii", "iii_residual")
+        rows = [dict(zip(keys, row))
+                for row in zip(*(d[k].tolist() for k in keys))]
+        all_pass = bool(np.all(d["i"] & d["ii"] & (d["iii_residual"] <= 0.0)))
         with open(os.path.join(args.out, "conditions.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(rows, fh)

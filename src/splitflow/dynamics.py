@@ -24,11 +24,12 @@ from ._csvfmt import write_csv
 from .envelopes import _fb_kernel, check_mu_domain, generalized_gradient
 from .exceptions import (IntegrationFailure, ParameterDomainError,
                          UnsupportedOperationError)
+from .problems import _check_mu
 
 __all__ = [
     "FB_FLOW", "DR_FLOW", "ACC_FB", "ACC_DR",
     "ConvexSchedule", "ConstantSchedule",
-    "schedule_convex", "schedule_strongly_convex",
+    "schedule_strongly_convex",
     "DynamicsSpec", "vector_field",
     "Trajectory", "integrate",
     "discrete_fb_step", "discrete_dr_step", "run_discrete",
@@ -52,17 +53,6 @@ _BLOCK_ROWS = 256
 
 # damping offset r in theta(t) = 2/(t+r); r = 3 keeps beta(t) >= 0 for t >= 0
 _TIME_OFFSET = 3.0
-
-
-def schedule_convex(t):
-    """Time-varying parameters for the convex case: (gamma, beta, theta).
-
-    gamma(t) = 3/(t+3), beta = 1 - gamma (exactly), theta(t) = 2/(t+3).
-    """
-    if t < 0:
-        raise ParameterDomainError(f"schedule time must be nonnegative, got {t}")
-    return (ConvexSchedule.gamma(t), ConvexSchedule.beta(t),
-            ConvexSchedule.theta(t))
 
 
 class ConvexSchedule:
@@ -92,12 +82,16 @@ class ConvexSchedule:
 class ConstantSchedule:
     """Constant damping schedule for strongly convex problems."""
 
-    def __init__(self, alpha, gamma, beta, theta, rate):
+    def __init__(self, alpha, gamma, beta, theta):
         self.alpha = float(alpha)
         self._gamma = float(gamma)
         self._beta = float(beta)
         self._theta = float(theta)
-        self.rate = float(rate)
+
+    @property
+    def rate(self):
+        """Certified exponential decay rate; equal to theta."""
+        return self._theta
 
     def gamma(self, t=0.0):
         return self._gamma
@@ -140,8 +134,7 @@ def schedule_strongly_convex(alpha, m_eff):
         raise ParameterDomainError(
             f"alpha * m_eff must lie in (0, 1], got {x}")
     gamma, beta, theta = strongly_convex_point(math.sqrt(x))
-    return ConstantSchedule(alpha=alpha, gamma=gamma, beta=beta, theta=theta,
-                            rate=theta)
+    return ConstantSchedule(alpha=alpha, gamma=gamma, beta=beta, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -316,6 +309,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     grid = _sample_grid(t_end, sample_dt)
 
     def fun(t, y):
+        meta["rhs_calls"] += 1
         dy = vector_field(spec, t, y)
         if not np.isfinite(dy).all():
             raise FloatingPointError("vector field evaluated to non-finite values")
@@ -323,10 +317,10 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 
     states = [psi0[None, :]]
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
-            "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha}
+            "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha,
+            "rhs_calls": 0}
 
     def build(observables=True):
-        meta["rhs_calls"] = solver.nfev
         block, n = np.concatenate(states), spec.problem.dim
         return _trajectory(spec.problem, spec.kind, spec.mu,
                            np.append(0.0, grid[:idx]), block[:, :n],
@@ -335,31 +329,33 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     def _fail(message):
         raise IntegrationFailure(message, partial=build(observables=False))
 
-    solver = RK45(fun, 0.0, psi0, t_bound=float(t_end), rtol=tol, atol=tol)
     idx = quiet = 0
-    while solver.status == "running":
-        try:
+    # fun raises FloatingPointError in the constructor's call at psi0 too;
+    # fun must not reach the samples: the solver is a cycle only gc frees
+    try:
+        solver = RK45(fun, 0.0, psi0, t_bound=float(t_end), rtol=tol, atol=tol)
+        while solver.status == "running":
             solver.step()
-        except FloatingPointError as exc:
-            _fail(str(exc))
-        if solver.status == "failed":
-            _fail("adaptive step-size underflow")
-        meta["n_steps"] += 1
-        # every grid point this step reached, in one dense-output call
-        end = int(np.searchsorted(grid, solver.t + 1e-12, side="right"))
-        if end > idx:
-            ys = solver.dense_output()(grid[idx:end]).T
-            if not np.isfinite(ys).all():
-                _fail("non-finite state sample")
-            states.append(ys)
-            idx = end
-        if early_stop:
-            # solver.f is the field at (solver.t, solver.y) (FSAL)
-            quiet = (quiet + 1 if _field_norm(solver.f)
-                     <= 1e-12 * (1.0 + np.linalg.norm(solver.y)) else 0)
-            if quiet >= 5:
-                meta["stopped_early"] = True
-                break
+            if solver.status == "failed":
+                _fail("adaptive step-size underflow")
+            meta["n_steps"] += 1
+            # every grid point this step reached, in one dense-output call
+            end = int(np.searchsorted(grid, solver.t + 1e-12, side="right"))
+            if end > idx:
+                ys = solver.dense_output()(grid[idx:end]).T
+                if not np.isfinite(ys).all():
+                    _fail("non-finite state sample")
+                states.append(ys)
+                idx = end
+            if early_stop:
+                # solver.f is the field at (solver.t, solver.y) (FSAL)
+                quiet = (quiet + 1 if _field_norm(solver.f)
+                         <= 1e-12 * (1.0 + np.linalg.norm(solver.y)) else 0)
+                if quiet >= 5:
+                    meta["stopped_early"] = True
+                    break
+    except FloatingPointError as exc:
+        _fail(str(exc))
     return build()
 
 
@@ -378,9 +374,7 @@ def discrete_fb_step(problem, x, alpha_bar, mu):
 
 def discrete_dr_step(problem, z, mu):
     """One Douglas-Rachford step z - prox_f(z) + prox_g(2 prox_f(z) - z)."""
-    mu = float(mu)
-    if mu <= 0:
-        raise ParameterDomainError("mu must be positive")
+    mu = _check_mu(mu)
     if not problem.f.supports_prox():
         raise UnsupportedOperationError("DR step requires prox of the smooth part")
     xh = problem.f.prox(z, mu)
@@ -396,11 +390,13 @@ def run_discrete(problem, kind, mu, n_steps, dt=1.0, x_star=None, f_star=None):
     against continuous trajectories on a shared axis.
     """
     if kind == "fb_discrete":
-        step_mu = check_mu_domain(mu, problem.f.L)
+        mu = check_mu_domain(mu, problem.f.L)
 
         def step(z):
-            return discrete_fb_step(problem, z, step_mu, step_mu)
+            return discrete_fb_step(problem, z, mu, mu)
     elif kind == "dr_discrete":
+        mu = _check_mu(mu)
+
         def step(z):
             return discrete_dr_step(problem, z, mu)
     else:

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParameterDomainError", "UnsupportedOperationError",
+           "NeedsReferenceError", "WindowTooLateError", "IntegrationFailure"]
+
 
 class ParameterDomainError(ValueError):
     """A parameter lies outside its admissible domain (e.g. mu not in (0, 1/L))."""

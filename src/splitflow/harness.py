@@ -243,16 +243,12 @@ class BenchmarkReport:
 # per-example plan
 # ---------------------------------------------------------------------------
 
-def _constant_schedule(alpha, m_eff):
-    sched = dynamics.schedule_strongly_convex(alpha, m_eff)
-    return sched, sched.rate
-
-
 def _envelope_schedule(problem, kind, mu):
     env_kind = envelopes.FB if kind == "acc_fb" else envelopes.DR
     consts = envelopes.envelope_constants(problem.f.m, problem.f.L, mu,
                                           env_kind)
-    return _constant_schedule(1.0 / consts.L_tilde, consts.m_tilde)
+    return dynamics.schedule_strongly_convex(1.0 / consts.L_tilde,
+                                             consts.m_tilde)
 
 
 def _logistic_mu(problem):
@@ -272,8 +268,9 @@ def _inner_window(t_end):
 
 # Per-example plan: generate(config) -> problem, mu(problem) -> penalty, the
 # fit mode, window(t_end) -> default rate-fit window, and
-# accelerated(problem, kind, mu) -> (schedule, exponential rate or None).
-# Flows and discrete baselines run at alpha = 1/L with rate alpha m.
+# accelerated(problem, kind, mu) -> schedule; a constant schedule's rate is
+# the accelerated dynamics' exponential rate. Flows and discrete baselines
+# run at alpha = 1/L with rate alpha m.
 _Example = namedtuple("_Example", "generate mu mode window accelerated")
 
 
@@ -282,7 +279,7 @@ _EXAMPLES = {
         lambda c: gen_lasso(c.dims[0], c.dims[1], lambda_rule=c.lambda_rule,
                             seed=c.seed),
         _half_inverse_L, "sublinear", lambda t_end: (10.0, min(200.0, t_end)),
-        lambda p, kind, mu: (dynamics.ConvexSchedule(alpha=1.0 / p.f.L), None)),
+        lambda p, kind, mu: dynamics.ConvexSchedule(alpha=1.0 / p.f.L)),
     BOX_QP: _Example(
         lambda c: gen_boxqp(c.dims[1], c.kappa, seed=c.seed),
         _half_inverse_L, "exponential", _inner_window, _envelope_schedule),
@@ -290,7 +287,8 @@ _EXAMPLES = {
         lambda c: gen_logistic(c.dims[0], c.dims[1], ridge=c.ridge,
                                lambda_rule=c.lambda_rule, seed=c.seed),
         _logistic_mu, "exponential", _inner_window,
-        lambda p, kind, mu: _constant_schedule(1.0 / p.f.L, p.f.m)),
+        lambda p, kind, mu: dynamics.schedule_strongly_convex(1.0 / p.f.L,
+                                                              p.f.m)),
 }
 
 
@@ -328,7 +326,8 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         if kind in ("fb_flow", "dr_flow"):
             sched = dynamics.ConvexSchedule(alpha=alpha_flow)
         else:
-            sched, rho = _example(config).accelerated(problem, kind, mu)
+            sched = _example(config).accelerated(problem, kind, mu)
+            rho = getattr(sched, "rate", None)    # None: convex schedule
         spec = dynamics.DynamicsSpec(kind, problem, mu, sched)
         traj = dynamics.integrate(spec, t_end=config.t_end, tol=config.tol,
                                   sample_dt=config.sample_dt,

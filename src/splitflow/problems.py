@@ -32,6 +32,7 @@ __all__ = [
     "L1",
     "BoxIndicator",
     "GenericProx",
+    "identity_prox",
     "CompositeProblem",
     "prox_g",
     "prox_f",

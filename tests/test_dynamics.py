@@ -7,7 +7,7 @@ from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        ParameterDomainError, Quadratic,
                        UnsupportedOperationError, discrete_dr_step,
                        discrete_fb_step, generalized_gradient, identity_prox,
-                       integrate, run_discrete, schedule_convex,
+                       integrate, run_discrete,
                        schedule_strongly_convex, solve_reference,
                        vector_field)
 from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
@@ -26,25 +26,26 @@ def smooth_problem(n=4, seed=0, m=0.5, L=3.0):
 
 
 class TestSchedules:
+    @staticmethod
+    def convex_at(t):
+        return (ConvexSchedule.gamma(t), ConvexSchedule.beta(t),
+                ConvexSchedule.theta(t))
+
     def test_convex_at_zero(self):
-        gamma, beta, theta = schedule_convex(0.0)
+        gamma, beta, theta = self.convex_at(0.0)
         assert gamma == 1.0 and beta == 0.0
         assert theta == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_convex_at_three(self):
-        gamma, beta, theta = schedule_convex(3.0)
+        gamma, beta, theta = self.convex_at(3.0)
         assert gamma == pytest.approx(0.5, rel=1e-15)
         assert beta == pytest.approx(0.5, rel=1e-15)
         assert theta == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_convex_limits(self):
-        gamma, beta, theta = schedule_convex(1e9)
+        gamma, beta, theta = self.convex_at(1e9)
         assert gamma <= 1e-8 and theta <= 1e-8
         assert abs(beta - 1.0) <= 1e-8
-
-    def test_convex_rejects_negative_time(self):
-        with pytest.raises(ParameterDomainError):
-            schedule_convex(-0.1)
 
     def test_sum_is_one_exactly(self, rng):
         sched = ConvexSchedule(alpha=1.0)
@@ -246,6 +247,21 @@ class TestIntegrate:
         assert exc.value.partial is not None
         assert exc.value.partial.times.shape[0] >= 1
 
+    def test_field_non_finite_at_start(self):
+        # the stepper's constructor evaluates the field at psi0; that
+        # failure keeps the one-sample partial and its field-call count
+        p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
+                             GenericProx(lambda x: 0.0,
+                                         lambda v, mu: v * np.nan))
+        spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
+        with pytest.raises(IntegrationFailure) as exc:
+            integrate(spec, psi0=np.ones(2), t_end=10.0, sample_dt=0.1)
+        partial = exc.value.partial
+        np.testing.assert_array_equal(partial.times, [0.0])
+        np.testing.assert_array_equal(partial.position, [[1.0, 1.0]])
+        assert partial.meta["rhs_calls"] == 1
+        assert partial.meta["n_steps"] == 0
+
     def test_deterministic(self):
         p = make_quadratic_l1(n=5, seed=11)
         spec = DynamicsSpec(ACC_FB, p, 0.05, ConvexSchedule(alpha=0.1))
@@ -357,6 +373,14 @@ class TestDiscreteSteps:
         refl = 2 * xh_expected - z
         pg = scalar_prox_l1(refl[0], mu, 0.5)
         np.testing.assert_allclose(out, z - xh_expected + pg, atol=2e-7)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0, -1.0])
+    def test_dr_mu_domain(self, mu):
+        p = make_quadratic_l1()
+        with pytest.raises(ParameterDomainError):
+            discrete_dr_step(p, np.ones(p.dim), mu)
+        with pytest.raises(ParameterDomainError):
+            run_discrete(p, "dr_discrete", mu, 3)
 
     def test_discrete_fb_converges_to_flow_limit(self):
         p = make_quadratic_l1(n=8, m=1.0, L=5.0, seed=17)

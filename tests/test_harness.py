@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splitflow import (BenchmarkConfig, LambdaRule, gen_boxqp, gen_lasso,
-                       gen_logistic, run_benchmark, save_problem,
+                       gen_logistic, h_curve, run_benchmark, save_problem,
                        solve_reference)
 from splitflow.cli import main as cli_main
 from splitflow.harness import BOX_QP, LOGISTIC
@@ -236,6 +236,22 @@ class TestCli:
         code = cli_main(["verify", "conditions", "--grid", "100",
                          "--out", str(tmp_path)])
         assert code == 0
+
+    def test_verify_conditions_rows_are_h_curve_points(self, tmp_path):
+        assert cli_main(["verify", "conditions", "--grid", "50",
+                         "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "conditions.json").read_text())
+        details = h_curve(np.linspace(0.01, 1.0, 50)).details
+        for key in ("w", "i", "ii", "iii_residual"):
+            assert [row[key] for row in rows] == details[key].tolist()
+
+    @pytest.mark.parametrize("suite", ["conditions", "hcurve"])
+    def test_verify_refuses_empty_grid(self, suite, tmp_path, capsys):
+        code = cli_main(["verify", suite, "--grid", "0",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "empty grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_lemma3(self, tmp_path):
         code = cli_main(["verify", "lemma3", "--seed", "0",

@@ -51,3 +51,28 @@ def test_import_builds_no_csv_tables():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "0"
+
+
+def test_module_all_names_exist():
+    modules = [importlib.import_module(f"splitflow.{path.stem}")
+               for path in SOURCES if path.stem != "__init__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_reexports_listed_in_module_all():
+    # every public name splitflow/__init__.py imports is in its module's
+    # __all__, so the two lists of public names cannot drift apart
+    path = ROOT / "src" / "splitflow" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reexports = [(node.module, alias.name) for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names if not alias.name.startswith("_")]
+    assert len(reexports) > 50
+    unlisted = [f"{module}.{name}" for module, name in reexports
+                if name not in getattr(
+                    importlib.import_module(f"splitflow.{module}"),
+                    "__all__", ())]
+    assert unlisted == []
