@@ -8,8 +8,9 @@ Four vector fields are available:
   acc_dr  : z'' + gamma(t) z' + alpha G_mu(prox_{mu f}(z + beta(t) z')) = 0,
             with output map x = prox_{mu f}(z)
 
-Integration uses an embedded Dormand-Prince 5(4) stepper with dense output
-sampled on a uniform grid.
+Integration uses an embedded Dormand-Prince 5(4) stepper (``_dopri5``,
+scipy's RK45 reproduced bit for bit) with dense output sampled on a uniform
+grid.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45
 
 from ._csvfmt import write_csv
+from ._dopri5 import Dopri5
 from .envelopes import _fb_kernel, check_mu_domain, generalized_gradient
 from .exceptions import (IntegrationFailure, ParameterDomainError,
                          UnsupportedOperationError)
@@ -287,8 +288,15 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         evaluated, has norm <= 1e-12 (1 + ||psi||).
 
     ``meta`` holds tol, sample_dt, method, alpha, n_steps (accepted steps),
-    stopped_early and rhs_calls (every field evaluation of the stepper,
-    initial-step selection included).
+    n_rejected (rejected steps), h_min and h_max (the range of accepted
+    step sizes), stopped_early and rhs_calls (every field evaluation of the
+    stepper: one at psi0 and one to select the first step, then six per
+    attempted step).
+
+    The stepper reproduces scipy's RK45 (tableau, FSAL stage, quartic dense
+    output, error control and initial step) bit for bit. A non-finite field
+    value or state sample, or a step size below 10 ulp of t, raises
+    :class:`IntegrationFailure` carrying the samples taken so far.
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterDomainError(f"tolerance {tol} outside [1e-12, 1e-3]")
@@ -301,6 +309,8 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     if psi0.shape != (spec.state_dim,):
         raise ValueError(
             f"initial state has shape {psi0.shape}, expected ({spec.state_dim},)")
+    if not np.isfinite(psi0).all():
+        raise ParameterDomainError("initial state must be finite")
     if sample_dt is None:
         sample_dt = t_end / 2000.0
     if not (math.isfinite(sample_dt) and sample_dt > 0):
@@ -310,17 +320,18 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 
     def fun(t, y):
         meta["rhs_calls"] += 1
-        dy = vector_field(spec, t, y)
-        if not np.isfinite(dy).all():
-            raise FloatingPointError("vector field evaluated to non-finite values")
-        return dy
+        return vector_field(spec, t, y)
 
     states = [psi0[None, :]]
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
             "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha,
-            "rhs_calls": 0}
+            "rhs_calls": 0, "n_rejected": 0, "h_min": math.inf, "h_max": 0.0}
+    solver = None
 
     def build(observables=True):
+        if solver is not None:
+            meta.update(n_steps=solver.n_steps, n_rejected=solver.n_rejected,
+                        h_min=float(solver.h_min), h_max=float(solver.h_max))
         block, n = np.concatenate(states), spec.problem.dim
         return _trajectory(spec.problem, spec.kind, spec.mu,
                            np.append(0.0, grid[:idx]), block[:, :n],
@@ -330,19 +341,15 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         raise IntegrationFailure(message, partial=build(observables=False))
 
     idx = quiet = 0
-    # fun raises FloatingPointError in the constructor's call at psi0 too;
-    # fun must not reach the samples: the solver is a cycle only gc frees
     try:
-        solver = RK45(fun, 0.0, psi0, t_bound=float(t_end), rtol=tol, atol=tol)
-        while solver.status == "running":
-            solver.step()
-            if solver.status == "failed":
+        solver = Dopri5(fun, psi0, float(t_end), tol)
+        while solver.t < t_end:
+            if not solver.step():
                 _fail("adaptive step-size underflow")
-            meta["n_steps"] += 1
             # every grid point this step reached, in one dense-output call
             end = int(np.searchsorted(grid, solver.t + 1e-12, side="right"))
             if end > idx:
-                ys = solver.dense_output()(grid[idx:end]).T
+                ys = solver.dense(grid[idx:end])
                 if not np.isfinite(ys).all():
                     _fail("non-finite state sample")
                 states.append(ys)

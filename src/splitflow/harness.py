@@ -357,7 +357,8 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         "export_s": export_s,
     }
     # integrator counters; a discrete run has iterations only
-    for key in ("n_steps", "rhs_calls", "stopped_early"):
+    for key in ("n_steps", "rhs_calls", "stopped_early", "n_rejected",
+                "h_min", "h_max"):
         if key in traj.meta:
             record[key] = traj.meta[key]
     return record
@@ -370,8 +371,9 @@ def run_benchmark(config, out_dir=None):
     A dynamics' record holds its verdict, fitted and theoretical rates,
     certificate, final gap and distance, ``wall_clock`` (seconds to
     integrate and certify), ``export_s`` (seconds to write its trace, 0.0
-    without ``out_dir``) and the integrator's ``n_steps``, ``rhs_calls``
-    and ``stopped_early`` (``n_steps`` alone for a discrete baseline).
+    without ``out_dir``) and the integrator's ``n_steps``, ``rhs_calls``,
+    ``stopped_early``, ``n_rejected``, ``h_min`` and ``h_max`` (``n_steps``
+    alone for a discrete baseline).
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -392,6 +394,7 @@ def run_benchmark(config, out_dir=None):
         "window": list(setup["window"]),
         "f_star": reference.value,
         "reference_grad_map_norm": reference.grad_map_norm,
+        "reference_iterations": reference.iterations,
     }
     if problem.g.kind == "l1":
         meta["lambda"] = problem.g.weight

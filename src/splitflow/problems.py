@@ -18,7 +18,6 @@ import json
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrs
-from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import expit
 
 from .exceptions import ParameterDomainError, UnsupportedOperationError
@@ -202,6 +201,9 @@ def _newton_prox(f, v, mu, tol_factor=1e-10, max_iter=100):
             H = f.hessian(z)
             delta = np.linalg.solve(mu * H + np.eye(z.shape[0]), -r)
         except UnsupportedOperationError:
+            # the only user of scipy.sparse.linalg, imported here to keep it
+            # out of every process's start-up
+            from scipy.sparse.linalg import LinearOperator, cg
             op = LinearOperator(
                 (z.shape[0], z.shape[0]),
                 matvec=lambda u: mu * f.hess_vec(z, u) + u)

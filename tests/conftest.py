@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from splitflow import (BoxIndicator, CompositeProblem, L1, LogisticRidge,
-                       Quadratic)
+                       Quadratic, identity_prox)
 from oracles import random_spd_matrix
 
 
@@ -22,6 +22,14 @@ def make_quadratic_l1(n=20, m=1.0, L=10.0, lam=0.5, seed=0):
     Q = random_spd_matrix(n, m, L, gen)
     q = gen.standard_normal(n)
     return CompositeProblem(Quadratic(Q, q, m=m, L=L), L1(lam))
+
+
+def smooth_problem(n=4, seed=0, m=0.5, L=3.0):
+    """Quadratic with a planted [m, L] spectrum and no nonsmooth part."""
+    gen = np.random.default_rng(seed)
+    Q = random_spd_matrix(n, m, L, gen)
+    return CompositeProblem(Quadratic(Q, gen.standard_normal(n), m=m, L=L),
+                            identity_prox())
 
 
 def make_quadratic_box(n=12, m=1.0, L=10.0, seed=0):

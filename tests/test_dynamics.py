@@ -3,7 +3,7 @@ import pytest
 
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        ConvexSchedule, DynamicsSpec, GenericProx,
-                       IntegrationFailure, L1,
+                       IntegrationFailure, L1, LogisticRidge,
                        ParameterDomainError, Quadratic,
                        UnsupportedOperationError, discrete_dr_step,
                        discrete_fb_step, generalized_gradient, identity_prox,
@@ -13,16 +13,9 @@ from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
 from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
 
-from conftest import make_logistic_l1, make_quadratic_l1
-from oracles import (linear_flow_solution, random_spd_matrix, scalar_prox_l1,
+from conftest import make_logistic_l1, make_quadratic_l1, smooth_problem
+from oracles import (linear_flow_solution, scalar_prox_l1,
                      trace_csv_reference)
-
-
-def smooth_problem(n=4, seed=0, m=0.5, L=3.0):
-    gen = np.random.default_rng(seed)
-    Q = random_spd_matrix(n, m, L, gen)
-    return CompositeProblem(Quadratic(Q, gen.standard_normal(n), m=m, L=L),
-                            identity_prox())
 
 
 class TestSchedules:
@@ -247,6 +240,24 @@ class TestIntegrate:
         assert exc.value.partial is not None
         assert exc.value.partial.times.shape[0] >= 1
 
+    def test_non_finite_stage_reaching_newton_prox(self):
+        # the stages of a step are checked together, so a later stage's
+        # state is built from a non-finite one; the Newton prox of f then
+        # fails to converge, which must still read as a non-finite field
+        calls = {"n": 0}
+
+        def bad_prox(v, mu):
+            calls["n"] += 1
+            return v * np.nan if calls["n"] > 40 else v
+
+        lr = make_logistic_l1().f
+        f = LogisticRidge(lr.A, lr.y, lr.ridge, newton_prox=True)
+        p = CompositeProblem(f, GenericProx(lambda x: 0.0, bad_prox))
+        spec = DynamicsSpec(ACC_DR, p, 0.5 / f.L, ConvexSchedule(alpha=0.1))
+        with pytest.raises(IntegrationFailure, match="non-finite") as exc:
+            integrate(spec, psi0=np.ones(spec.state_dim), t_end=10.0)
+        assert exc.value.partial.meta["n_steps"] > 0
+
     def test_field_non_finite_at_start(self):
         # the stepper's constructor evaluates the field at psi0; that
         # failure keeps the one-sample partial and its field-call count
@@ -283,6 +294,20 @@ class TestIntegrate:
         spec = DynamicsSpec(FB_FLOW, p, 0.05, ConvexSchedule(alpha=1.0))
         with pytest.raises(ParameterDomainError):
             integrate(spec, t_end=t_end, sample_dt=sample_dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_state(self, monkeypatch, bad):
+        # refused up front: the field is never evaluated
+        def no_field(spec, t, psi):
+            raise AssertionError("field evaluated")
+
+        monkeypatch.setattr("splitflow.dynamics.vector_field", no_field)
+        p = make_quadratic_l1(n=3)
+        spec = DynamicsSpec(ACC_FB, p, 0.05, ConvexSchedule(alpha=1.0))
+        psi0 = np.zeros(spec.state_dim)
+        psi0[4] = bad
+        with pytest.raises(ParameterDomainError, match="finite"):
+            integrate(spec, psi0=psi0, t_end=1.0)
 
     def test_acc_dr_output_map_residual(self):
         p = make_quadratic_l1(n=8, seed=13)

@@ -168,10 +168,15 @@ class TestRunBenchmark:
         written = run_benchmark(cfg, out_dir=str(tmp_path))
         in_memory = run_benchmark(cfg)
         saved = json.loads((tmp_path / "report.json").read_text())
-        keys = ("n_steps", "rhs_calls", "stopped_early")
+        keys = ("n_steps", "rhs_calls", "stopped_early", "n_rejected",
+                "h_min", "h_max")
         for kind in ("acc_fb", "dr_flow"):
             rec = written.dynamics[kind]
-            assert rec["rhs_calls"] >= rec["n_steps"] > 0, rec
+            # DOPRI5 is FSAL: the field at psi0, the initial-step probe,
+            # then six evaluations per attempted step
+            assert rec["rhs_calls"] == 2 + 6 * (rec["n_steps"]
+                                                + rec["n_rejected"]), rec
+            assert 0.0 < rec["h_min"] <= rec["h_max"] <= cfg.t_end, rec
             assert rec["stopped_early"] in (True, False)
             assert rec["export_s"] > 0.0
             assert in_memory.dynamics[kind]["export_s"] == 0.0
@@ -180,6 +185,7 @@ class TestRunBenchmark:
         disc = written.dynamics["fb_discrete"]
         assert disc["n_steps"] > 0 and disc["export_s"] > 0.0
         assert "rhs_calls" not in disc and "stopped_early" not in disc
+        assert saved["problem"]["reference_iterations"] > 0
 
     def test_discrete_and_flow_share_limit(self):
         cfg = BenchmarkConfig(example=BOX_QP, dims=(0, 12), kappa=10.0,

@@ -40,17 +40,33 @@ def test_benchmark_span_targets_exist():
     assert missing == []
 
 
+def _fresh_output(code):
+    """Stripped stdout of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_import_builds_no_csv_tables():
     # the trace writer's lookup tables are built on the first export; a
     # build at import would add to every process's start-up time
-    code = ("import splitflow, sys; "
-            "print(sys.modules['splitflow._csvfmt']._tables.cache_info()"
-            ".currsize)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "0"
+    out = _fresh_output(
+        "import splitflow, sys; "
+        "print(sys.modules['splitflow._csvfmt']._tables.cache_info()"
+        ".currsize)")
+    assert out == "0"
+
+
+def test_import_leaves_out_slow_scipy_modules():
+    # the integrator is in-house and the Newton prox imports the sparse
+    # solvers on first use; either import would add to every process's
+    # start-up time
+    out = _fresh_output(
+        "import splitflow, sys; "
+        "print(sorted({'scipy.integrate', 'scipy.sparse.linalg'}"
+        " & set(sys.modules)))")
+    assert out == "[]"
 
 
 def test_module_all_names_exist():
