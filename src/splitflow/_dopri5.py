@@ -3,13 +3,28 @@
 The tableau, FSAL stage, quartic dense output and step-size controller are
 those of ``scipy.integrate.RK45`` (Dormand & Prince, J. Comput. Appl. Math.
 6, 1980; Shampine, Math. Comp. 46, 1986; Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-II.6), written as the same numpy expressions in the same order,
-so that every step, state and dense-output sample is bit for bit scipy's.
-Importing scipy's solver would pull in ``scipy.optimize`` and put three
-wrapper calls around each field evaluation.
+ODEs I, II.4-II.6), written as the same floating-point operations in the
+same order, so that every step, state and dense-output sample is bit for
+bit scipy's. Importing scipy's solver would pull in ``scipy.optimize`` and
+put three wrapper calls around each field evaluation.
+
+Where the code differs from scipy's, it feeds the same values to the same
+operations:
+
+- the RMS norm takes ``math.sqrt(x.dot(x))``, which is what
+  ``np.linalg.norm`` computes on a vector;
+- the smallest step is ``10 * math.ulp(t)``, the distance from t (>= 0) to
+  the next float up, which scipy takes with ``np.nextafter``;
+- the stage rows of A and the nodes C are taken out of the tableau once;
+- the dense-output powers of x are multiplied out one by one: the
+  sequential product that scipy's ``cumprod`` over ``np.tile`` computes.
+
+The field's evaluations are counted per attempted step, not per call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +53,9 @@ P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
+# (s, A[s, :s], C[s]) of the stages after the first
+_STAGES = tuple((s, A[s, :s], float(C[s])) for s in range(1, 6))
+
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
@@ -45,7 +63,7 @@ EXPONENT = -1 / 5           # -1/(error estimator order + 1)
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _finite(dy):
@@ -63,20 +81,29 @@ class Dopri5:
     describe the end of the accepted step, ``h`` is its size and
     :meth:`dense` interpolates within it. ``n_steps``, ``n_rejected`` and
     ``h_min``/``h_max`` (inf and 0 before the first step) count accepted
-    and rejected steps and the range of accepted sizes. A field value that
-    is not finite raises ``FloatingPointError``; each attempted step checks
-    its stages once, before its error is judged, or when an evaluation
-    raises.
+    and rejected steps and the range of accepted sizes. ``nfev`` counts the
+    field's evaluations, a raising one included: 2 + 6 per attempted step
+    while nothing raises. A field value that is not finite raises
+    ``FloatingPointError``; each attempted step checks its stages once,
+    before its error is judged, or when an evaluation raises. When the
+    constructor raises it, the exception carries ``nfev``, since the
+    caller has no stepper to ask.
     """
 
     def __init__(self, fun, y0, t_end, tol):
         self.fun, self.t_end, self.tol = fun, t_end, tol
         self.t, self.y = 0.0, y0
-        self.f = _finite(fun(0.0, y0))
-        self.h_abs = self._initial_step()
         self.K = np.empty((7, y0.size))
         self.n_steps = self.n_rejected = 0
         self.h_min, self.h_max = np.inf, 0.0
+        self.nfev = 1
+        try:
+            self.f = _finite(fun(0.0, y0))
+            self.nfev = 2
+            self.h_abs = self._initial_step()
+        except FloatingPointError as exc:
+            exc.nfev = self.nfev
+            raise
 
     def _initial_step(self):
         y0, f0, tol, interval = self.y, self.f, self.tol, abs(self.t_end)
@@ -98,17 +125,18 @@ class Dopri5:
         t, y, K, fun = self.t, self.y, self.K, self.fun
         K[0] = self.f
         try:
-            for s in range(1, 6):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(t + C[s] * h, y + dy)
+            for s, a, c in _STAGES:
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
             s = 6
             y_new = y + h * np.dot(K[:-1].T, B)
             f_new = fun(t + h, y_new)
         except Exception:
+            self.nfev += s
             # an oracle may raise on a state built from a non-finite stage
             # (the Newton prox does): report the stage instead
             _finite(K[:s])
             raise
+        self.nfev += 6
         K[-1] = f_new
         _finite(K)
         return y_new, f_new
@@ -117,7 +145,7 @@ class Dopri5:
         """Take one accepted step, clipped to end at ``t_end``; return False
         when the step size falls below 10 ulp of t."""
         t, y, tol = self.t, self.y, self.tol
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * math.ulp(t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
@@ -146,7 +174,11 @@ class Dopri5:
         """States (len(ts), n) at times ts within the last step."""
         Q = self.K.T.dot(P)
         x = (ts - self.t_old) / self.h
-        p = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0)
+        p = np.empty((4, x.size))
+        p[0] = x
+        np.multiply(p[0], x, out=p[1])
+        np.multiply(p[1], x, out=p[2])
+        np.multiply(p[2], x, out=p[3])
         y = self.h * np.dot(Q, p)
         y += self.y_old[:, None]
         return y.T

@@ -115,6 +115,16 @@ def _box_free_set(g, x):
 _FREE_SETS = {"l1": _l1_free_set, "box": _box_free_set}
 
 
+def _free_hessian(f, x, free):
+    """f's Hessian at x on the free coordinates; from Hessian-vector
+    products, one per free coordinate, when f has no dense Hessian."""
+    try:
+        return f.hessian(x)[np.ix_(free, free)]
+    except UnsupportedOperationError:
+        cols = [f.hess_vec(x, e)[free] for e in np.eye(x.shape[0])[free]]
+        return np.array(cols).reshape(len(cols), len(cols)).T
+
+
 def _polish(problem, x):
     """Newton polish of x on g's free coordinates, the others held fixed;
     None when g has no free-set hook or a solve fails."""
@@ -129,7 +139,7 @@ def _polish(problem, x):
         else:
             for _ in range(8):
                 grad = f.gradient(out)[free] + dg
-                H = f.hessian(out)[np.ix_(free, free)]
+                H = _free_hessian(f, out, free)
                 step = np.linalg.solve(H, -grad)
                 out[free] = out[free] + step
                 if np.any(np.sign(out[free]) * dg < 0):  # an l1 sign flipped

@@ -16,7 +16,9 @@ grid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -171,25 +173,48 @@ class DynamicsSpec:
         n = self.problem.dim
         return 2 * n if self.kind in _ACC_KINDS else n
 
+    @cached_property
+    def _rhs(self):
+        """The field as a function of (t, psi), with the oracles' bound
+        methods, mu, alpha, n, the schedule and the branch for this kind
+        looked up once, at the first evaluation.
+
+        G is ``generalized_gradient``'s expression without its per-call
+        check of mu, which ``__post_init__`` made once.
+        """
+        f, g, sched = self.problem.f, self.problem.g, self.schedule
+        f_grad, f_prox, g_prox = f.gradient, f.prox, g.prox
+        mu, alpha, n = float(self.mu), sched.alpha, self.problem.dim
+        beta, gamma = sched.beta, sched.gamma
+
+        def G_x(x):
+            return (x - g_prox(x - mu * f_grad(x), mu)) / mu
+
+        def G_z(z):     # G_mu at x = prox_{mu f}(z)
+            return G_x(f_prox(z, mu))
+
+        G = G_z if self.kind in _DR_KINDS else G_x
+        if self.kind in _FLOW_KINDS:
+            return lambda t, psi: -alpha * G(psi)
+
+        def second_order(t, psi):
+            if psi.ndim > 1 and np.ndim(t):   # times (S,) of a stack
+                t = np.asarray(t, dtype=float)[:, None]
+            pos, vel = psi[..., :n], psi[..., n:]
+            acc = -gamma(t) * vel - alpha * G(pos + beta(t) * vel)
+            return np.concatenate([vel, acc], axis=-1)
+
+        return second_order
+
 
 def vector_field(spec, t, psi):
     """Right-hand side of the selected dynamics at time t and state psi, or
-    at times (S,) and a stack of states (S, state_dim)."""
-    problem, mu, sched = spec.problem, spec.mu, spec.schedule
-    alpha = sched.alpha
-    n = problem.dim
-    psi = np.asarray(psi, dtype=float)
-    if spec.kind in _FLOW_KINDS:
-        x = problem.f.prox(psi, mu) if spec.kind == DR_FLOW else psi
-        return -alpha * generalized_gradient(problem, x, mu)
-    if np.ndim(t):  # times (S,) of a stack; a scalar stays a scalar
-        t = np.asarray(t, dtype=float)[:, None]
-    pos, vel = psi[..., :n], psi[..., n:]
-    y = pos + sched.beta(t) * vel
-    if spec.kind == ACC_DR:
-        y = problem.f.prox(y, mu)
-    acc = -sched.gamma(t) * vel - alpha * generalized_gradient(problem, y, mu)
-    return np.concatenate([vel, acc], axis=-1)
+    at times (S,) and a stack of states (S, state_dim).
+
+    A spec looks up its problem's oracle methods at its first evaluation,
+    so an oracle replaced on the problem afterwards is not the one called.
+    """
+    return spec._rhs(t, np.asarray(psi, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -317,10 +342,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         raise ParameterDomainError(
             f"sample_dt must be finite and positive, got {sample_dt}")
     grid = _sample_grid(t_end, sample_dt)
-
-    def fun(t, y):
-        meta["rhs_calls"] += 1
-        return vector_field(spec, t, y)
+    grid_points = grid.tolist()
 
     states = [psi0[None, :]]
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
@@ -331,7 +353,8 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     def build(observables=True):
         if solver is not None:
             meta.update(n_steps=solver.n_steps, n_rejected=solver.n_rejected,
-                        h_min=float(solver.h_min), h_max=float(solver.h_max))
+                        h_min=float(solver.h_min), h_max=float(solver.h_max),
+                        rhs_calls=solver.nfev)
         block, n = np.concatenate(states), spec.problem.dim
         return _trajectory(spec.problem, spec.kind, spec.mu,
                            np.append(0.0, grid[:idx]), block[:, :n],
@@ -342,12 +365,14 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 
     idx = quiet = 0
     try:
-        solver = Dopri5(fun, psi0, float(t_end), tol)
+        # vector_field is looked up here, once, so that a replaced or
+        # wrapped module-level field is the one the stepper calls
+        solver = Dopri5(partial(vector_field, spec), psi0, float(t_end), tol)
         while solver.t < t_end:
             if not solver.step():
                 _fail("adaptive step-size underflow")
             # every grid point this step reached, in one dense-output call
-            end = int(np.searchsorted(grid, solver.t + 1e-12, side="right"))
+            end = bisect_right(grid_points, solver.t + 1e-12)
             if end > idx:
                 ys = solver.dense(grid[idx:end])
                 if not np.isfinite(ys).all():
@@ -355,13 +380,17 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
                 states.append(ys)
                 idx = end
             if early_stop:
-                # solver.f is the field at (solver.t, solver.y) (FSAL)
+                # solver.f is the field at (solver.t, solver.y) (FSAL); the
+                # norm of y is np.linalg.norm's on a vector
+                y = solver.y
                 quiet = (quiet + 1 if _field_norm(solver.f)
-                         <= 1e-12 * (1.0 + np.linalg.norm(solver.y)) else 0)
+                         <= 1e-12 * (1.0 + math.sqrt(y.dot(y))) else 0)
                 if quiet >= 5:
                     meta["stopped_early"] = True
                     break
     except FloatingPointError as exc:
+        if solver is None:      # raised by the stepper's constructor
+            meta["rhs_calls"] = exc.nfev
         _fail(str(exc))
     return build()
 

@@ -316,6 +316,7 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
     x_star, f_star = reference.x, reference.value
     rho = alpha_flow * problem.f.m if problem.f.m > 0 else None
     t0 = time.perf_counter()
+    phases = {}
     if kind in ("fb_discrete", "dr_discrete"):
         h = 1.0 / problem.f.L
         dt = h / alpha_flow
@@ -332,6 +333,7 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         traj = dynamics.integrate(spec, t_end=config.t_end, tol=config.tol,
                                   sample_dt=config.sample_dt,
                                   x_star=x_star, f_star=f_star)
+        phases["integrate_s"] = time.perf_counter() - t0
     if setup["mode"] == "sublinear":
         cert = analysis.certify_sublinear(traj, setup["window"])
     else:
@@ -339,6 +341,8 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
             raise ValueError(f"no theoretical rate available for {kind}")
         cert = analysis.certify_exponential(traj, rho, setup["window"])
     elapsed = time.perf_counter() - t0
+    if phases:
+        phases["certify_s"] = elapsed - phases["integrate_s"]
     export_s = 0.0
     if out_dir is not None:
         dynamics.export_trajectory_csv(
@@ -354,6 +358,7 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         "final_gap": float(gap[-1]),
         "final_dist_sq": float(dist[-1]),
         "wall_clock": elapsed,
+        **phases,
         "export_s": export_s,
     }
     # integrator counters; a discrete run has iterations only
@@ -370,10 +375,11 @@ def run_benchmark(config, out_dir=None):
 
     A dynamics' record holds its verdict, fitted and theoretical rates,
     certificate, final gap and distance, ``wall_clock`` (seconds to
-    integrate and certify), ``export_s`` (seconds to write its trace, 0.0
-    without ``out_dir``) and the integrator's ``n_steps``, ``rhs_calls``,
-    ``stopped_early``, ``n_rejected``, ``h_min`` and ``h_max`` (``n_steps``
-    alone for a discrete baseline).
+    integrate and certify; a continuous run splits them into
+    ``integrate_s`` and ``certify_s``), ``export_s`` (seconds to write its
+    trace, 0.0 without ``out_dir``) and the integrator's ``n_steps``,
+    ``rhs_calls``, ``stopped_early``, ``n_rejected``, ``h_min`` and
+    ``h_max`` (``n_steps`` alone for a discrete baseline).
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -191,6 +191,8 @@ class Quadratic(SmoothFunction):
 def _newton_prox(f, v, mu, tol_factor=1e-10, max_iter=100):
     """Damped Newton solve of grad f(z) + (z - v)/mu = 0."""
     z = np.array(v, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("inner Newton prox: non-finite input")
     target = tol_factor * (1.0 + np.linalg.norm(v))
     for _ in range(max_iter):
         r = mu * f.gradient(z) + z - v

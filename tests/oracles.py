@@ -3,13 +3,15 @@
 These deliberately avoid the library code paths they are checking:
 scalar proxes come from golden-section search on the prox objective,
 gradients from central finite differences, linear flows from the
-eigendecomposition solution of the ODE, and CSV text from Python's own
+eigendecomposition solution of the ODE (with one 2x2 matrix exponential
+per eigenvalue for the second-order flows), and CSV text from Python's own
 ``'%.17e'`` formatting, one value at a time.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,6 +96,37 @@ def linear_flow_solution(Q, q, alpha, x0, ts):
     out = np.empty((len(ts), x0.size))
     for i, t in enumerate(ts):
         out[i] = x_star + V @ (np.exp(-alpha * w * t) * y0)
+    return out
+
+
+def second_order_flow_solution(Q, q, alpha, gamma, beta, psi0, ts,
+                                mu=None):
+    """Exact states (len(ts), 2n) of the accelerated flows on
+    f(x) = x'Qx/2 + q'x, g = 0, under constant gamma and beta.
+
+    acc_fb (``mu=None``) is z'' + gamma z' + alpha grad f(z + beta z') = 0;
+    acc_dr (``mu`` given) has grad f(prox_{mu f}(w)) in place of
+    grad f(w), the linear map with eigenvalues lambda/(1 + mu lambda) and
+    the same equilibrium. Per eigenvalue lambda of Q the deviation from
+    the equilibrium obeys y' = [[0, 1], [-alpha l, -(gamma + alpha beta l)]] y
+    with l = lambda (acc_fb) or l = lambda/(1 + mu lambda) (acc_dr).
+    """
+    w, V = np.linalg.eigh(Q)
+    if mu is not None:
+        w = w / (1.0 + mu * w)
+    n = w.size
+    x_star = -np.linalg.solve(Q, q)
+    pos0 = V.T @ (psi0[:n] - x_star)
+    vel0 = V.T @ psi0[n:]
+    out = np.empty((len(ts), 2 * n))
+    for j, lam in enumerate(w):
+        block = np.array([[0.0, 1.0],
+                          [-alpha * lam, -(gamma + alpha * beta * lam)]])
+        y0 = np.array([pos0[j], vel0[j]])
+        for i, t in enumerate(ts):
+            out[i, j], out[i, n + j] = expm(block * t) @ y0
+    out[:, :n] = x_star + out[:, :n] @ V.T
+    out[:, n:] = out[:, n:] @ V.T
     return out
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from splitflow import (ACC_DR, ACC_FB, CompositeProblem, ConvexSchedule,
-                       DynamicsSpec, L1, NeedsReferenceError,
+                       DynamicsSpec, GenericOracle, L1, NeedsReferenceError,
                        ParameterDomainError, Quadratic, WindowTooLateError,
                        certify_exponential, certify_sublinear,
                        check_conditions, check_envelope_inequalities,
@@ -73,6 +73,21 @@ class TestSolveReference:
         ref = solve_reference(p, mu, tol=1e-12)
         assert ref.grad_map_norm <= 1e-12
         assert ref.iterations <= max_iterations
+
+    def test_polish_through_hess_vec(self):
+        # a black-box f with a Hessian-vector oracle but no dense Hessian
+        # is polished as well (600 iterations without the polish)
+        p = make_logistic_l1(s=30, n=20)
+        f = p.f
+        black_box = CompositeProblem(
+            GenericOracle(f.value, f.gradient, f.dim, f.m, f.L,
+                          hess_vec_fn=f.hess_vec), p.g)
+        mu = 0.5 / f.L
+        ref = solve_reference(p, mu, tol=1e-12)
+        got = solve_reference(black_box, mu, tol=1e-12)
+        assert got.grad_map_norm <= 1e-12
+        assert got.iterations <= ref.iterations + 200
+        np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-10)
 
 
 class TestLyapunovValue:

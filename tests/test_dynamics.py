@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
-                       ConvexSchedule, DynamicsSpec, GenericProx,
-                       IntegrationFailure, L1, LogisticRidge,
+                       ConstantSchedule, ConvexSchedule, DynamicsSpec,
+                       GenericProx, IntegrationFailure, L1, LogisticRidge,
                        ParameterDomainError, Quadratic,
                        UnsupportedOperationError, discrete_dr_step,
                        discrete_fb_step, generalized_gradient, identity_prox,
@@ -15,7 +15,7 @@ from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
 
 from conftest import make_logistic_l1, make_quadratic_l1, smooth_problem
 from oracles import (linear_flow_solution, scalar_prox_l1,
-                     trace_csv_reference)
+                     second_order_flow_solution, trace_csv_reference)
 
 
 class TestSchedules:
@@ -169,6 +169,28 @@ class TestIntegrate:
             assert errors[-1] <= 10.0 * tol
         assert errors[0] > errors[1] > errors[2]
 
+    @pytest.mark.parametrize("kind", [ACC_FB, ACC_DR])
+    def test_second_order_against_exact_solution(self, kind):
+        # quadratic f, g = 0 and a constant schedule make both accelerated
+        # flows linear; their exact solution is one 2x2 matrix exponential
+        # per eigenvalue of Q
+        p = smooth_problem(n=5, seed=3)
+        mu, alpha, gamma, beta = 0.1, 0.7, 0.6, 0.4
+        sched = ConstantSchedule(alpha=alpha, gamma=gamma, beta=beta,
+                                 theta=0.3)
+        spec = DynamicsSpec(kind, p, mu, sched)
+        psi0 = np.array([1.0, -2.0, 0.5, 0.0, 2.0, 0.3, -0.4, 0.0, 1.0, 0.2])
+        errors = []
+        for tol in (1e-6, 1e-8, 1e-10):
+            traj = integrate(spec, psi0=psi0, t_end=10.0, tol=tol,
+                             sample_dt=0.25, early_stop=False)
+            exact = second_order_flow_solution(
+                p.f.Q, p.f.q, alpha, gamma, beta, psi0, traj.times,
+                mu=mu if kind == ACC_DR else None)
+            errors.append(np.max(np.abs(traj.states - exact)))
+            assert errors[-1] <= 10.0 * tol
+        assert errors[0] > errors[1] > errors[2]
+
     def test_early_stop_adaptive(self):
         # minimizer at exactly 0 and a slow field: the state decays to the
         # tolerance floor, below the equilibrium gate of the stopper
@@ -192,10 +214,12 @@ class TestIntegrate:
         assert traj.meta["n_steps"] == 5
         assert traj.times[-1] == pytest.approx(1.1)
 
-    @pytest.mark.parametrize("case", ["early_stop", "acc_dr"])
+    @pytest.mark.parametrize("case", ["early_stop", "dr_flow", "acc_fb",
+                                      "acc_dr"])
     def test_rhs_calls_all_from_stepper(self, monkeypatch, case):
-        # the early-stop test reuses the stepper's FSAL derivative: every
-        # field evaluation is one the stepper counted
+        # every field evaluation goes through the module-level field and is
+        # one the stepper counted: two to start, six per attempted step;
+        # the early-stop test (an fb_flow run) reuses the FSAL derivative
         calls = []
 
         def counting(spec, t, psi):
@@ -210,10 +234,13 @@ class TestIntegrate:
                              sample_dt=2.0, tol=1e-12)
         else:
             p = make_quadratic_l1()
-            spec = DynamicsSpec(ACC_DR, p, 0.05, ConvexSchedule(alpha=0.1))
+            spec = DynamicsSpec(case, p, 0.05, ConvexSchedule(alpha=0.1))
             traj = integrate(spec, t_end=5.0, sample_dt=0.1)
-        assert traj.meta["stopped_early"] == (case == "early_stop")
-        assert len(calls) == traj.meta["rhs_calls"] > 0
+        meta = traj.meta
+        assert meta["stopped_early"] == (case == "early_stop")
+        assert len(calls) == meta["rhs_calls"] == 2 + 6 * (
+            meta["n_steps"] + meta["n_rejected"])
+        assert meta["n_steps"] > 0
 
     def test_integration_failure_carries_partial(self):
         f_bad = Quadratic(np.eye(2), np.zeros(2))
@@ -240,11 +267,19 @@ class TestIntegrate:
         assert exc.value.partial is not None
         assert exc.value.partial.times.shape[0] >= 1
 
-    def test_non_finite_stage_reaching_newton_prox(self):
+    def test_non_finite_stage_reaching_newton_prox(self, monkeypatch):
         # the stages of a step are checked together, so a later stage's
         # state is built from a non-finite one; the Newton prox of f then
-        # fails to converge, which must still read as a non-finite field
+        # refuses it, which must still read as a non-finite field, with
+        # the refused evaluation counted
         calls = {"n": 0}
+        seen = []
+
+        def counting(spec, t, psi):
+            seen.append(t)
+            return vector_field(spec, t, psi)
+
+        monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
 
         def bad_prox(v, mu):
             calls["n"] += 1
@@ -257,20 +292,47 @@ class TestIntegrate:
         with pytest.raises(IntegrationFailure, match="non-finite") as exc:
             integrate(spec, psi0=np.ones(spec.state_dim), t_end=10.0)
         assert exc.value.partial.meta["n_steps"] > 0
+        assert exc.value.partial.meta["rhs_calls"] == len(seen)
 
-    def test_field_non_finite_at_start(self):
+    def test_field_non_finite_at_start(self, monkeypatch):
         # the stepper's constructor evaluates the field at psi0; that
         # failure keeps the one-sample partial and its field-call count
         p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
                              GenericProx(lambda x: 0.0,
                                          lambda v, mu: v * np.nan))
         spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
+        calls = []
+
+        def counting(spec, t, psi):
+            calls.append(t)
+            return vector_field(spec, t, psi)
+
+        monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
         with pytest.raises(IntegrationFailure) as exc:
             integrate(spec, psi0=np.ones(2), t_end=10.0, sample_dt=0.1)
         partial = exc.value.partial
         np.testing.assert_array_equal(partial.times, [0.0])
         np.testing.assert_array_equal(partial.position, [[1.0, 1.0]])
-        assert partial.meta["rhs_calls"] == 1
+        assert partial.meta["rhs_calls"] == len(calls) == 1
+        assert partial.meta["n_steps"] == 0
+
+    def test_field_non_finite_at_first_step_probe(self):
+        # finite at psi0, not at the point the constructor probes to select
+        # the first step: two evaluations, still a one-row partial
+        seen = []
+
+        def prox(v, mu):
+            seen.append(v)
+            return v if len(seen) == 1 else v * np.nan
+
+        p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
+                             GenericProx(lambda x: 0.0, prox))
+        spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
+        with pytest.raises(IntegrationFailure, match="non-finite") as exc:
+            integrate(spec, psi0=np.ones(2), t_end=10.0, sample_dt=0.1)
+        partial = exc.value.partial
+        np.testing.assert_array_equal(partial.times, [0.0])
+        assert partial.meta["rhs_calls"] == len(seen) == 2
         assert partial.meta["n_steps"] == 0
 
     def test_deterministic(self):

@@ -127,6 +127,24 @@ class TestProxF:
         resid = f.gradient(z) + (z - v) / 0.4
         assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(v))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_newton_prox_refuses_non_finite_input(self, monkeypatch, bad):
+        # refused before the first Newton iteration, not after 100 of them
+        lr = make_logistic_l1().f
+        f = LogisticRidge(lr.A, lr.y, lr.ridge, newton_prox=True)
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return LogisticRidge.gradient(f, x)
+
+        monkeypatch.setattr(f, "gradient", counting)
+        v = np.zeros(f.dim)
+        v[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            f.prox(v, 0.1)
+        assert len(calls) <= 1
+
     def test_generic_newton_prox(self):
         f = GenericOracle(lambda x: float(np.cosh(x).sum()),
                           lambda x: np.sinh(x),
