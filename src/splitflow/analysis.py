@@ -92,6 +92,8 @@ class ReferenceSolution:
     value: float
     grad_map_norm: float
     iterations: int
+    restarts: int       # momentum resets by the objective test
+    polishes: int       # polished points kept
 
 
 _reference_cache = weakref.WeakKeyDictionary()
@@ -176,7 +178,7 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
     t_mom = 1.0
     best = None
     obj_prev = np.inf
-    iterations = 0
+    iterations = restarts = polishes = 0
 
     def consider(z):
         nonlocal best
@@ -196,6 +198,7 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
             if obj > obj_prev:          # objective restart
                 y = x.copy()
                 t_mom = 1.0
+                restarts += 1
             obj_prev = obj
             if (gn_x := consider(x)) <= tol:
                 break
@@ -204,11 +207,12 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
                 if polished is not None and np.all(np.isfinite(polished)):
                     # one prox-gradient sweep re-projects onto the model
                     swept = g.prox(polished - mu * f.gradient(polished), mu)
-                    if (gn_swept := consider(swept)) <= tol:
+                    # gn_x > tol here, so a sweep within tol is also lower
+                    if (gn_swept := consider(swept)) < gn_x:
                         x = swept
-                        break
-                    if gn_swept < gn_x:
-                        x = swept
+                        polishes += 1
+                        if gn_swept <= tol:
+                            break
                         y = x.copy()
                         t_mom = 1.0
 
@@ -217,7 +221,8 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
         raise RuntimeError(
             f"reference solve stalled at ||G_mu|| = {gn:.3e} > tol = {tol:.1e}")
     sol = ReferenceSolution(x=x_best, value=problem.objective(x_best),
-                            grad_map_norm=gn, iterations=iterations)
+                            grad_map_norm=gn, iterations=iterations,
+                            restarts=restarts, polishes=polishes)
     bucket[key] = sol
     return sol
 

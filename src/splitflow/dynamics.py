@@ -462,7 +462,8 @@ def export_trajectory_csv(traj, path):
     few values it cannot decide with certainty (non-finite values,
     magnitudes outside [1e-280, 1e280], values whose 18th digit lies
     within 1e-6 of a rounding tie, and values whose decimal exponent the
-    logarithm got wrong) are formatted by ``'%.17e'`` itself.
+    logarithm got wrong) are formatted by ``'%.17e'`` itself. Returns the
+    number of bytes written.
     """
     n = traj.primal.shape[1]
     has_z = traj.kind in _Z_KINDS
@@ -478,7 +479,7 @@ def export_trajectory_csv(traj, path):
     for name in ("objective_gap", "dist_sq"):
         header.append(name)
         blocks.append(traj.observables.get(name, nan)[:, None])
-    write_csv(path, header, blocks, "\r\n")
+    return write_csv(path, header, blocks, "\r\n")
 
 
 def read_trace_csv(path):

@@ -343,9 +343,9 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
     elapsed = time.perf_counter() - t0
     if phases:
         phases["certify_s"] = elapsed - phases["integrate_s"]
-    export_s = 0.0
+    export_s, export_bytes = 0.0, 0
     if out_dir is not None:
-        dynamics.export_trajectory_csv(
+        export_bytes = dynamics.export_trajectory_csv(
             traj, os.path.join(out_dir, f"trace_{kind}.csv"))
         export_s = time.perf_counter() - t0 - elapsed
     gap = traj.observables["objective_gap"]
@@ -360,6 +360,7 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         "wall_clock": elapsed,
         **phases,
         "export_s": export_s,
+        "export_bytes": export_bytes,
     }
     # integrator counters; a discrete run has iterations only
     for key in ("n_steps", "rhs_calls", "stopped_early", "n_rejected",
@@ -376,8 +377,9 @@ def run_benchmark(config, out_dir=None):
     A dynamics' record holds its verdict, fitted and theoretical rates,
     certificate, final gap and distance, ``wall_clock`` (seconds to
     integrate and certify; a continuous run splits them into
-    ``integrate_s`` and ``certify_s``), ``export_s`` (seconds to write its
-    trace, 0.0 without ``out_dir``) and the integrator's ``n_steps``,
+    ``integrate_s`` and ``certify_s``), ``export_s`` and ``export_bytes``
+    (seconds to write its trace and the trace's size, both 0 without
+    ``out_dir``) and the integrator's ``n_steps``,
     ``rhs_calls``, ``stopped_early``, ``n_rejected``, ``h_min`` and
     ``h_max`` (``n_steps`` alone for a discrete baseline).
     """
@@ -401,6 +403,8 @@ def run_benchmark(config, out_dir=None):
         "f_star": reference.value,
         "reference_grad_map_norm": reference.grad_map_norm,
         "reference_iterations": reference.iterations,
+        "reference_restarts": reference.restarts,
+        "reference_polishes": reference.polishes,
     }
     if problem.g.kind == "l1":
         meta["lambda"] = problem.g.weight

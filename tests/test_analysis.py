@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from splitflow import (ACC_DR, ACC_FB, CompositeProblem, ConvexSchedule,
-                       DynamicsSpec, GenericOracle, L1, NeedsReferenceError,
-                       ParameterDomainError, Quadratic, WindowTooLateError,
+                       DynamicsSpec, GenericOracle, GenericProx, L1,
+                       NeedsReferenceError, ParameterDomainError, Quadratic,
+                       WindowTooLateError,
                        certify_exponential, certify_sublinear,
                        check_conditions, check_envelope_inequalities,
                        check_lyapunov_decay, envelope_constants, h_curve,
@@ -73,6 +74,18 @@ class TestSolveReference:
         ref = solve_reference(p, mu, tol=1e-12)
         assert ref.grad_map_norm <= 1e-12
         assert ref.iterations <= max_iterations
+        assert ref.polishes >= 1
+
+    def test_generic_prox_is_not_polished(self):
+        # no free-set hook for a black-box g: the README-size lasso then
+        # converges by restarted momentum alone
+        config = BenchmarkConfig(dims=(20, 100), seed=0)
+        p = generate_problem(config)
+        mu = _example_setup(config, p)["mu"]
+        black_box = CompositeProblem(p.f, GenericProx(p.g.value, p.g.prox))
+        ref = solve_reference(black_box, mu, tol=1e-12)
+        assert ref.grad_map_norm <= 1e-12
+        assert ref.polishes == 0 and ref.restarts >= 1
 
     def test_polish_through_hess_vec(self):
         # a black-box f with a Hessian-vector oracle but no dense Hessian

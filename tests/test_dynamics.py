@@ -12,6 +12,7 @@ from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        vector_field)
 from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
+from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
 
 from conftest import make_logistic_l1, make_quadratic_l1, smooth_problem
 from oracles import (linear_flow_solution, scalar_prox_l1,
@@ -200,6 +201,25 @@ class TestIntegrate:
                          sample_dt=2.0, tol=1e-12)
         assert traj.meta["stopped_early"]
         assert traj.times[-1] < 400.0
+
+    def test_early_stop_against_exact_decay(self):
+        # with g = 0, fb_flow is x' = -alpha Q (x - x*): the run must stop
+        # well before t_end, but not before the exact field has decayed to
+        # the stopping gate 1e-12 (1 + ||x||), up to a factor 2. At looser
+        # tolerances, or with a wider spectrum, the stepper's noise keeps
+        # the field above the gate
+        p = smooth_problem(n=5, seed=3, m=1.0, L=1.2)
+        alpha = 0.7
+        spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=alpha))
+        x0 = np.random.default_rng(11).standard_normal(5)
+        traj = integrate(spec, psi0=x0, t_end=400.0, tol=1e-12,
+                         sample_dt=0.05)
+        assert traj.meta["stopped_early"]
+        assert traj.times[-1] < 200.0
+        Q, q = p.f.Q, p.f.q
+        x = linear_flow_solution(Q, q, alpha, x0, traj.times[-1:])[0]
+        field = alpha * np.linalg.norm(Q @ (x + np.linalg.solve(Q, q)))
+        assert field <= 2.0 * 1e-12 * (1.0 + np.linalg.norm(x))
 
     def test_early_stop_after_five_quiet_steps(self):
         # at rest at [x*, 0] every accepted step ends quiet, so the run stops
@@ -536,6 +556,26 @@ class TestTrajectoryCsv:
         path = tmp_path / "trace.csv"
         export_trajectory_csv(traj, path)
         assert path.read_bytes() == trace_csv_reference(traj)
+
+    @pytest.mark.parametrize("kind", ["fb_flow", "dr_flow", "acc_fb",
+                                      "acc_dr", "fb_discrete", "dr_discrete"])
+    def test_readme_width_matches_percent_e(self, kind, tmp_path):
+        # the README config's lasso 20x100 over a short run: acc_dr writes
+        # 303 columns (t, x, z, v and the two observables)
+        config = BenchmarkConfig(dims=(20, 100), seed=0)
+        p = generate_problem(config)
+        mu = _example_setup(config, p)["mu"]
+        ref = solve_reference(p, mu, tol=1e-12)
+        known = dict(x_star=ref.x, f_star=ref.value)
+        if kind.endswith("discrete"):
+            traj = run_discrete(p, kind, mu, 40, **known)
+        else:
+            spec = DynamicsSpec(kind, p, mu, ConvexSchedule(alpha=1 / p.f.L))
+            traj = integrate(spec, t_end=4.0, sample_dt=0.1, **known)
+        path = tmp_path / "trace.csv"
+        size = export_trajectory_csv(traj, path)
+        assert path.read_bytes() == trace_csv_reference(traj)
+        assert size == path.stat().st_size
 
     def test_header_and_precision(self, tmp_path):
         p = make_quadratic_l1(n=2, seed=21)

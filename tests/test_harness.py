@@ -7,7 +7,7 @@ from splitflow import (BenchmarkConfig, LambdaRule, gen_boxqp, gen_lasso,
                        gen_logistic, h_curve, run_benchmark, save_problem,
                        solve_reference)
 from splitflow.cli import main as cli_main
-from splitflow.harness import BOX_QP, LOGISTIC
+from splitflow.harness import BOX_QP, LOGISTIC, generate_problem
 
 from oracles import finite_diff_grad
 
@@ -190,7 +190,19 @@ class TestRunBenchmark:
         assert disc["n_steps"] > 0 and disc["export_s"] > 0.0
         assert "rhs_calls" not in disc and "stopped_early" not in disc
         assert "integrate_s" not in disc and "certify_s" not in disc
-        assert saved["problem"]["reference_iterations"] > 0
+        for kind in cfg.dynamics:
+            trace = tmp_path / f"trace_{kind}.csv"
+            assert written.dynamics[kind]["export_bytes"] == (
+                trace.stat().st_size)
+            assert saved["dynamics"][kind]["export_bytes"] == (
+                trace.stat().st_size)
+            assert in_memory.dynamics[kind]["export_bytes"] == 0
+        ref = solve_reference(generate_problem(cfg), saved["problem"]["mu"],
+                              tol=1e-12)
+        assert [saved["problem"][f"reference_{k}"] for k in (
+            "iterations", "restarts", "polishes")] == [
+            ref.iterations, ref.restarts, ref.polishes]
+        assert ref.iterations > 0 and ref.polishes >= 1
 
     def test_discrete_and_flow_share_limit(self):
         cfg = BenchmarkConfig(example=BOX_QP, dims=(0, 12), kappa=10.0,

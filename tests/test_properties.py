@@ -6,6 +6,8 @@ of the CSV writer (the bytes of ``'%.17e'``, value by value).
 Examples are derandomized, so every run draws the same cases.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,10 +193,26 @@ def test_lyapunov_stack_equals_rows(case, seed, t, pos, vel, frac):
 # the CSV writer gives the bytes of '%.17e', value by value
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def with_digit_group(lead, group, j, e):
+    """A double whose ``'%.17e'`` is ``lead``, four 4-digit groups with
+    ``group`` at position ``j``, then ``e``: group k holds (k + 1) times
+    the first filler whose text round-trips."""
+    for filler in range(10000):
+        groups = [f"{filler * (k + 1) % 10000:04d}" for k in range(4)]
+        groups[j] = group
+        text = f"{lead}{''.join(groups)}e{e:+03d}"
+        if "%.17e" % float(text) == text:
+            return float(text)
+    raise ValueError(f"no double prints as {lead}...e{e:+03d}")
+
+
 def edge_values():
     """Zeros, extremes, non-finite values, powers of ten with both
-    neighbours, powers of two, 1e17 and 1e18 with both neighbours, and
-    exact rounding ties; each with both signs."""
+    neighbours, powers of two, 1e17 and 1e18 with both neighbours, exact
+    rounding ties, and 18-digit numbers with leading digits 10 or 99 and
+    one four-digit group 0000 or 9999, with both neighbours, at exponents
+    inside and outside the fast range; each with both signs."""
     tiny = np.finfo(np.float64)
     values = [0.0, 5e-324, tiny.smallest_normal, tiny.max, np.nan, np.inf]
     for k in range(-300, 301):
@@ -206,6 +224,14 @@ def edge_values():
     # exact ties of the 18th digit: m / 8 for odd m ~ 8e15 ends in 125,
     # 375, 625 or 875 at the 19th significant digit
     values += list((8e15 + np.arange(1.0, 40.0, 2.0)) / 8.0)
+    # the formatter writes d0 d1 by one lookup, then d2..d17 as four groups
+    for lead in ("1.0", "9.9"):
+        for group in ("0000", "9999"):
+            for j in range(4):
+                for e in (-300, -100, -17, -1, 0, 1, 22, 99, 100, 279):
+                    p = with_digit_group(lead, group, j, e)
+                    values += [np.nextafter(p, 0.0), p,
+                               np.nextafter(p, np.inf)]
     values = np.array(values)
     return np.concatenate([values, -values])
 
