@@ -310,26 +310,38 @@ def make_lyapunov_spec(problem, mu, alpha, case, theta, envelope_kind=FB,
                         e_star=float(f_star), H=H, beta=beta)
 
 
-def lyapunov_value(spec, t, psi):
-    """Evaluate the Lyapunov function at time t and state psi (2n,), or at
-    times (S,) and a stack of states (S, 2n)."""
-    psi = np.asarray(psi, dtype=float)
-    n = spec.problem.dim
-    psi1, psi2 = psi[..., :n], psi[..., n:]
+def _lyapunov(spec, t, psi1, psi2, env=None):
+    """V at state blocks psi1, psi2; ``env``, when known, is a quadratic
+    case's envelope term: the DR envelope at z is the FB envelope at
+    x = prox_{mu f}(z), the ``envelope`` observable of an acc_dr run."""
     r = spec.theta_at(t)[..., None] * (psi1 - spec.psi1_star) + psi2
     if spec.case == GENERAL_STRONG:
         y = psi1 + spec.beta * psi2
         env = fb_envelope_value(spec.problem, y, spec.mu) - spec.e_star
         return spec.alpha * env + 0.5 * _dot(r, r)
-    if spec.envelope_kind == DR:
-        psi1 = spec.problem.f.prox(psi1, spec.mu)
-    env = fb_envelope_value(spec.problem, psi1, spec.mu) - spec.e_star
-    return spec.alpha * env + 0.5 * _dot(r, (spec.H @ r.T).T)
+    if env is None:
+        x = (spec.problem.f.prox(psi1, spec.mu)
+             if spec.envelope_kind == DR else psi1)
+        env = fb_envelope_value(spec.problem, x, spec.mu)
+    return spec.alpha * (env - spec.e_star) + 0.5 * _dot(r, (spec.H @ r.T).T)
+
+
+def lyapunov_value(spec, t, psi):
+    """Evaluate the Lyapunov function at time t and state psi (2n,), or at
+    times (S,) and a stack of states (S, 2n)."""
+    psi, n = np.asarray(psi, dtype=float), spec.problem.dim
+    return _lyapunov(spec, t, psi[..., :n], psi[..., n:])
 
 
 def lyapunov_series(traj, spec):
-    """Lyapunov values at every trajectory sample."""
-    return lyapunov_value(spec, traj.times, traj.states)
+    """Lyapunov values at every sample of a trajectory of spec's problem; a
+    quadratic case on its own trajectory (FB on acc_fb, DR on acc_dr, same
+    mu) reads its envelope term from the ``envelope`` observable."""
+    env = traj.observables.get("envelope")
+    if (env is None or spec.case == GENERAL_STRONG or traj.mu != spec.mu
+            or traj.kind != "acc_" + spec.envelope_kind):
+        return lyapunov_value(spec, traj.times, traj.states)
+    return _lyapunov(spec, traj.times, traj.position, traj.velocity, env)
 
 
 def check_lyapunov_decay(traj, spec):

@@ -16,6 +16,7 @@ grid.
 from __future__ import annotations
 
 import math
+import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -58,13 +59,19 @@ _BLOCK_ROWS = 256
 _TIME_OFFSET = 3.0
 
 
+def _schedule_constant(name, value, positive=False):
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ParameterDomainError(
+            f"{name} must be finite{' and positive' * positive}, got {value}")
+    return value
+
+
 class ConvexSchedule:
     """Decaying damping schedule driving sublinear convergence."""
 
     def __init__(self, alpha):
-        if alpha <= 0:
-            raise ParameterDomainError("alpha must be positive")
-        self.alpha = float(alpha)
+        self.alpha = _schedule_constant("alpha", alpha, positive=True)
 
     @staticmethod
     def gamma(t):
@@ -86,10 +93,10 @@ class ConstantSchedule:
     """Constant damping schedule for strongly convex problems."""
 
     def __init__(self, alpha, gamma, beta, theta):
-        self.alpha = float(alpha)
-        self._gamma = float(gamma)
-        self._beta = float(beta)
-        self._theta = float(theta)
+        self.alpha = _schedule_constant("alpha", alpha, positive=True)
+        self._gamma = _schedule_constant("gamma", gamma)
+        self._beta = _schedule_constant("beta", beta)
+        self._theta = _schedule_constant("theta", theta)
 
     @property
     def rate(self):
@@ -272,6 +279,7 @@ def _compute_observables(problem, mu, primal, x_star=None, f_star=None):
 def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
                 meta, observables=True):
     """Package samples of a continuous or discrete run as a Trajectory."""
+    t0 = time.perf_counter()
     primal = position
     if kind in _Z_KINDS:
         primal = np.empty_like(position)
@@ -279,7 +287,7 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
             primal[rows] = problem.f.prox(position[rows], mu)
     obs = (_compute_observables(problem, mu, primal, x_star, f_star)
            if observables else {})
-    meta = dict(meta, kind=kind, mu=mu)
+    meta = dict(meta, kind=kind, mu=mu, observables_s=time.perf_counter() - t0)
     if f_star is not None:
         meta["f_star"] = float(f_star)
     return Trajectory(kind=kind, mu=mu, times=times, position=position,
@@ -288,8 +296,8 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
 
 
 def _field_norm(dy):
-    """Norm of a field value along its last axis."""
-    return np.linalg.norm(dy, axis=-1)
+    """Norm of a field value (n,), as ``np.linalg.norm`` computes it."""
+    return math.sqrt(dy.dot(dy))
 
 
 def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
@@ -314,9 +322,9 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 
     ``meta`` holds tol, sample_dt, method, alpha, n_steps (accepted steps),
     n_rejected (rejected steps), h_min and h_max (the range of accepted
-    step sizes), stopped_early and rhs_calls (every field evaluation of the
-    stepper: one at psi0 and one to select the first step, then six per
-    attempted step).
+    step sizes), stopped_early, rhs_calls (every field evaluation: one at
+    psi0, one to select the first step, six per attempted step) and
+    observables_s (seconds on the DR primal map and the observables).
 
     The stepper reproduces scipy's RK45 (tableau, FSAL stage, quartic dense
     output, error control and initial step) bit for bit. A non-finite field
@@ -343,8 +351,11 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
             f"sample_dt must be finite and positive, got {sample_dt}")
     grid = _sample_grid(t_end, sample_dt)
     grid_points = grid.tolist()
-
-    states = [psi0[None, :]]
+    # psi0 and the grid samples; the observables' rounding follows the memory
+    # order, np.concatenate's: column-major once a step sampled two points
+    samples = np.empty((grid.size + 1, spec.state_dim), order="F")
+    samples[0] = psi0
+    column_major = False
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
             "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha,
             "rhs_calls": 0, "n_rejected": 0, "h_min": math.inf, "h_max": 0.0}
@@ -355,7 +366,10 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
             meta.update(n_steps=solver.n_steps, n_rejected=solver.n_rejected,
                         h_min=float(solver.h_min), h_max=float(solver.h_max),
                         rhs_calls=solver.nfev)
-        block, n = np.concatenate(states), spec.problem.dim
+        # a run that ended before t_end keeps a copy of its rows only
+        block = (samples if idx == grid.size and column_major else
+                 samples[:idx + 1].copy(order="F" if column_major else "C"))
+        n = spec.problem.dim
         return _trajectory(spec.problem, spec.kind, spec.mu,
                            np.append(0.0, grid[:idx]), block[:, :n],
                            block[:, n:], x_star, f_star, meta, observables)
@@ -377,11 +391,11 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
                 ys = solver.dense(grid[idx:end])
                 if not np.isfinite(ys).all():
                     _fail("non-finite state sample")
-                states.append(ys)
+                samples[idx + 1:end + 1] = ys
+                column_major |= end - idx > 1
                 idx = end
             if early_stop:
-                # solver.f is the field at (solver.t, solver.y) (FSAL); the
-                # norm of y is np.linalg.norm's on a vector
+                # solver.f is the field at (solver.t, solver.y) (FSAL)
                 y = solver.y
                 quiet = (quiet + 1 if _field_norm(solver.f)
                          <= 1e-12 * (1.0 + math.sqrt(y.dot(y))) else 0)
@@ -427,14 +441,10 @@ def run_discrete(problem, kind, mu, n_steps, dt=1.0, x_star=None, f_star=None):
     """
     if kind == "fb_discrete":
         mu = check_mu_domain(mu, problem.f.L)
-
-        def step(z):
-            return discrete_fb_step(problem, z, mu, mu)
+        step = partial(discrete_fb_step, problem, alpha_bar=mu, mu=mu)
     elif kind == "dr_discrete":
         mu = _check_mu(mu)
-
-        def step(z):
-            return discrete_dr_step(problem, z, mu)
+        step = partial(discrete_dr_step, problem, mu=mu)
     else:
         raise ValueError(f"unknown discrete kind {kind!r}")
     iterates = [np.zeros(problem.dim)]

@@ -18,7 +18,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import analysis, dynamics, envelopes
 from .problems import (BoxIndicator, CompositeProblem, L1, LogisticRidge,
@@ -69,10 +68,6 @@ class LambdaRule:
         return LambdaRule(kind=kind, value=float(value))
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def _random_orthogonal(n, rng):
     # QR with sign fix for a deterministic, Haar-ish orthogonal factor
     M = rng.standard_normal((n, n))
@@ -90,7 +85,7 @@ def gen_lasso(s, n, lambda_rule=LambdaRule(), seed=0, support_fraction=0.1,
     strong convexity constant is pinned to zero in the rank-deficient
     regime s < n.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     E = rng.standard_normal((s, n)) / math.sqrt(s)
     k = max(1, int(round(support_fraction * n)))
     support = rng.choice(n, size=k, replace=False)
@@ -112,7 +107,7 @@ def gen_boxqp(n, kappa, seed=0, q_scale=3.0):
     """
     if n < 2 or kappa < 1:
         raise ValueError("need n >= 2 and kappa >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     U = _random_orthogonal(n, rng)
     d = np.empty(n)
     d[0], d[-1] = 1.0, float(kappa)
@@ -134,7 +129,8 @@ def gen_logistic(s, n, ridge=0.1, lambda_rule=LambdaRule(), seed=0,
     hence condition numbers L/m in the 1e5 range at 200x1000, ridge 0.1.
     Labels are Bernoulli draws from a planted sparse logit model.
     """
-    rng = _rng(seed)
+    from scipy.special import expit     # kept out of `import splitflow`
+    rng = np.random.default_rng(seed)
     A = feature_mean + rng.standard_normal((s, n))
     k = max(1, int(round(support_fraction * n)))
     support = rng.choice(n, size=k, replace=False)
@@ -334,6 +330,7 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
                                   sample_dt=config.sample_dt,
                                   x_star=x_star, f_star=f_star)
         phases["integrate_s"] = time.perf_counter() - t0
+        phases["observables_s"] = traj.meta["observables_s"]
     if setup["mode"] == "sublinear":
         cert = analysis.certify_sublinear(traj, setup["window"])
     else:
@@ -348,15 +345,13 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         export_bytes = dynamics.export_trajectory_csv(
             traj, os.path.join(out_dir, f"trace_{kind}.csv"))
         export_s = time.perf_counter() - t0 - elapsed
-    gap = traj.observables["objective_gap"]
-    dist = traj.observables["dist_sq"]
     record = {
         "pass": bool(cert.passed),
         "fitted": cert.fitted,
         "theoretical": cert.theoretical,
         "certificate": cert.to_json_dict(),
-        "final_gap": float(gap[-1]),
-        "final_dist_sq": float(dist[-1]),
+        "final_gap": float(traj.observables["objective_gap"][-1]),
+        "final_dist_sq": float(traj.observables["dist_sq"][-1]),
         "wall_clock": elapsed,
         **phases,
         "export_s": export_s,
@@ -377,7 +372,8 @@ def run_benchmark(config, out_dir=None):
     A dynamics' record holds its verdict, fitted and theoretical rates,
     certificate, final gap and distance, ``wall_clock`` (seconds to
     integrate and certify; a continuous run splits them into
-    ``integrate_s`` and ``certify_s``), ``export_s`` and ``export_bytes``
+    ``integrate_s``, of which ``observables_s`` went to the DR primal map
+    and the observables, and ``certify_s``), ``export_s`` and ``export_bytes``
     (seconds to write its trace and the trace's size, both 0 without
     ``out_dir``) and the integrator's ``n_steps``,
     ``rhs_calls``, ``stopped_early``, ``n_rejected``, ``h_min`` and

@@ -18,7 +18,6 @@ import json
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrs
-from scipy.special import expit
 
 from .exceptions import ParameterDomainError, UnsupportedOperationError
 
@@ -254,6 +253,8 @@ class LogisticRidge(SmoothFunction):
         self.m = ridge
         self.L = ridge + 0.25 * float(smax) ** 2
         self.newton_prox = bool(newton_prox)
+        from scipy.special import expit     # kept out of `import splitflow`
+        self._expit = expit
 
     def value(self, x):
         t = (self.A @ x.T).T
@@ -261,16 +262,16 @@ class LogisticRidge(SmoothFunction):
                 + 0.5 * self.ridge * _dot(x, x))
 
     def gradient(self, x):
-        s = expit((self.A @ x.T).T)
+        s = self._expit((self.A @ x.T).T)
         return (self.A.T @ (s - self.y).T).T + self.ridge * x
 
     def hess_vec(self, x, v):
-        s = expit(self.A @ x)
+        s = self._expit(self.A @ x)
         w = s * (1.0 - s)
         return self.A.T @ (w * (self.A @ v)) + self.ridge * v
 
     def hessian(self, x):
-        s = expit(self.A @ x)
+        s = self._expit(self.A @ x)
         w = s * (1.0 - s)
         return self.A.T @ (w[:, None] * self.A) + self.ridge * np.eye(self.dim)
 
@@ -341,8 +342,9 @@ class L1(NonsmoothFunction):
         return self.weight * np.sum(np.abs(x), axis=-1)
 
     def prox(self, v, mu):
+        """sign(v) max(|v| - t, 0), t = mu weight, as v - clip(v, -t, t)."""
         t = mu * self.weight
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        return v - np.minimum(np.maximum(v, -t), t)
 
 
 class BoxIndicator(NonsmoothFunction):
@@ -368,7 +370,8 @@ class BoxIndicator(NonsmoothFunction):
         return np.where(inside, 0.0, np.inf)[()]
 
     def prox(self, v, mu):
-        return np.clip(v, self.lower, self.upper)
+        """``np.clip(v, lower, upper)`` without its Python wrapper."""
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
 
 class GenericProx(NonsmoothFunction):

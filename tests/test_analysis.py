@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from splitflow import (ACC_DR, ACC_FB, CompositeProblem, ConvexSchedule,
                        identity_prox, integrate, lyapunov_value,
                        make_lyapunov_spec, schedule_strongly_convex,
                        solve_reference)
+from splitflow import analysis
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
                                 decay_form_constant, decay_form_timevarying,
                                 dr_weight_matrix, fb_weight_matrix,
@@ -287,6 +289,89 @@ class TestLyapunovDecay:
                                states=np.zeros((2, 8)))
         with pytest.raises(ValueError):
             check_lyapunov_decay(traj, lspec)
+
+
+class TestLyapunovSeries:
+    """lyapunov_series reads the envelope term from the trajectory's own
+    observables when the spec's envelope is the trajectory's; otherwise it
+    is lyapunov_value on the stacked states."""
+
+    @staticmethod
+    def run(kind, case):
+        p = make_quadratic_l1(n=8, m=1.0, L=8.0, lam=0.3, seed=13)
+        mu = 1.0 / (2.0 * p.f.L)
+        env = "fb" if kind == ACC_FB else "dr"
+        if case == QUAD_CONVEX:
+            alpha = 1.0 / p.f.L
+            sched = ConvexSchedule(alpha=alpha)
+            theta = ConvexSchedule.theta
+        else:
+            consts = envelope_constants(p.f.m, p.f.L, mu, env)
+            alpha = 1.0 / consts.L_tilde
+            sched = schedule_strongly_convex(alpha, consts.m_tilde)
+            theta = sched.theta()
+        ref = solve_reference(p, mu, tol=1e-12)
+        traj = integrate(DynamicsSpec(kind, p, mu, sched), t_end=10.0,
+                         sample_dt=0.01, x_star=ref.x, f_star=ref.value)
+
+        def lspec(envelope_kind=env, spec_case=case, spec_mu=mu):
+            beta = 0.4 if spec_case == GENERAL_STRONG else None
+            return make_lyapunov_spec(p, spec_mu, alpha=alpha,
+                                      case=spec_case, theta=theta,
+                                      envelope_kind=envelope_kind, beta=beta,
+                                      x_star=ref.x, f_star=ref.value)
+        return traj, lspec
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Shapes of the points passed to fb_envelope_value and
+        lyapunov_value, by name."""
+        calls = {"fb_envelope_value": [], "lyapunov_value": []}
+        # fb_envelope_value(problem, x, mu), lyapunov_value(spec, t, psi)
+        for (name, shapes), point in zip(calls.items(), (1, 2)):
+            def counted(*args, _original=getattr(analysis, name),
+                        _shapes=shapes, _point=point):
+                _shapes.append(np.shape(args[_point]))
+                return _original(*args)
+            monkeypatch.setattr(analysis, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("case", [QUAD_CONVEX, QUAD_STRONG])
+    @pytest.mark.parametrize("kind", [ACC_FB, ACC_DR])
+    def test_own_envelope_is_reused(self, kind, case, monkeypatch):
+        traj, lspec = self.run(kind, case)
+        spec = lspec()
+        calls = self.count_calls(monkeypatch)
+        V = lyapunov_series(traj, spec)
+        assert calls == {"fb_envelope_value": [], "lyapunov_value": []}
+        direct = lyapunov_value(spec, traj.times, traj.states)
+        assert np.all(np.abs(V - direct) <= 1e-12 * (1.0 + np.abs(direct)))
+        # the envelope term is the observable: shifting it shifts V by alpha
+        shifted = dataclasses.replace(traj, observables=dict(
+            traj.observables, envelope=traj.observables["envelope"] + 1.0))
+        np.testing.assert_allclose(lyapunov_series(shifted, spec) - V,
+                                   spec.alpha, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind, spec_args", [
+        (ACC_DR, dict(spec_mu=0.05)),
+        (ACC_DR, dict(envelope_kind="fb")),
+        (ACC_FB, dict(envelope_kind="dr")),
+        (ACC_FB, dict(spec_case=GENERAL_STRONG)),
+        (ACC_DR, None),
+    ], ids=["other_mu", "fb_spec_on_acc_dr", "dr_spec_on_acc_fb", "general",
+            "no_observables"])
+    def test_other_specs_are_recomputed(self, kind, spec_args, monkeypatch):
+        traj, lspec = self.run(kind, QUAD_STRONG)
+        spec = lspec(**spec_args or {})
+        if spec_args is None:
+            traj = dataclasses.replace(traj, observables={})
+        calls = self.count_calls(monkeypatch)
+        V = lyapunov_series(traj, spec)
+        # one evaluation on the whole stack
+        assert calls == {"fb_envelope_value": [(traj.times.size, 8)],
+                         "lyapunov_value": [(traj.times.size, 16)]}
+        np.testing.assert_array_equal(
+            V, lyapunov_value(spec, traj.times, traj.states))
 
 
 class TestRateFits:

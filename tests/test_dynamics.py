@@ -10,6 +10,7 @@ from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        integrate, run_discrete,
                        schedule_strongly_convex, solve_reference,
                        vector_field)
+from splitflow import dynamics as dynamics_module
 from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
 from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
@@ -68,6 +69,22 @@ class TestSchedules:
             gamma, beta, theta = strongly_convex_point(w)
             assert theta == pytest.approx(0.5 * (gamma + w * w * beta),
                                           rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_convex_refuses_nonfinite_alpha(self, alpha):
+        with pytest.raises(ParameterDomainError, match="alpha"):
+            ConvexSchedule(alpha=alpha)
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", 0.0), ("alpha", -0.5), ("alpha", np.nan), ("alpha", np.inf),
+        ("gamma", np.nan), ("gamma", np.inf), ("beta", np.nan),
+        ("beta", -np.inf), ("theta", np.nan), ("theta", np.inf)])
+    def test_constant_refuses_bad_constants(self, name, value):
+        # refused when built, not later by integrate as a non-finite field
+        constants = dict(alpha=0.5, gamma=0.6, beta=0.4, theta=0.3)
+        constants[name] = value
+        with pytest.raises(ParameterDomainError, match=name):
+            ConstantSchedule(**constants)
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
@@ -220,6 +237,38 @@ class TestIntegrate:
         x = linear_flow_solution(Q, q, alpha, x0, traj.times[-1:])[0]
         field = alpha * np.linalg.norm(Q @ (x + np.linalg.solve(Q, q)))
         assert field <= 2.0 * 1e-12 * (1.0 + np.linalg.norm(x))
+
+    @pytest.mark.parametrize("case", ["full", "early_stop", "one_per_step"])
+    def test_sample_block_is_concatenated_dense_output(self, monkeypatch,
+                                                       case):
+        # integrate writes its samples into one preallocated block; values
+        # and memory order must be np.concatenate's over psi0 and the dense
+        # outputs, and a run that ends before t_end keeps its rows only
+        p = make_quadratic_l1(n=6, seed=4)
+        mu = 0.05
+        ref = solve_reference(p, mu, tol=1e-12)
+        psi0 = np.concatenate([ref.x, np.zeros(p.dim)])
+        if case != "early_stop":
+            psi0 = psi0 + 0.5
+        t_end, sample_dt = {"full": (8.0, 0.01), "early_stop": (5.0, 0.001),
+                            "one_per_step": (0.5, 0.1)}[case]
+        outputs = [psi0[None, :]]
+
+        class Recording(dynamics_module.Dopri5):
+            def dense(self, ts):
+                outputs.append(super().dense(ts))
+                return outputs[-1]
+        monkeypatch.setattr(dynamics_module, "Dopri5", Recording)
+        spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
+        traj = integrate(spec, psi0=psi0, t_end=t_end, sample_dt=sample_dt)
+        assert traj.meta["stopped_early"] == (case == "early_stop")
+        assert (max(len(y) for y in outputs) == 1) == (case == "one_per_step")
+        expected = np.concatenate(outputs)
+        for got, want in ((traj.position, expected[:, :p.dim]),
+                          (traj.velocity, expected[:, p.dim:])):
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+        assert traj.position.base.shape == (traj.times.size, spec.state_dim)
 
     def test_early_stop_after_five_quiet_steps(self):
         # at rest at [x*, 0] every accepted step ends quiet, so the run stops

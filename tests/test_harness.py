@@ -169,7 +169,7 @@ class TestRunBenchmark:
         in_memory = run_benchmark(cfg)
         saved = json.loads((tmp_path / "report.json").read_text())
         keys = ("n_steps", "rhs_calls", "stopped_early", "n_rejected",
-                "h_min", "h_max", "integrate_s", "certify_s")
+                "h_min", "h_max", "integrate_s", "certify_s", "observables_s")
         for kind in ("acc_fb", "dr_flow"):
             rec = written.dynamics[kind]
             # DOPRI5 is FSAL: the field at psi0, the initial-step probe,
@@ -184,12 +184,15 @@ class TestRunBenchmark:
             assert rec["integrate_s"] > 0.0 and rec["certify_s"] > 0.0
             assert rec["integrate_s"] + rec["certify_s"] == pytest.approx(
                 rec["wall_clock"], rel=1e-9)
+            # the primal map and observables are a part of integrate_s
+            assert 0.0 < rec["observables_s"] < rec["integrate_s"]
             assert [saved["dynamics"][kind][k] for k in keys] == [
                 rec[k] for k in keys]
         disc = written.dynamics["fb_discrete"]
         assert disc["n_steps"] > 0 and disc["export_s"] > 0.0
         assert "rhs_calls" not in disc and "stopped_early" not in disc
         assert "integrate_s" not in disc and "certify_s" not in disc
+        assert "observables_s" not in disc
         for kind in cfg.dynamics:
             trace = tmp_path / f"trace_{kind}.csv"
             assert written.dynamics[kind]["export_bytes"] == (

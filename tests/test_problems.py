@@ -69,6 +69,54 @@ class TestProxG:
             assert np.linalg.norm(d) <= np.linalg.norm(a - b) + 1e-12
 
 
+def _edge_values(*scales):
+    """+-0, +-inf, nan, subnormals and, for each scale, +-scale and its two
+    neighbours in floating point."""
+    tiny = np.finfo(float).smallest_subnormal
+    out = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e3 * tiny,
+           -1e3 * tiny, 1e308, -1e308]
+    for c in scales:
+        for a in (c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)):
+            out += [a, -a]
+    return np.array(out)
+
+
+class TestProxClosedForms:
+    """The l1 and box prox against their textbook expressions under ==,
+    with nan in the same places; only the sign of a zero may differ."""
+
+    @pytest.mark.parametrize("weight, mu", [
+        (0.7, 0.5), (1.0, 1.0), (2.5, 1e-300), (1e-300, 1e-20), (0.3, 0.0)])
+    def test_l1_is_soft_thresholding(self, weight, mu, rng):
+        t = mu * weight
+        v = np.concatenate([_edge_values(t, 0.5 * t, 2.0 * t),
+                            t * rng.standard_normal(200),
+                            rng.standard_normal(200)])
+        stack = rng.permuted(np.resize(v, (7, v.size)), axis=1)
+        for x in (v, stack, v[5]):
+            out = L1(weight).prox(x, mu)
+            ref = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+            assert np.shape(out) == np.shape(x)
+            assert np.array_equal(out, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (-1.0, 1.0), (0.0, 0.0), (-0.0, 2.5), (-np.inf, 1e-310),
+        ([-1.0, -np.inf, 0.0, -3e-320], [1.0, 2.0, np.inf, 0.0])])
+    def test_box_is_clip(self, lower, upper, rng):
+        g = BoxIndicator(lower, upper)
+        n = g.lower.size
+        bounds = [b for b in np.concatenate([g.lower, g.upper])
+                  if np.isfinite(b) and b != 0.0]
+        v = np.concatenate([_edge_values(*bounds),
+                            3.0 * rng.standard_normal(200)])
+        v = v[:v.size - v.size % n].reshape(-1, n)
+        for x in (v, v[0], v[:1]):
+            out = g.prox(x, 0.5)
+            assert np.shape(out) == np.shape(x)
+            assert np.array_equal(out, np.clip(x, g.lower, g.upper),
+                                  equal_nan=True)
+
+
 class TestProxF:
     def test_linear_shift(self):
         f = Quadratic(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]))

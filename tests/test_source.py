@@ -59,14 +59,24 @@ def test_import_builds_no_csv_tables():
 
 
 def test_import_leaves_out_slow_scipy_modules():
-    # the integrator is in-house and the Newton prox imports the sparse
-    # solvers on first use; either import would add to every process's
-    # start-up time
+    # the integrator is in-house, the Newton prox imports the sparse
+    # solvers on first use and expit is imported when a logistic problem is
+    # built; any of these imports would add to every process's start-up time
     out = _fresh_output(
         "import splitflow, sys; "
-        "print(sorted({'scipy.integrate', 'scipy.sparse.linalg'}"
-        " & set(sys.modules)))")
+        "print(sorted({'scipy.integrate', 'scipy.sparse.linalg',"
+        " 'scipy.special'} & set(sys.modules)))")
     assert out == "[]"
+
+
+def test_lasso_run_leaves_out_scipy_special():
+    # only logistic problems evaluate expit
+    out = _fresh_output(
+        "import splitflow, sys; "
+        "splitflow.run_benchmark(splitflow.BenchmarkConfig(dims=(6, 12),"
+        " t_end=5.0, sample_dt=0.5, window=(1.0, 5.0))); "
+        "print('scipy.special' in sys.modules)")
+    assert out == "False"
 
 
 def test_module_all_names_exist():
