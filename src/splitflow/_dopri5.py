@@ -15,7 +15,9 @@ operations:
   ``np.linalg.norm`` computes on a vector;
 - the smallest step is ``10 * math.ulp(t)``, the distance from t (>= 0) to
   the next float up, which scipy takes with ``np.nextafter``;
-- the stage rows of A and the nodes C are taken out of the tableau once;
+- the stage rows of A and the nodes C are taken out of the tableau once,
+  each stepper's views of its stages K are built once, and the error
+  scale reuses the accepted state's ``|y|``;
 - the dense-output powers of x are multiplied out one by one: the
   sequential product that scipy's ``cumprod`` over ``np.tile`` computes.
 
@@ -92,8 +94,10 @@ class Dopri5:
 
     def __init__(self, fun, y0, t_end, tol):
         self.fun, self.t_end, self.tol = fun, t_end, tol
-        self.t, self.y = 0.0, y0
-        self.K = np.empty((7, y0.size))
+        self.t, self.y, self._abs_y = 0.0, y0, np.abs(y0)
+        K = self.K = np.empty((7, y0.size))
+        self._stages = tuple((s, K[:s].T, a, c) for s, a, c in _STAGES)
+        self._K_B, self._K_E = K[:-1].T, K.T
         self.n_steps = self.n_rejected = 0
         self.h_min, self.h_max = np.inf, 0.0
         self.nfev = 1
@@ -107,7 +111,7 @@ class Dopri5:
 
     def _initial_step(self):
         y0, f0, tol, interval = self.y, self.f, self.tol, abs(self.t_end)
-        scale = tol + np.abs(y0) * tol
+        scale = tol + self._abs_y * tol
         d0 = _rms(y0 / scale)
         d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -125,10 +129,10 @@ class Dopri5:
         t, y, K, fun = self.t, self.y, self.K, self.fun
         K[0] = self.f
         try:
-            for s, a, c in _STAGES:
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+            for s, K_s, a, c in self._stages:
+                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
             s = 6
-            y_new = y + h * np.dot(K[:-1].T, B)
+            y_new = y + h * np.dot(self._K_B, B)
             f_new = fun(t + h, y_new)
         except Exception:
             self.nfev += s
@@ -144,7 +148,7 @@ class Dopri5:
     def step(self):
         """Take one accepted step, clipped to end at ``t_end``; return False
         when the step size falls below 10 ulp of t."""
-        t, y, tol = self.t, self.y, self.tol
+        t, y, abs_y, tol = self.t, self.y, self._abs_y, self.tol
         min_step = 10 * math.ulp(t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
@@ -154,8 +158,9 @@ class Dopri5:
             t_new = min(t + h_abs, self.t_end)
             h = h_abs = t_new - t
             y_new, f_new = self._attempt(h)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = _rms(np.dot(self.K.T, E) * h / scale)
+            abs_new = np.abs(y_new)
+            scale = tol + np.maximum(abs_y, abs_new) * tol
+            error_norm = _rms(np.dot(self._K_E, E) * h / scale)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** EXPONENT)
@@ -165,14 +170,14 @@ class Dopri5:
                   else min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT))
         self.h_abs = h_abs * (min(1, factor) if rejected else factor)
         self.t_old, self.y_old, self.h = t, y, h
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f, self._abs_y = t_new, y_new, f_new, abs_new
         self.n_steps += 1
         self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
         return True
 
     def dense(self, ts):
         """States (len(ts), n) at times ts within the last step."""
-        Q = self.K.T.dot(P)
+        Q = self._K_E.dot(P)
         x = (ts - self.t_old) / self.h
         p = np.empty((4, x.size))
         p[0] = x

@@ -318,7 +318,8 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         attached to every sample.
     early_stop : stop after 5 consecutive accepted steps, judged on the FSAL
         derivative: the field at each step's end, which the stepper already
-        evaluated, has norm <= 1e-12 (1 + ||psi||).
+        evaluated, has norm <= 1e-12 (1 + ||psi||); the stop waits for the
+        first grid sample, so a run from an equilibrium still samples.
 
     ``meta`` holds tol, sample_dt, method, alpha, n_steps (accepted steps),
     n_rejected (rejected steps), h_min and h_max (the range of accepted
@@ -399,7 +400,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
                 y = solver.y
                 quiet = (quiet + 1 if _field_norm(solver.f)
                          <= 1e-12 * (1.0 + math.sqrt(y.dot(y))) else 0)
-                if quiet >= 5:
+                if quiet >= 5 and idx:
                     meta["stopped_early"] = True
                     break
     except FloatingPointError as exc:

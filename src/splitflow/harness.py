@@ -377,13 +377,16 @@ def run_benchmark(config, out_dir=None):
     (seconds to write its trace and the trace's size, both 0 without
     ``out_dir``) and the integrator's ``n_steps``,
     ``rhs_calls``, ``stopped_early``, ``n_rejected``, ``h_min`` and
-    ``h_max`` (``n_steps`` alone for a discrete baseline).
+    ``h_max`` (``n_steps`` alone for a discrete baseline). The problem block
+    adds ``generate_s`` and ``reference_s``: seconds to generate the
+    problem and choose its penalty, and to solve for the reference.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
     problem = generate_problem(config)
     setup = _example_setup(config, problem)
+    t_generated = time.perf_counter()
     reference = analysis.solve_reference(problem, setup["mu"], tol=1e-12)
     meta = {
         "example": config.example,
@@ -401,6 +404,8 @@ def run_benchmark(config, out_dir=None):
         "reference_iterations": reference.iterations,
         "reference_restarts": reference.restarts,
         "reference_polishes": reference.polishes,
+        "generate_s": t_generated - t_start,
+        "reference_s": time.perf_counter() - t_generated,
     }
     if problem.g.kind == "l1":
         meta["lambda"] = problem.g.weight

@@ -119,9 +119,10 @@ class SmoothFunction:
 class Quadratic(SmoothFunction):
     """f(x) = (1/2) x'Qx + q'x with symmetric positive semidefinite Q.
 
-    ``m`` and ``L`` default to the extreme eigenvalues of Q; they can be
-    overridden when exact planted values are known (must agree with the
-    spectrum up to numerical tolerance).
+    ``m`` and ``L`` default to the extreme eigenvalues of Q. An override
+    (exact planted values, or a looser m or L) must bound the spectrum:
+    0 <= m <= lambda_min and L >= lambda_max, up to 1e-8 max(1, max|Q_ij|),
+    else ``ValueError``.
     """
 
     kind = "quadratic"
@@ -147,6 +148,10 @@ class Quadratic(SmoothFunction):
         self.dim = q.shape[0]
         self.m = float(max(eigs[0], 0.0)) if m is None else float(m)
         self.L = float(max(eigs[-1], 0.0)) if L is None else float(L)
+        if not (0.0 <= self.m <= eigs[0] + 1e-8 * scale
+                and self.L >= eigs[-1] - 1e-8 * scale):
+            raise ValueError(f"m={self.m} and L={self.L} must bound the "
+                             f"spectrum [{eigs[0]}, {eigs[-1]}] of Q")
         self._prox_factors = {}
 
     # on a point, (Q @ x.T).T is the same BLAS call as Q @ x (same rounding)

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from splitflow import (ACC_DR, ACC_FB, CompositeProblem, ConvexSchedule,
-                       DynamicsSpec, GenericOracle, GenericProx, L1,
+from splitflow import (ACC_DR, ACC_FB, BoxIndicator, CompositeProblem,
+                       ConvexSchedule, DynamicsSpec, GenericOracle,
+                       GenericProx, L1,
                        NeedsReferenceError, ParameterDomainError, Quadratic,
                        WindowTooLateError,
                        certify_exponential, certify_sublinear,
@@ -62,13 +63,15 @@ class TestSolveReference:
         assert ref.grad_map_norm <= 1e-10
 
     @pytest.mark.parametrize("example, dims, max_iterations", [
-        ("lasso_l1", (20, 100), 200),
-        ("box_qp", (100, 100), 400),
+        ("lasso_l1", (20, 100), 75),
+        ("box_qp", (100, 100), 125),
         ("logistic_l1", (20, 12), 200),
     ])
     def test_polish_cuts_iterations(self, example, dims, max_iterations):
         # one case per polish branch (quadratic l1, quadratic box, Newton
-        # on l1); without the polish they take 725, 3275 and 775 iterations
+        # on l1); without the polish they take 725, 3275 and 775 iterations.
+        # A quadratic polish is tried at every objective check, a Newton
+        # polish every 200 iterations
         config = BenchmarkConfig(example=example, dims=dims, kappa=1e3,
                                  ridge=0.3, seed=0)
         p = generate_problem(config)
@@ -77,6 +80,29 @@ class TestSolveReference:
         assert ref.grad_map_norm <= 1e-12
         assert ref.iterations <= max_iterations
         assert ref.polishes >= 1
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_empty_free_set(self, factor):
+        # lambda >= lambda_max = ||q||_inf: x* = 0, reached exactly by the
+        # first objective check
+        config = BenchmarkConfig(dims=(20, 100), seed=0)
+        f = generate_problem(config).f
+        p = CompositeProblem(f, L1(factor * np.abs(f.q).max()))
+        ref = solve_reference(p, 0.5 / f.L, tol=1e-12)
+        assert not np.any(ref.x)
+        assert ref.grad_map_norm == 0.0 and ref.iterations == 25
+
+    @pytest.mark.parametrize("g", [L1(0.5), BoxIndicator(np.array([-1.0]),
+                                                         np.array([1.0]))])
+    @pytest.mark.parametrize("q", [-3.0, 0.2])
+    def test_one_dimensional(self, g, q):
+        # minimizers 1.25, 0 (l1) and 1, -0.1 (box) of x^2 + q x + g(x)
+        p = CompositeProblem(Quadratic(np.array([[2.0]]), np.array([q])), g)
+        ref = solve_reference(p, 0.25, tol=1e-12)
+        want = {("l1", -3.0): 1.25, ("l1", 0.2): 0.0,
+                ("box", -3.0): 1.0, ("box", 0.2): -0.1}[g.kind, q]
+        assert ref.x.shape == (1,) and ref.x[0] == pytest.approx(want, abs=1e-14)
+        assert ref.grad_map_norm <= 1e-12 and ref.iterations == 25
 
     def test_generic_prox_is_not_polished(self):
         # no free-set hook for a black-box g: the README-size lasso then

@@ -283,6 +283,19 @@ class TestIntegrate:
         assert traj.meta["n_steps"] == 5
         assert traj.times[-1] == pytest.approx(1.1)
 
+    def test_early_stop_waits_for_first_sample(self):
+        # from an exact equilibrium the field is exactly 0 and steps grow
+        # tenfold from 1e-6: the fifth quiet step ends near t = 0.011,
+        # before the first grid point, yet the run must still sample
+        p = CompositeProblem(Quadratic(np.eye(3), np.zeros(3)), L1(1.0))
+        spec = DynamicsSpec(ACC_FB, p, 0.5, ConvexSchedule(alpha=0.1))
+        traj = integrate(spec, t_end=2.0, sample_dt=0.05)
+        assert traj.meta["stopped_early"]
+        assert traj.meta["n_steps"] > 5
+        assert traj.times.size >= 3          # psi0 and two grid samples
+        assert np.array_equal(traj.times[1:3], [0.05, 0.1])
+        assert not np.any(traj.states)
+
     @pytest.mark.parametrize("case", ["early_stop", "dr_flow", "acc_fb",
                                       "acc_dr"])
     def test_rhs_calls_all_from_stepper(self, monkeypatch, case):

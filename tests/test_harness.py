@@ -206,6 +206,10 @@ class TestRunBenchmark:
             "iterations", "restarts", "polishes")] == [
             ref.iterations, ref.restarts, ref.polishes]
         assert ref.iterations > 0 and ref.polishes >= 1
+        # what generating the problem and its reference cost
+        for key in ("generate_s", "reference_s"):
+            assert saved["problem"][key] > 0.0
+            assert in_memory.problem_meta[key] > 0.0
 
     def test_discrete_and_flow_share_limit(self):
         cfg = BenchmarkConfig(example=BOX_QP, dims=(0, 12), kappa=10.0,

@@ -314,6 +314,33 @@ class TestConstants:
         p = make_quadratic_l1()
         assert 0 <= p.f.m <= p.f.L
 
+    @pytest.mark.parametrize("m, L", [
+        (-1e-3, None), (0.7 + 1e-4, None), (float("nan"), None),
+        (None, 5.3 - 1e-4), (None, 1.0), (None, float("nan"))])
+    def test_quadratic_refuses_invalid_overrides(self, m, L, rng):
+        from oracles import random_spd_matrix
+        Q = random_spd_matrix(9, 0.7, 5.3, rng)
+        with pytest.raises(ValueError):
+            Quadratic(Q, np.zeros(9), m=m, L=L)
+
+    @pytest.mark.parametrize("m, L", [
+        (0.7, 5.3), (0.0, 5.3), (0.5, 8.0), (0.7 + 1e-9, 5.3 - 1e-9)])
+    def test_quadratic_accepts_valid_or_looser_overrides(self, m, L, rng):
+        from oracles import random_spd_matrix
+        Q = random_spd_matrix(9, 0.7, 5.3, rng)
+        f = Quadratic(Q, np.zeros(9), m=m, L=L)
+        assert (f.m, f.L) == (m, L)
+
+    def test_generators_and_fixtures_pass_override_checks(self):
+        from splitflow import gen_boxqp, gen_lasso
+        from conftest import make_quadratic_box, smooth_problem
+        assert gen_lasso(20, 100, seed=0).f.m == 0.0
+        box = gen_boxqp(100, 1e3, seed=0).f
+        assert (box.m, box.L) == (1.0, 1e3)
+        for p in (make_quadratic_l1(), make_quadratic_box(),
+                  smooth_problem()):
+            assert 0 < p.f.m < p.f.L
+
 
 class TestCompositeProblem:
     def test_dimension_mismatch_rejected(self):
