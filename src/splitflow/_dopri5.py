@@ -18,6 +18,9 @@ operations:
 - the stage rows of A and the nodes C are taken out of the tableau once,
   each stepper's views of its stages K are built once, and the error
   scale reuses the accepted state's ``|y|``;
+- stage states, ``y_new``, the error scale and the scaled error are built
+  in place (``d = K_s.dot(a); d *= h; d += y``), swapping only operands of
+  ``+`` and ``*``, and the attempt's RMS norm divides by a stored sqrt(n);
 - the dense-output powers of x are multiplied out one by one: the
   sequential product that scipy's ``cumprod`` over ``np.tile`` computes.
 
@@ -98,6 +101,7 @@ class Dopri5:
         K = self.K = np.empty((7, y0.size))
         self._stages = tuple((s, K[:s].T, a, c) for s, a, c in _STAGES)
         self._K_B, self._K_E = K[:-1].T, K.T
+        self._sqrt_n = y0.size ** 0.5
         self.n_steps = self.n_rejected = 0
         self.h_min, self.h_max = np.inf, 0.0
         self.nfev = 1
@@ -130,9 +134,14 @@ class Dopri5:
         K[0] = self.f
         try:
             for s, K_s, a, c in self._stages:
-                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+                d = K_s.dot(a)
+                d *= h
+                d += y
+                K[s] = fun(t + c * h, d)
             s = 6
-            y_new = y + h * np.dot(self._K_B, B)
+            y_new = self._K_B.dot(B)
+            y_new *= h
+            y_new += y
             f_new = fun(t + h, y_new)
         except Exception:
             self.nfev += s
@@ -159,8 +168,13 @@ class Dopri5:
             h = h_abs = t_new - t
             y_new, f_new = self._attempt(h)
             abs_new = np.abs(y_new)
-            scale = tol + np.maximum(abs_y, abs_new) * tol
-            error_norm = _rms(np.dot(self._K_E, E) * h / scale)
+            scale = np.maximum(abs_y, abs_new)
+            scale *= tol
+            scale += tol
+            err = self._K_E.dot(E)
+            err *= h
+            err /= scale
+            error_norm = math.sqrt(err.dot(err)) / self._sqrt_n
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** EXPONENT)

@@ -159,11 +159,13 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
     Runs the accelerated proximal iteration with objective restarts until
     ||G_mu(x)|| <= tol, checked every 25 iterations. A polish solves for g's
     free coordinates (the l1 support, or those off the box bounds) with the
-    others held (at 0, or at their bound): at every check one linear solve
-    for a quadratic f, else every 200 iterations up to 8 Newton steps, each
-    building a Hessian, dropped if an l1 sign flips. A prox-gradient sweep
-    from the polished point is kept when it lowers the gradient-map norm.
-    The result is cached per problem instance.
+    others held (at 0, or at their bound): one linear solve for a quadratic
+    f, else up to 8 Newton steps, each building a Hessian, dropped if an l1
+    sign flips. It is tried at every check when a Hessian costs no more
+    than 25 iterations (quadratic f, or a logistic f with n <= 50), else
+    every 200 iterations. A prox-gradient sweep from the polished point is
+    kept when it lowers the gradient-map norm. The result is cached per
+    problem instance.
     """
     mu = check_mu_domain(mu, problem.f.L)
     key = (round(float(mu), 15), float(tol))
@@ -180,7 +182,10 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
     best = None
     obj_prev = np.inf
     iterations = restarts = polishes = 0
-    polish_each_check = f.kind == "quadratic"    # one linear solve
+    # a logistic Hessian (2 s n^2 flops) costs no more than 25 iterations'
+    # products (25 x 4 s n) for n <= 50; a quadratic polish is one solve
+    polish_each_check = (f.kind == "quadratic"
+                         or f.kind == "logistic_ridge" and 2 * n <= 25 * 4)
 
     def consider(z):
         nonlocal best
@@ -340,9 +345,9 @@ def lyapunov_series(traj, spec):
     quadratic case on its own trajectory (FB on acc_fb, DR on acc_dr, same
     mu) reads its envelope term from the ``envelope`` observable."""
     env = traj.observables.get("envelope")
-    if (env is None or spec.case == GENERAL_STRONG or traj.mu != spec.mu
+    if (spec.case == GENERAL_STRONG or traj.mu != spec.mu
             or traj.kind != "acc_" + spec.envelope_kind):
-        return lyapunov_value(spec, traj.times, traj.states)
+        env = None
     return _lyapunov(spec, traj.times, traj.position, traj.velocity, env)
 
 

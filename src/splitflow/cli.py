@@ -38,8 +38,7 @@ def _cmd_run(args):
         else:
             print(f"{kind}: {'PASS' if rec['pass'] else 'FAIL'} "
                   f"fitted={rec['fitted']:.6g} theoretical={rec['theoretical']}")
-    errors = [r for r in report.dynamics.values() if "error" in r]
-    if errors:
+    if any("error" in rec for rec in report.dynamics.values()):
         return EXIT_ERROR
     return EXIT_OK if report.all_passed() else EXIT_CERT_FAIL
 
@@ -47,12 +46,8 @@ def _cmd_run(args):
 def _cmd_certify(args):
     trace = read_trace_csv(args.trace)
     a, b = (float(v) for v in args.window.split(","))
-    traj = SimpleNamespace(
-        times=trace["t"],
-        observables={"objective_gap": trace["objective_gap"],
-                     "dist_sq": trace["dist_sq"]},
-        meta={},
-    )
+    traj = SimpleNamespace(times=trace["t"], meta={}, observables={
+        "objective_gap": trace["objective_gap"], "dist_sq": trace["dist_sq"]})
     if args.mode == "sublinear":
         cert = analysis.certify_sublinear(traj, (a, b))
     else:
@@ -116,10 +111,9 @@ def _cmd_envelope(args):
     with open(args.point, "r", encoding="utf-8") as fh:
         text = fh.read().replace("\n", ",")
     point = np.array([float(v) for v in text.split(",") if v.strip()])
-    if args.kind == "fb":
-        ev = envelopes.fb_envelope(problem, point, args.mu)
-    else:
-        ev = envelopes.dr_envelope(problem, point, args.mu)
+    evaluate = (envelopes.fb_envelope if args.kind == "fb"
+                else envelopes.dr_envelope)
+    ev = evaluate(problem, point, args.mu)
     print(json.dumps(ev.to_dict(), indent=2))
     return EXIT_OK
 

@@ -352,11 +352,8 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
             f"sample_dt must be finite and positive, got {sample_dt}")
     grid = _sample_grid(t_end, sample_dt)
     grid_points = grid.tolist()
-    # psi0 and the grid samples; the observables' rounding follows the memory
-    # order, np.concatenate's: column-major once a step sampled two points
-    samples = np.empty((grid.size + 1, spec.state_dim), order="F")
+    samples = np.empty((grid.size + 1, spec.state_dim))   # psi0, grid samples
     samples[0] = psi0
-    column_major = False
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
             "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha,
             "rhs_calls": 0, "n_rejected": 0, "h_min": math.inf, "h_max": 0.0}
@@ -368,8 +365,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
                         h_min=float(solver.h_min), h_max=float(solver.h_max),
                         rhs_calls=solver.nfev)
         # a run that ended before t_end keeps a copy of its rows only
-        block = (samples if idx == grid.size and column_major else
-                 samples[:idx + 1].copy(order="F" if column_major else "C"))
+        block = samples if idx == grid.size else samples[:idx + 1].copy()
         n = spec.problem.dim
         return _trajectory(spec.problem, spec.kind, spec.mu,
                            np.append(0.0, grid[:idx]), block[:, :n],
@@ -393,7 +389,6 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
                 if not np.isfinite(ys).all():
                     _fail("non-finite state sample")
                 samples[idx + 1:end + 1] = ys
-                column_major |= end - idx > 1
                 idx = end
             if early_stop:
                 # solver.f is the field at (solver.t, solver.y) (FSAL)

@@ -166,45 +166,39 @@ class BenchmarkConfig:
 
     def to_dict(self):
         return {
-            "schema": SCHEMA_VERSION,
-            "example": self.example,
-            "dims": list(self.dims),
-            "kappa": self.kappa,
-            "ridge": self.ridge,
-            "lambda_rule": self.lambda_rule.to_dict(),
-            "seed": self.seed,
-            "dynamics": list(self.dynamics),
-            "t_end": self.t_end,
-            "tol": self.tol,
-            "sample_dt": self.sample_dt,
+            "schema": SCHEMA_VERSION, "example": self.example,
+            "dims": list(self.dims), "kappa": self.kappa, "ridge": self.ridge,
+            "lambda_rule": self.lambda_rule.to_dict(), "seed": self.seed,
+            "dynamics": list(self.dynamics), "t_end": self.t_end,
+            "tol": self.tol, "sample_dt": self.sample_dt,
             "window": list(self.window) if self.window else None,
         }
 
     @staticmethod
     def from_dict(d):
         """Config from its JSON form; absent optional keys take the field
-        defaults, while "example" and "dynamics" are required."""
+        defaults, while "example" and "dynamics" are required; an unknown
+        key raises ValueError."""
         schema = d.get("schema")
         if schema != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported config schema {schema!r}; expected {SCHEMA_VERSION}")
+        full = BenchmarkConfig().to_dict()
+        unknown = sorted(set(d) - set(full))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         unknown = [k for k in d["dynamics"] if k not in _ALL_DYNAMICS]
         if unknown:
             raise ValueError(f"unknown dynamics {unknown}")
-        full = {**BenchmarkConfig().to_dict(), **d}
+        full.update(d)
         return BenchmarkConfig(
-            example=d["example"],
-            dims=tuple(full["dims"]),
-            kappa=float(full["kappa"]),
-            ridge=float(full["ridge"]),
+            example=d["example"], dims=tuple(full["dims"]),
+            kappa=float(full["kappa"]), ridge=float(full["ridge"]),
             lambda_rule=LambdaRule.from_dict(full["lambda_rule"]),
-            seed=int(full["seed"]),
-            dynamics=tuple(d["dynamics"]),
-            t_end=float(full["t_end"]),
-            tol=float(full["tol"]),
+            seed=int(full["seed"]), dynamics=tuple(d["dynamics"]),
+            t_end=float(full["t_end"]), tol=float(full["tol"]),
             sample_dt=float(full["sample_dt"]),
-            window=tuple(full["window"]) if full["window"] else None,
-        )
+            window=tuple(full["window"]) if full["window"] else None)
 
     @staticmethod
     def load(path):
@@ -346,16 +340,12 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
             traj, os.path.join(out_dir, f"trace_{kind}.csv"))
         export_s = time.perf_counter() - t0 - elapsed
     record = {
-        "pass": bool(cert.passed),
-        "fitted": cert.fitted,
-        "theoretical": cert.theoretical,
-        "certificate": cert.to_json_dict(),
+        "pass": bool(cert.passed), "fitted": cert.fitted,
+        "theoretical": cert.theoretical, "certificate": cert.to_json_dict(),
         "final_gap": float(traj.observables["objective_gap"][-1]),
         "final_dist_sq": float(traj.observables["dist_sq"][-1]),
-        "wall_clock": elapsed,
-        **phases,
-        "export_s": export_s,
-        "export_bytes": export_bytes,
+        "wall_clock": elapsed, **phases,
+        "export_s": export_s, "export_bytes": export_bytes,
     }
     # integrator counters; a discrete run has iterations only
     for key in ("n_steps", "rhs_calls", "stopped_early", "n_rejected",
@@ -389,16 +379,11 @@ def run_benchmark(config, out_dir=None):
     t_generated = time.perf_counter()
     reference = analysis.solve_reference(problem, setup["mu"], tol=1e-12)
     meta = {
-        "example": config.example,
-        "dims": list(config.dims),
-        "seed": config.seed,
-        "n": problem.dim,
-        "m": problem.f.m,
-        "L": problem.f.L,
-        "mu": setup["mu"],
-        "alpha_flow": setup["alpha_flow"],
-        "mode": setup["mode"],
-        "window": list(setup["window"]),
+        "example": config.example, "dims": list(config.dims),
+        "seed": config.seed, "n": problem.dim,
+        "m": problem.f.m, "L": problem.f.L,
+        "mu": setup["mu"], "alpha_flow": setup["alpha_flow"],
+        "mode": setup["mode"], "window": list(setup["window"]),
         "f_star": reference.value,
         "reference_grad_map_norm": reference.grad_map_norm,
         "reference_iterations": reference.iterations,

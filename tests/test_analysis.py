@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -65,13 +66,13 @@ class TestSolveReference:
     @pytest.mark.parametrize("example, dims, max_iterations", [
         ("lasso_l1", (20, 100), 75),
         ("box_qp", (100, 100), 125),
-        ("logistic_l1", (20, 12), 200),
+        ("logistic_l1", (20, 12), 50),
     ])
     def test_polish_cuts_iterations(self, example, dims, max_iterations):
         # one case per polish branch (quadratic l1, quadratic box, Newton
         # on l1); without the polish they take 725, 3275 and 775 iterations.
-        # A quadratic polish is tried at every objective check, a Newton
-        # polish every 200 iterations
+        # Every polish here is tried at every objective check: quadratic f,
+        # and a logistic f with n <= 50
         config = BenchmarkConfig(example=example, dims=dims, kappa=1e3,
                                  ridge=0.3, seed=0)
         p = generate_problem(config)
@@ -80,6 +81,29 @@ class TestSolveReference:
         assert ref.grad_map_norm <= 1e-12
         assert ref.iterations <= max_iterations
         assert ref.polishes >= 1
+
+    @pytest.mark.parametrize("n", [50, 51])
+    def test_newton_polish_cadence(self, n, monkeypatch):
+        # a logistic Hessian costs no more than the 25 iterations between
+        # objective checks only while n <= 50; a larger f is polished at
+        # multiples of 200 iterations only
+        checks = []
+
+        def recording(problem, x):
+            # the iteration count k of solve_reference's loop
+            checks.append(inspect.currentframe().f_back.f_locals["k"])
+            return polish(problem, x)
+        polish = analysis._polish
+        monkeypatch.setattr(analysis, "_polish", recording)
+        config = BenchmarkConfig(example="logistic_l1", dims=(40, n),
+                                 ridge=0.3, seed=0)
+        p = generate_problem(config)
+        ref = solve_reference(p, _example_setup(config, p)["mu"], tol=1e-12)
+        assert ref.grad_map_norm <= 1e-12 and ref.polishes >= 1
+        if n > 50:
+            assert checks and all(k % 200 == 0 for k in checks)
+        else:
+            assert checks[:2] == [25, 50]
 
     @pytest.mark.parametrize("factor", [1.0, 2.0])
     def test_empty_free_set(self, factor):
@@ -320,7 +344,8 @@ class TestLyapunovDecay:
 class TestLyapunovSeries:
     """lyapunov_series reads the envelope term from the trajectory's own
     observables when the spec's envelope is the trajectory's; otherwise it
-    is lyapunov_value on the stacked states."""
+    evaluates the envelope on the position and velocity blocks, equal to
+    lyapunov_value on the stacked states."""
 
     @staticmethod
     def run(kind, case):
@@ -393,9 +418,9 @@ class TestLyapunovSeries:
             traj = dataclasses.replace(traj, observables={})
         calls = self.count_calls(monkeypatch)
         V = lyapunov_series(traj, spec)
-        # one evaluation on the whole stack
+        # one evaluation on the whole stack, without stacking the states
         assert calls == {"fb_envelope_value": [(traj.times.size, 8)],
-                         "lyapunov_value": [(traj.times.size, 16)]}
+                         "lyapunov_value": []}
         np.testing.assert_array_equal(
             V, lyapunov_value(spec, traj.times, traj.states))
 

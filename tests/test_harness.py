@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,24 @@ class TestConfig:
         d["dynamics"] = ["warp_drive"]
         with pytest.raises(ValueError):
             BenchmarkConfig.from_dict(d)
+
+    def test_unknown_key_rejected(self):
+        # a misspelt key must not silently fall back to its default
+        d = BenchmarkConfig().to_dict()
+        d["t_nd"] = 50
+        with pytest.raises(ValueError, match="t_nd"):
+            BenchmarkConfig.from_dict(d)
+
+    def test_readme_config_loads(self):
+        # the README's schema block, its // comments stripped
+        with open(Path(__file__).parents[1] / "README.md",
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("### Benchmark config schema")[1]
+        block = block.split("```json")[1].split("```")[0]
+        d = json.loads(re.sub(r"//[^\n]*", "", block))
+        cfg = BenchmarkConfig.from_dict(d)
+        assert cfg.t_end == 200.0 and cfg.window == (10.0, 200.0)
 
 
 class TestRunBenchmark:

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from splitflow import (BoxIndicator, CompositeProblem, GenericOracle, L1,
+from splitflow import (ACC_FB, BoxIndicator, CompositeProblem,
+                       ConvexSchedule, DynamicsSpec, GenericOracle, L1,
                        LogisticRidge, ParameterDomainError, Quadratic,
-                       UnsupportedOperationError, grad_f, moreau,
-                       problem_from_dict, problem_to_dict, prox_f, prox_g)
+                       UnsupportedOperationError, gen_boxqp, grad_f,
+                       integrate, moreau, problem_from_dict, problem_to_dict,
+                       prox_f, prox_g)
+
+from splitflow.problems import _softplus
 
 from conftest import make_logistic_l1, make_quadratic_l1
 from oracles import finite_diff_grad, scalar_prox_box, scalar_prox_l1
@@ -205,6 +209,22 @@ class TestProxF:
         assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(v))
 
 
+class TestSoftplus:
+    def test_matches_logaddexp(self):
+        # the logistic value's softplus against numpy's scalar-loop
+        # log(e^0 + e^t): within 2 ulp, equal at +-inf, nan on nan
+        t = np.array([0.0, 1e-300, 1.0, 36.0, 710.0, 1e308, np.inf])
+        t = np.concatenate([t, -t, [np.nan]])
+        with np.errstate(invalid="ignore"):     # logaddexp warns on nan
+            want = np.logaddexp(0.0, t)
+        got = _softplus(t)
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= 4.5e-16 * np.abs(want[finite]))
+        assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+        assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+
+
 class TestMoreau:
     def test_at_origin(self):
         value, grad = moreau(L1(1.0), np.zeros(1), 0.5)
@@ -385,3 +405,24 @@ class TestSerialization:
         p2 = problem_from_dict(problem_to_dict(p))
         np.testing.assert_array_equal(p.f.A, p2.f.A)
         np.testing.assert_array_equal(p2.g.lower, -np.ones(4))
+
+    def test_quadratic_constants_roundtrip(self):
+        # planted m/L overrides survive a round-trip, so a run on the
+        # reloaded problem is the same run
+        p = gen_boxqp(100, 1e3, seed=0)
+        p2 = problem_from_dict(json.loads(json.dumps(problem_to_dict(p))))
+        assert p2.f.m == 1.0 and p2.f.L == 1000.0
+        mu = 1.0 / (2.0 * p.f.L)
+        runs = [integrate(DynamicsSpec(ACC_FB, q, mu,
+                                       ConvexSchedule(alpha=1.0 / q.f.L)),
+                          t_end=5.0)
+                for q in (p, p2)]
+        assert np.array_equal(runs[0].states, runs[1].states)
+
+    def test_quadratic_without_constants_loads(self):
+        # files written before m/L were serialized take them from Q
+        d = problem_to_dict(make_quadratic_l1(n=5))
+        del d["f"]["m"], d["f"]["L"]
+        p = problem_from_dict(d)
+        w = np.linalg.eigvalsh(p.f.Q)
+        assert p.f.m == max(w[0], 0.0) and p.f.L == w[-1]
