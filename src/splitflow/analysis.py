@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csvfmt import write_csv
-from .dynamics import ConvexSchedule, acc_fb_mu_bound, strongly_convex_point
+from .dynamics import (ConvexSchedule, _schedule_constant, acc_fb_mu_bound,
+                       strongly_convex_point)
 from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
@@ -400,11 +401,11 @@ def _window_series(traj, key, t_window):
     return t, vals
 
 
-def certify_sublinear(traj, t_window, slope_tol=0.2):
-    """Fit log(gap) against log(t + 3); certified when slope <= -2 + tol."""
+def certify_sublinear(traj, t_window):
+    """Fit log(gap) against log(t + 3); certified when slope <= -2 + 0.2."""
     t, gap = _window_series(traj, "objective_gap", t_window)
     slope, intercept = np.polyfit(np.log(t + 3.0), np.log(gap), 1)
-    threshold = -2.0 + slope_tol
+    threshold = -1.8
     passed = bool(slope <= threshold)
     return CertificateReport(
         kind="sublinear_fit", passed=passed, fitted=float(slope),
@@ -413,17 +414,19 @@ def certify_sublinear(traj, t_window, slope_tol=0.2):
         details={"c1": float(np.exp(intercept)), "window": list(t_window)})
 
 
-def certify_exponential(traj, rho_theory, t_window, fraction=0.9):
+def certify_exponential(traj, rho_theory, t_window):
     """Fit log ||x - x*||^2 against t; certified when the decay rate is at
-    least ``fraction`` of the theoretical rate."""
+    least 0.9 rho_theory, the theoretical rate, which must be finite > 0."""
+    rho_theory = _schedule_constant("theoretical rate", rho_theory,
+                                    positive=True)
     t, dist = _window_series(traj, "dist_sq", t_window)
     slope, intercept = np.polyfit(t, np.log(dist), 1)
     rate = -float(slope)
-    threshold = fraction * float(rho_theory)
+    threshold = 0.9 * rho_theory
     passed = bool(rate >= threshold)
     return CertificateReport(
         kind="exponential_fit", passed=passed, fitted=rate,
-        theoretical=float(rho_theory), worst_slack=float(threshold - rate),
+        theoretical=rho_theory, worst_slack=float(threshold - rate),
         n_samples=t.shape[0],
         details={"c": float(np.exp(intercept)), "window": list(t_window)})
 
@@ -433,8 +436,9 @@ def certify_exponential(traj, rho_theory, t_window, fraction=0.9):
 # ---------------------------------------------------------------------------
 
 def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
-                                reference=None, radius=2.0):
-    """Verify the envelope-objective bounds on random point pairs.
+                                reference=None):
+    """Verify the envelope-objective bounds on random point pairs, drawn
+    from N(0, 4 I) (radius 2).
 
     For strongly convex f (m > 0) and mu in (0, 1/L), the FB envelope
     satisfies, for all x, xh:
@@ -456,7 +460,7 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
         reference = solve_reference(problem, mu, tol=1e-10)
     x_star, f_star = reference.x, reference.value
     # pair i is (x_i, xh_i), drawn in that order
-    pairs = radius * np.random.default_rng(seed).standard_normal(
+    pairs = 2.0 * np.random.default_rng(seed).standard_normal(
         (n_pairs, 2, problem.dim))
     x, xh = pairs[:, 0], pairs[:, 1]
     m, L = f.m, f.L

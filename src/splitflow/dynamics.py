@@ -295,14 +295,15 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
                       meta=meta)
 
 
+# nothing here calls it; kept because perfbench/spans.py binds it by name
 def _field_norm(dy):
     """Norm of a field value (n,), as ``np.linalg.norm`` computes it."""
     return math.sqrt(dy.dot(dy))
 
 
 def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
-              x_star=None, f_star=None, early_stop=True):
-    """Integrate the selected dynamics and sample on a uniform grid.
+              x_star=None, f_star=None):
+    """Integrate the selected dynamics to t_end and sample on a uniform grid.
 
     Parameters
     ----------
@@ -316,16 +317,12 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     x_star, f_star : optional reference minimizer / optimal value; when
         supplied, squared-distance and objective-gap observables are
         attached to every sample.
-    early_stop : stop after 5 consecutive accepted steps, judged on the FSAL
-        derivative: the field at each step's end, which the stepper already
-        evaluated, has norm <= 1e-12 (1 + ||psi||); the stop waits for the
-        first grid sample, so a run from an equilibrium still samples.
 
     ``meta`` holds tol, sample_dt, method, alpha, n_steps (accepted steps),
     n_rejected (rejected steps), h_min and h_max (the range of accepted
-    step sizes), stopped_early, rhs_calls (every field evaluation: one at
-    psi0, one to select the first step, six per attempted step) and
-    observables_s (seconds on the DR primal map and the observables).
+    step sizes), rhs_calls (every field evaluation: one at psi0, one to
+    select the first step, six per attempted step) and observables_s
+    (seconds on the DR primal map and the observables).
 
     The stepper reproduces scipy's RK45 (tableau, FSAL stage, quartic dense
     output, error control and initial step) bit for bit. A non-finite field
@@ -355,8 +352,8 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     samples = np.empty((grid.size + 1, spec.state_dim))   # psi0, grid samples
     samples[0] = psi0
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
-            "stopped_early": False, "n_steps": 0, "alpha": spec.schedule.alpha,
-            "rhs_calls": 0, "n_rejected": 0, "h_min": math.inf, "h_max": 0.0}
+            "n_steps": 0, "alpha": spec.schedule.alpha, "rhs_calls": 0,
+            "n_rejected": 0, "h_min": math.inf, "h_max": 0.0}
     solver = None
 
     def build(observables=True):
@@ -364,7 +361,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
             meta.update(n_steps=solver.n_steps, n_rejected=solver.n_rejected,
                         h_min=float(solver.h_min), h_max=float(solver.h_max),
                         rhs_calls=solver.nfev)
-        # a run that ended before t_end keeps a copy of its rows only
+        # a failed run keeps a copy of its rows only
         block = samples if idx == grid.size else samples[:idx + 1].copy()
         n = spec.problem.dim
         return _trajectory(spec.problem, spec.kind, spec.mu,
@@ -374,7 +371,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     def _fail(message):
         raise IntegrationFailure(message, partial=build(observables=False))
 
-    idx = quiet = 0
+    idx = 0
     try:
         # vector_field is looked up here, once, so that a replaced or
         # wrapped module-level field is the one the stepper calls
@@ -390,14 +387,6 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
                     _fail("non-finite state sample")
                 samples[idx + 1:end + 1] = ys
                 idx = end
-            if early_stop:
-                # solver.f is the field at (solver.t, solver.y) (FSAL)
-                y = solver.y
-                quiet = (quiet + 1 if _field_norm(solver.f)
-                         <= 1e-12 * (1.0 + math.sqrt(y.dot(y))) else 0)
-                if quiet >= 5 and idx:
-                    meta["stopped_early"] = True
-                    break
     except FloatingPointError as exc:
         if solver is None:      # raised by the stepper's constructor
             meta["rhs_calls"] = exc.nfev

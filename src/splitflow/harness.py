@@ -75,23 +75,22 @@ def _random_orthogonal(n, rng):
     return Qf * np.sign(np.diag(R))
 
 
-def gen_lasso(s, n, lambda_rule=LambdaRule(), seed=0, support_fraction=0.1,
-              noise_std=0.01):
+def gen_lasso(s, n, lambda_rule=LambdaRule(), seed=0):
     """l1-regularized least squares with Gaussian data.
 
     E has i.i.d. standard normal entries scaled by 1/sqrt(s); the target is
-    E x_true + noise with a sparse planted x_true. The smooth part is the
-    quadratic (1/2)||E x - q||^2 (up to an additive constant) and the
-    strong convexity constant is pinned to zero in the rank-deficient
-    regime s < n.
+    E x_true + noise of std 0.01, with x_true planted on a tenth of the
+    coordinates. The smooth part is the quadratic (1/2)||E x - q||^2 (up to
+    an additive constant) and the strong convexity constant is pinned to
+    zero in the rank-deficient regime s < n.
     """
     rng = np.random.default_rng(seed)
     E = rng.standard_normal((s, n)) / math.sqrt(s)
-    k = max(1, int(round(support_fraction * n)))
+    k = max(1, int(round(0.1 * n)))
     support = rng.choice(n, size=k, replace=False)
     x_true = np.zeros(n)
     x_true[support] = rng.standard_normal(k)
-    q_data = E @ x_true + noise_std * rng.standard_normal(s)
+    q_data = E @ x_true + 0.01 * rng.standard_normal(s)
     Q = E.T @ E
     q_lin = -E.T @ q_data
     lam = lambda_rule.resolve(float(np.abs(E.T @ q_data).max()))
@@ -99,11 +98,11 @@ def gen_lasso(s, n, lambda_rule=LambdaRule(), seed=0, support_fraction=0.1,
     return CompositeProblem(f, L1(lam))
 
 
-def gen_boxqp(n, kappa, seed=0, q_scale=3.0):
+def gen_boxqp(n, kappa, seed=0):
     """Box-constrained QP with a planted log-uniform spectrum on [1, kappa].
 
     The extreme eigenvalues are planted exactly, so m = 1 and L = kappa by
-    construction; the box is [-1, 1] componentwise.
+    construction; the box is [-1, 1] componentwise and q ~ N(0, 9 I).
     """
     if n < 2 or kappa < 1:
         raise ValueError("need n >= 2 and kappa >= 1")
@@ -115,24 +114,23 @@ def gen_boxqp(n, kappa, seed=0, q_scale=3.0):
         d[1:-1] = np.exp(rng.uniform(0.0, math.log(kappa), n - 2))
     Q = U.T @ (d[:, None] * U)
     Q = 0.5 * (Q + Q.T)
-    q = q_scale * rng.standard_normal(n)
+    q = 3.0 * rng.standard_normal(n)
     f = Quadratic(Q, q, m=1.0, L=float(kappa))
     return CompositeProblem(f, BoxIndicator(-np.ones(n), np.ones(n)))
 
 
-def gen_logistic(s, n, ridge=0.1, lambda_rule=LambdaRule(), seed=0,
-                 support_fraction=0.1, feature_mean=1.0):
+def gen_logistic(s, n, ridge=0.1, lambda_rule=LambdaRule(), seed=0):
     """l1-regularized ridge logistic regression with planted sparse logits.
 
-    Features are Gaussian around ``feature_mean`` (uncentered, as raw data
-    would be), which drives the top curvature of A'A to about s*n and
-    hence condition numbers L/m in the 1e5 range at 200x1000, ridge 0.1.
-    Labels are Bernoulli draws from a planted sparse logit model.
+    Features are Gaussian around 1 (uncentered, as raw data would be), which
+    drives the top curvature of A'A to about s*n and hence condition numbers
+    L/m in the 1e5 range at 200x1000, ridge 0.1. Labels are Bernoulli draws
+    from a logit model planted on a tenth of the coordinates.
     """
     from scipy.special import expit     # kept out of `import splitflow`
     rng = np.random.default_rng(seed)
-    A = feature_mean + rng.standard_normal((s, n))
-    k = max(1, int(round(support_fraction * n)))
+    A = 1.0 + rng.standard_normal((s, n))
+    k = max(1, int(round(0.1 * n)))
     support = rng.choice(n, size=k, replace=False)
     x_plant = np.zeros(n)
     x_plant[support] = rng.standard_normal(k)
@@ -187,7 +185,9 @@ class BenchmarkConfig:
         unknown = sorted(set(d) - set(full))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        unknown = [k for k in d["dynamics"] if k not in _ALL_DYNAMICS]
+        if not d["dynamics"]:
+            raise ValueError("config lists no dynamics")
+        unknown =[k for k in d["dynamics"] if k not in _ALL_DYNAMICS]
         if unknown:
             raise ValueError(f"unknown dynamics {unknown}")
         full.update(d)
@@ -348,8 +348,7 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         "export_s": export_s, "export_bytes": export_bytes,
     }
     # integrator counters; a discrete run has iterations only
-    for key in ("n_steps", "rhs_calls", "stopped_early", "n_rejected",
-                "h_min", "h_max"):
+    for key in ("n_steps", "rhs_calls", "n_rejected", "h_min", "h_max"):
         if key in traj.meta:
             record[key] = traj.meta[key]
     return record
@@ -365,11 +364,11 @@ def run_benchmark(config, out_dir=None):
     ``integrate_s``, of which ``observables_s`` went to the DR primal map
     and the observables, and ``certify_s``), ``export_s`` and ``export_bytes``
     (seconds to write its trace and the trace's size, both 0 without
-    ``out_dir``) and the integrator's ``n_steps``,
-    ``rhs_calls``, ``stopped_early``, ``n_rejected``, ``h_min`` and
-    ``h_max`` (``n_steps`` alone for a discrete baseline). The problem block
-    adds ``generate_s`` and ``reference_s``: seconds to generate the
-    problem and choose its penalty, and to solve for the reference.
+    ``out_dir``) and the integrator's ``n_steps``, ``rhs_calls``,
+    ``n_rejected``, ``h_min`` and ``h_max`` (``n_steps`` alone for a
+    discrete baseline). The problem block adds ``generate_s`` and
+    ``reference_s``: seconds to generate the problem and choose its
+    penalty, and to solve for the reference.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

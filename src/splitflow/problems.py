@@ -198,13 +198,14 @@ class Quadratic(SmoothFunction):
         return self.solve_shifted(mu, v - mu * self.q)
 
 
-def _newton_prox(f, v, mu, tol_factor=1e-10, max_iter=100):
-    """Damped Newton solve of grad f(z) + (z - v)/mu = 0."""
+def _newton_prox(f, v, mu):
+    """Damped Newton solve of grad f(z) + (z - v)/mu = 0, to a residual of
+    1e-10 (1 + ||v||) within 100 iterations."""
     z = np.array(v, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("inner Newton prox: non-finite input")
-    target = tol_factor * (1.0 + np.linalg.norm(v))
-    for _ in range(max_iter):
+    target = 1e-10 * (1.0 + np.linalg.norm(v))
+    for _ in range(100):
         r = mu * f.gradient(z) + z - v
         rnorm = np.linalg.norm(r)
         if rnorm <= target:

@@ -4,14 +4,16 @@ These deliberately avoid the library code paths they are checking:
 scalar proxes come from golden-section search on the prox objective,
 gradients from central finite differences, linear flows from the
 eigendecomposition solution of the ODE (with one 2x2 matrix exponential
-per eigenvalue for the second-order flows), and CSV text from Python's own
-``'%.17e'`` formatting, one value at a time.
+per eigenvalue for the second-order flows), the FB flow across l1 kinks
+from one matrix exponential per sign pattern, and CSV text from Python's
+own ``'%.17e'`` formatting, one value at a time.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -128,6 +130,68 @@ def second_order_flow_solution(Q, q, alpha, gamma, beta, psi0, ts,
     out[:, :n] = x_star + out[:, :n] @ V.T
     out[:, n:] = out[:, n:] @ V.T
     return out
+
+
+def piecewise_fb_flow_solution(Q, q, lam, mu, alpha, x0, ts, probe_dt=0.01):
+    """Exact states (len(ts), n) of the FB flow x' = -alpha G_mu(x) on
+    f(x) = x'Qx/2 + q'x, g = lam ||x||_1, and its switch times.
+
+    With u = (I - mu Q) x - mu q, the prox is p = D u - mu lam s for the
+    sign pattern s of u against +-mu lam (s_i = sign(u_i) where
+    |u_i| > mu lam, else 0) and D = diag(|s|). Within one pattern the flow
+    x' = -(alpha/mu)(x - p) is affine, x' = A x + b, and is propagated with
+    the exponential of the augmented matrix [[A, b], [0, 0]]. The pattern
+    is probed every ``probe_dt``; the first coordinate of u to leave it is
+    located by ``brentq`` on the boundary u_i = +-mu lam it crossed, and
+    the flow restarts there with that coordinate's new sign.
+    """
+    n = x0.size
+    lo = mu * lam
+    C = np.eye(n) - mu * Q
+
+    def pattern(u):
+        return np.where(u > lo, 1.0, np.where(u < -lo, -1.0, 0.0))
+
+    def propagator(s):
+        M = np.zeros((n + 1, n + 1))
+        D = np.abs(s)
+        M[:n, :n] = -(alpha / mu) * (np.eye(n) - D[:, None] * C)
+        M[:n, n] = -alpha * (D * q + lam * s)
+        return lambda t: (expm(M * (t - t0)) @ np.append(x, 1.0))[:n]
+
+    def crossing(flow, i, t_a, t_b, u_i):
+        # coordinate i left pattern s within [t_a, t_b] across u_i = edge:
+        # from +-1 it turns 0, from 0 it takes the sign of the edge
+        edge = lo if s[i] > 0 or (s[i] == 0 and u_i > lo) else -lo
+        t = brentq(lambda t: C[i] @ flow(t) - mu * q[i] - edge, t_a, t_b,
+                   xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        return t, i, 0.0 if s[i] else math.copysign(1.0, edge)
+
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty((ts.size, n))
+    t0, x = 0.0, np.asarray(x0, dtype=float)
+    s = pattern(C @ x - mu * q)
+    switches = []
+    while True:
+        flow = propagator(s)
+        t_a, first = t0, None
+        while first is None and t_a < ts[-1]:
+            t_b = min(t_a + probe_dt, ts[-1])
+            u = C @ flow(t_b) - mu * q
+            left = np.flatnonzero(pattern(u) != s)
+            if left.size:
+                first = min(crossing(flow, i, t_a, t_b, u[i]) for i in left)
+            t_a = t_b
+        t_end = ts[-1] if first is None else first[0]
+        for k in np.flatnonzero((ts >= t0) & (ts <= t_end)):
+            out[k] = flow(ts[k])
+        if first is None:
+            return out, np.array(switches)
+        x = flow(t_end)
+        s = s.copy()
+        s[first[1]] = first[2]
+        t0 = t_end
+        switches.append(t_end)
 
 
 def random_spd_matrix(n, m, L, rng):

@@ -447,6 +447,13 @@ class TestRateFits:
         report = certify_exponential(traj, 0.37, (0.0, 50.0))
         assert not report.passed
 
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, np.nan, np.inf])
+    def test_exponential_refuses_bad_rate(self, rho):
+        t = np.linspace(0.0, 50.0, 300)
+        traj = synthetic_traj(t, dist=3.0 * np.exp(-0.37 * t))
+        with pytest.raises(ParameterDomainError, match="theoretical rate"):
+            certify_exponential(traj, rho, (0.0, 50.0))
+
     def test_window_too_late(self):
         t = np.linspace(0.0, 50.0, 100)
         traj = synthetic_traj(t, gap=np.full_like(t, 1e-16))

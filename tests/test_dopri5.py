@@ -75,7 +75,7 @@ def test_matches_scipy_rk45(case):
         psi0 = np.full(spec.state_dim, 3.0)
         tol = 1e-6
     traj = integrate(spec, psi0=psi0, t_end=t_end, tol=tol,
-                     sample_dt=sample_dt, early_stop=False)
+                     sample_dt=sample_dt)
     own, samples = side_by_side(lambda t, y: vector_field(spec, t, y), psi0,
                                 t_end, tol, traj.times[1:])
     assert traj.times[-1] == t_end == own.t

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        ConstantSchedule, ConvexSchedule, DynamicsSpec,
@@ -16,7 +19,8 @@ from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
 from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
 
 from conftest import make_logistic_l1, make_quadratic_l1, smooth_problem
-from oracles import (linear_flow_solution, scalar_prox_l1,
+from oracles import (linear_flow_solution, piecewise_fb_flow_solution,
+                     scalar_prox_l1,
                      second_order_flow_solution, trace_csv_reference)
 
 
@@ -136,13 +140,39 @@ class TestVectorField:
         DynamicsSpec(ACC_FB, p, bound, sched)  # at the bound: fine
 
 
+KINK_TOLS = (1e-6, 1e-8, 1e-10)
+
+
+def kink_case(seed):
+    """fb_flow on a 6-dimensional quadratic (spectrum [0.5, 3]) plus
+    0.4 ||x||_1, mu 0.1, alpha 0.7, from x0 = 2 N(0, I), up to t = 10."""
+    p = make_quadratic_l1(n=6, m=0.5, L=3.0, lam=0.4, seed=seed)
+    x0 = 2.0 * np.random.default_rng(100 + seed).standard_normal(6)
+    return p, x0, 0.25 * np.arange(41)
+
+
+@lru_cache(maxsize=None)
+def kink_errors(seed):
+    """Switch times of the exact kink_case flow, and integrate's max error
+    against it at each of KINK_TOLS."""
+    p, x0, ts = kink_case(seed)
+    exact, switches = piecewise_fb_flow_solution(p.f.Q, p.f.q, 0.4, 0.1,
+                                                 0.7, x0, ts)
+    spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=0.7))
+    errors = []
+    for tol in KINK_TOLS:
+        traj = integrate(spec, psi0=x0, t_end=10.0, tol=tol, sample_dt=0.25)
+        assert np.allclose(traj.times, ts, rtol=0.0, atol=1e-12)
+        errors.append(np.max(np.abs(traj.position - exact)))
+    return switches, errors
+
+
 class TestIntegrate:
     def test_matches_matrix_exponential(self):
         p = smooth_problem(n=5, seed=3)
         spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=0.7))
         x0 = np.array([1.0, -2.0, 0.5, 0.0, 2.0])
-        traj = integrate(spec, psi0=x0, t_end=10.0, tol=1e-9, sample_dt=0.25,
-                         early_stop=False)
+        traj = integrate(spec, psi0=x0, t_end=10.0, tol=1e-9, sample_dt=0.25)
         exact = linear_flow_solution(p.f.Q, p.f.q, 0.7, x0, traj.times)
         assert np.max(np.abs(traj.position - exact)) <= 1e-6
 
@@ -181,7 +211,7 @@ class TestIntegrate:
         errors = []
         for tol in (1e-6, 1e-8, 1e-10):
             traj = integrate(spec, psi0=x0, t_end=10.0, tol=tol,
-                             sample_dt=0.25, early_stop=False)
+                             sample_dt=0.25)
             exact = linear_flow_solution(p.f.Q, p.f.q, 0.7, x0, traj.times)
             errors.append(np.max(np.abs(traj.position - exact)))
             assert errors[-1] <= 10.0 * tol
@@ -201,7 +231,7 @@ class TestIntegrate:
         errors = []
         for tol in (1e-6, 1e-8, 1e-10):
             traj = integrate(spec, psi0=psi0, t_end=10.0, tol=tol,
-                             sample_dt=0.25, early_stop=False)
+                             sample_dt=0.25)
             exact = second_order_flow_solution(
                 p.f.Q, p.f.q, alpha, gamma, beta, psi0, traj.times,
                 mu=mu if kind == ACC_DR else None)
@@ -209,48 +239,17 @@ class TestIntegrate:
             assert errors[-1] <= 10.0 * tol
         assert errors[0] > errors[1] > errors[2]
 
-    def test_early_stop_adaptive(self):
-        # minimizer at exactly 0 and a slow field: the state decays to the
-        # tolerance floor, below the equilibrium gate of the stopper
-        p = CompositeProblem(Quadratic(np.eye(3), np.zeros(3)), L1(1.0))
-        spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=0.1))
-        traj = integrate(spec, psi0=0.1 * np.ones(3), t_end=400.0,
-                         sample_dt=2.0, tol=1e-12)
-        assert traj.meta["stopped_early"]
-        assert traj.times[-1] < 400.0
-
-    def test_early_stop_against_exact_decay(self):
-        # with g = 0, fb_flow is x' = -alpha Q (x - x*): the run must stop
-        # well before t_end, but not before the exact field has decayed to
-        # the stopping gate 1e-12 (1 + ||x||), up to a factor 2. At looser
-        # tolerances, or with a wider spectrum, the stepper's noise keeps
-        # the field above the gate
-        p = smooth_problem(n=5, seed=3, m=1.0, L=1.2)
-        alpha = 0.7
-        spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=alpha))
-        x0 = np.random.default_rng(11).standard_normal(5)
-        traj = integrate(spec, psi0=x0, t_end=400.0, tol=1e-12,
-                         sample_dt=0.05)
-        assert traj.meta["stopped_early"]
-        assert traj.times[-1] < 200.0
-        Q, q = p.f.Q, p.f.q
-        x = linear_flow_solution(Q, q, alpha, x0, traj.times[-1:])[0]
-        field = alpha * np.linalg.norm(Q @ (x + np.linalg.solve(Q, q)))
-        assert field <= 2.0 * 1e-12 * (1.0 + np.linalg.norm(x))
-
-    @pytest.mark.parametrize("case", ["full", "early_stop", "one_per_step"])
+    @pytest.mark.parametrize("case", ["full", "failure", "one_per_step"])
     def test_sample_block_is_concatenated_dense_output(self, monkeypatch,
                                                        case):
         # integrate writes its samples into one preallocated block; values
         # must be np.concatenate's over psi0 and the dense outputs, and a
-        # run that ends before t_end keeps its rows only
+        # run that fails before t_end keeps a copy of its rows only
         p = make_quadratic_l1(n=6, seed=4)
         mu = 0.05
         ref = solve_reference(p, mu, tol=1e-12)
-        psi0 = np.concatenate([ref.x, np.zeros(p.dim)])
-        if case != "early_stop":
-            psi0 = psi0 + 0.5
-        t_end, sample_dt = {"full": (8.0, 0.01), "early_stop": (5.0, 0.001),
+        psi0 = np.concatenate([ref.x, np.zeros(p.dim)]) + 0.5
+        t_end, sample_dt = {"full": (8.0, 0.01), "failure": (8.0, 0.01),
                             "one_per_step": (0.5, 0.1)}[case]
         outputs = [psi0[None, :]]
 
@@ -258,10 +257,22 @@ class TestIntegrate:
             def dense(self, ts):
                 outputs.append(super().dense(ts))
                 return outputs[-1]
+
+        def field(spec, t, psi):
+            # finite up to t = 4, non-finite after it
+            return vector_field(spec, t, psi) * (np.nan if t > 4.0 else 1.0)
         monkeypatch.setattr(dynamics_module, "Dopri5", Recording)
         spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
-        traj = integrate(spec, psi0=psi0, t_end=t_end, sample_dt=sample_dt)
-        assert traj.meta["stopped_early"] == (case == "early_stop")
+        if case == "failure":
+            monkeypatch.setattr(dynamics_module, "vector_field", field)
+            with pytest.raises(IntegrationFailure, match="non-finite") as exc:
+                integrate(spec, psi0=psi0, t_end=t_end, sample_dt=sample_dt)
+            traj = exc.value.partial
+            assert 1 < traj.times.size < 801
+            assert traj.times[-1] <= 4.0
+        else:
+            traj = integrate(spec, psi0=psi0, t_end=t_end,
+                             sample_dt=sample_dt)
         assert (max(len(y) for y in outputs) == 1) == (case == "one_per_step")
         expected = np.concatenate(outputs)
         for got, want in ((traj.position, expected[:, :p.dim]),
@@ -269,38 +280,11 @@ class TestIntegrate:
             assert got.tobytes() == want.tobytes()
         assert traj.position.base.shape == (traj.times.size, spec.state_dim)
 
-    def test_early_stop_after_five_quiet_steps(self):
-        # at rest at [x*, 0] every accepted step ends quiet, so the run stops
-        # after exactly 5 of them
-        p = make_quadratic_l1()
-        mu = 0.05
-        ref = solve_reference(p, mu, tol=1e-12)
-        spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
-        psi0 = np.concatenate([ref.x, np.zeros(p.dim)])
-        traj = integrate(spec, psi0=psi0, t_end=5.0, sample_dt=0.1)
-        assert traj.meta["stopped_early"]
-        assert traj.meta["n_steps"] == 5
-        assert traj.times[-1] == pytest.approx(1.1)
-
-    def test_early_stop_waits_for_first_sample(self):
-        # from an exact equilibrium the field is exactly 0 and steps grow
-        # tenfold from 1e-6: the fifth quiet step ends near t = 0.011,
-        # before the first grid point, yet the run must still sample
-        p = CompositeProblem(Quadratic(np.eye(3), np.zeros(3)), L1(1.0))
-        spec = DynamicsSpec(ACC_FB, p, 0.5, ConvexSchedule(alpha=0.1))
-        traj = integrate(spec, t_end=2.0, sample_dt=0.05)
-        assert traj.meta["stopped_early"]
-        assert traj.meta["n_steps"] > 5
-        assert traj.times.size >= 3          # psi0 and two grid samples
-        assert np.array_equal(traj.times[1:3], [0.05, 0.1])
-        assert not np.any(traj.states)
-
-    @pytest.mark.parametrize("case", ["early_stop", "dr_flow", "acc_fb",
+    @pytest.mark.parametrize("case", ["fb_flow", "dr_flow", "acc_fb",
                                       "acc_dr"])
     def test_rhs_calls_all_from_stepper(self, monkeypatch, case):
         # every field evaluation goes through the module-level field and is
-        # one the stepper counted: two to start, six per attempted step;
-        # the early-stop test (an fb_flow run) reuses the FSAL derivative
+        # one the stepper counted: two to start, six per attempted step
         calls = []
 
         def counting(spec, t, psi):
@@ -308,17 +292,9 @@ class TestIntegrate:
             return vector_field(spec, t, psi)
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
-        if case == "early_stop":
-            p = CompositeProblem(Quadratic(np.eye(3), np.zeros(3)), L1(1.0))
-            spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=0.1))
-            traj = integrate(spec, psi0=0.1 * np.ones(3), t_end=400.0,
-                             sample_dt=2.0, tol=1e-12)
-        else:
-            p = make_quadratic_l1()
-            spec = DynamicsSpec(case, p, 0.05, ConvexSchedule(alpha=0.1))
-            traj = integrate(spec, t_end=5.0, sample_dt=0.1)
-        meta = traj.meta
-        assert meta["stopped_early"] == (case == "early_stop")
+        p = make_quadratic_l1()
+        spec = DynamicsSpec(case, p, 0.05, ConvexSchedule(alpha=0.1))
+        meta = integrate(spec, t_end=5.0, sample_dt=0.1).meta
         assert len(calls) == meta["rhs_calls"] == 2 + 6 * (
             meta["n_steps"] + meta["n_rejected"])
         assert meta["n_steps"] > 0
@@ -415,6 +391,39 @@ class TestIntegrate:
         np.testing.assert_array_equal(partial.times, [0.0])
         assert partial.meta["rhs_calls"] == len(seen) == 2
         assert partial.meta["n_steps"] == 0
+
+    def test_piecewise_oracle_matches_dop853(self):
+        # the oracle against scipy's DOP853 at its tightest tolerance, on a
+        # field written out here: x' = -(alpha/mu)(x - soft(u, mu lam))
+        p, x0, ts = kink_case(0)
+        Q, q = p.f.Q, p.f.q
+        exact, switches = piecewise_fb_flow_solution(Q, q, 0.4, 0.1, 0.7,
+                                                     x0, ts)
+
+        def field(t, x):
+            u = x - 0.1 * (Q @ x + q)
+            return -7.0 * (x - (u - np.clip(u, -0.04, 0.04)))
+        sol = solve_ivp(field, (0.0, 10.0), x0, method="DOP853", rtol=1e-13,
+                        atol=1e-13, t_eval=ts)
+        assert switches.size >= 3
+        assert np.max(np.abs(sol.y.T - exact)) <= 1e-11
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fb_flow_across_l1_kinks(self, seed):
+        # the run crosses several kinks of the prox, and its error against
+        # the piecewise-exact solution falls with the tolerance
+        switches, errors = kink_errors(seed)
+        assert switches.size >= 3
+        assert errors[0] > errors[1] > errors[2]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "across l1 kinks fb_flow's error is 40-376 tol, not <= 10 tol as "
+        "on smooth flows; see the CHANGES FOUND line on the piecewise-exact "
+        "oracle"))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fb_flow_across_l1_kinks_within_ten_tol(self, seed):
+        _, errors = kink_errors(seed)
+        assert all(e <= 10.0 * tol for e, tol in zip(errors, KINK_TOLS))
 
     def test_deterministic(self):
         p = make_quadratic_l1(n=5, seed=11)
