@@ -187,7 +187,7 @@ class BenchmarkConfig:
             raise ValueError(f"unknown config keys {unknown}")
         if not d["dynamics"]:
             raise ValueError("config lists no dynamics")
-        unknown =[k for k in d["dynamics"] if k not in _ALL_DYNAMICS]
+        unknown = [k for k in d["dynamics"] if k not in _ALL_DYNAMICS]
         if unknown:
             raise ValueError(f"unknown dynamics {unknown}")
         full.update(d)

@@ -132,7 +132,7 @@ def second_order_flow_solution(Q, q, alpha, gamma, beta, psi0, ts,
     return out
 
 
-def piecewise_fb_flow_solution(Q, q, lam, mu, alpha, x0, ts, probe_dt=0.01):
+def piecewise_fb_flow_solution(Q, q, lam, mu, alpha, x0, ts):
     """Exact states (len(ts), n) of the FB flow x' = -alpha G_mu(x) on
     f(x) = x'Qx/2 + q'x, g = lam ||x||_1, and its switch times.
 
@@ -141,7 +141,7 @@ def piecewise_fb_flow_solution(Q, q, lam, mu, alpha, x0, ts, probe_dt=0.01):
     |u_i| > mu lam, else 0) and D = diag(|s|). Within one pattern the flow
     x' = -(alpha/mu)(x - p) is affine, x' = A x + b, and is propagated with
     the exponential of the augmented matrix [[A, b], [0, 0]]. The pattern
-    is probed every ``probe_dt``; the first coordinate of u to leave it is
+    is probed every 0.01; the first coordinate of u to leave it is
     located by ``brentq`` on the boundary u_i = +-mu lam it crossed, and
     the flow restarts there with that coordinate's new sign.
     """
@@ -176,7 +176,7 @@ def piecewise_fb_flow_solution(Q, q, lam, mu, alpha, x0, ts, probe_dt=0.01):
         flow = propagator(s)
         t_a, first = t0, None
         while first is None and t_a < ts[-1]:
-            t_b = min(t_a + probe_dt, ts[-1])
+            t_b = min(t_a + 0.01, ts[-1])
             u = C @ flow(t_b) - mu * q
             left = np.flatnonzero(pattern(u) != s)
             if left.size:
