@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -354,6 +356,68 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
     return record
 
 
+def _workers(n_kinds):
+    """Processes to run ``n_kinds`` dynamics in: one per usable CPU, or 1
+    without fork or where another OS thread, such as a BLAS pool, could
+    leave a forked child deadlocked."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            alone = "\nThreads:\t1\n" in fh.read()
+    except OSError:                      # no /proc: the thread count is unknown
+        alone = False
+    return min(n_kinds, len(os.sched_getaffinity(0))) if alone else 1
+
+
+def _run_dynamics(config, problem, setup, reference, out_dir):
+    """Every dynamics' record, in config order, and the number w of processes
+    that ran them: the caller runs ``kinds[0::w]``, and forked child i runs
+    ``kinds[i::w]`` and sends its records back pickled over a pipe."""
+    kinds = tuple(dict.fromkeys(config.dynamics))
+    w = _workers(len(kinds))
+
+    def run(share):
+        records = {}
+        for kind in share:
+            try:
+                records[kind] = _run_one(config, problem, kind, setup,
+                                         reference, out_dir)
+            except Exception as exc:                    # noqa: BLE001
+                records[kind] = {"error": f"{type(exc).__name__}: {exc}"}
+        return records
+
+    children = {}                        # pid -> (pipe read end, share)
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:                 # the child never returns
+                try:
+                    with os.fdopen(wr, "wb") as fh:
+                        pickle.dump(run(kinds[i::w]), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wr)
+            children[pid] = (os.fdopen(r, "rb"), kinds[i::w])
+        records = run(kinds[0::w])
+        sent = {pid: fh.read() for pid, (fh, _) in children.items()}
+        for pid, data in sent.items():   # every pipe is read before waitpid
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            fh, share = children.pop(pid)
+            fh.close()
+            records.update(pickle.loads(data) if code == 0 else {
+                kind: {"error": f"ChildProcessError: worker exited with "
+                                f"status {code}"} for kind in share})
+    finally:                             # after an exception in the caller
+        for pid, (fh, _) in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return {kind: records[kind] for kind in kinds}, w
+
+
 def run_benchmark(config, out_dir=None):
     """Generate, solve, integrate, certify; failures are recorded per
     dynamics without aborting the batch.
@@ -368,7 +432,15 @@ def run_benchmark(config, out_dir=None):
     ``n_rejected``, ``h_min`` and ``h_max`` (``n_steps`` alone for a
     discrete baseline). The problem block adds ``generate_s`` and
     ``reference_s``: seconds to generate the problem and choose its
-    penalty, and to solve for the reference.
+    penalty, and to solve for the reference, and ``workers``.
+
+    The dynamics are independent, so on Linux ``workers`` = min(number of
+    dynamics, usable CPUs) processes run them: this one and forked children,
+    each taking every ``workers``-th dynamics in config order. Records equal
+    the serial ones but for their timings, which each process measures for
+    itself. Forking a process with another OS thread can deadlock the child,
+    so the run is serial then, as it is without ``os.fork``: a BLAS thread
+    pool is such a thread (``OPENBLAS_NUM_THREADS=1`` avoids it).
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -393,13 +465,8 @@ def run_benchmark(config, out_dir=None):
     }
     if problem.g.kind == "l1":
         meta["lambda"] = problem.g.weight
-    records = {}
-    for kind in config.dynamics:
-        try:
-            records[kind] = _run_one(config, problem, kind, setup,
-                                     reference, out_dir)
-        except Exception as exc:                        # noqa: BLE001
-            records[kind] = {"error": f"{type(exc).__name__}: {exc}"}
+    records, meta["workers"] = _run_dynamics(config, problem, setup,
+                                             reference, out_dir)
     report = BenchmarkReport(problem_meta=meta, dynamics=records,
                              wall_clock=time.perf_counter() - t_start)
     if out_dir is not None:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,102 @@ class TestRunBenchmark:
         disc = report.dynamics["fb_discrete"]
         assert flow["final_dist_sq"] <= 1e-12, flow
         assert disc["final_dist_sq"] <= 1e-12, disc
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_TIMING_KEYS = ("wall_clock", "integrate_s", "observables_s", "certify_s",
+                "export_s")
+_FORKED_CONFIG = ("harness.BenchmarkConfig(dims=(8, 20), dynamics=("
+                  "'acc_fb', 'acc_dr', 'fb_flow', 'fb_discrete'), t_end=20.0,"
+                  " sample_dt=0.5, window=(2.0, 20.0))")
+
+
+def _single_threaded_run(code):
+    """JSON printed by ``code`` in a fresh interpreter whose BLAS keeps to
+    one thread, so that ``run_benchmark`` may fork."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([
+                   str(Path(__file__).parents[1] / "src"),
+                   os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=300,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or _CPUS < 2,
+                    reason="the dynamics fork only on Linux with >= 2 CPUs")
+class TestForkedWorkers:
+    def test_forked_run_matches_serial(self, tmp_path):
+        # both runs in one interpreter: a multi-threaded OpenBLAS rounds
+        # differently, so the serial run must keep to one BLAS thread too
+        reports = _single_threaded_run(f"""
+import json
+from splitflow import harness
+cfg = {_FORKED_CONFIG}
+forked = harness.run_benchmark(cfg, {str(tmp_path / "forked")!r})
+harness._workers = lambda n_kinds: 1
+serial = harness.run_benchmark(cfg, {str(tmp_path / "serial")!r})
+print(json.dumps([forked.to_dict(), serial.to_dict()]))
+""")
+        forked, serial = (r["dynamics"] for r in reports)
+        assert reports[0]["problem"]["workers"] >= 2
+        assert reports[1]["problem"]["workers"] == 1
+        assert list(forked) == list(serial) == [
+            "acc_fb", "acc_dr", "fb_flow", "fb_discrete"]
+        for kind, rec in serial.items():
+            assert "error" not in rec, rec
+            assert {k: v for k, v in forked[kind].items()
+                    if k not in _TIMING_KEYS} == {
+                k: v for k, v in rec.items() if k not in _TIMING_KEYS}
+            trace = f"trace_{kind}.csv"
+            assert (tmp_path / "forked" / trace).read_bytes() == (
+                tmp_path / "serial" / trace).read_bytes()
+
+    def test_dead_child_gives_error_records(self):
+        # the child running kinds[1::w] exits at its first kind
+        report, left = _single_threaded_run(f"""
+import json, os
+from splitflow import harness
+cfg = {_FORKED_CONFIG}
+run_one = harness._run_one
+def dying(config, problem, kind, *rest):
+    if kind == "acc_dr":
+        os._exit(3)
+    return run_one(config, problem, kind, *rest)
+harness._run_one = dying
+report = harness.run_benchmark(cfg)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([report.to_dict(), left]))
+""")
+        w = report["problem"]["workers"]
+        kinds = list(report["dynamics"])
+        assert w >= 2 and kinds[1] == "acc_dr"
+        for kind in kinds[1::w]:
+            assert report["dynamics"][kind] == {"error": (
+                "ChildProcessError: worker exited with status 3")}
+        for kind in kinds[0::w]:
+            assert "error" not in report["dynamics"][kind]
+        assert not left
+
+    def test_other_thread_keeps_run_serial(self):
+        counts = _single_threaded_run("""
+import json, threading
+from splitflow import harness
+alone = harness._workers(4)
+release = threading.Event()
+thread = threading.Thread(target=release.wait)
+thread.start()
+with_thread = harness._workers(4)
+release.set()
+thread.join(timeout=10)
+print(json.dumps([alone, with_thread, thread.is_alive()]))
+""")
+        assert counts == [min(4, _CPUS), 1, False]
 
 
 class TestCli:
