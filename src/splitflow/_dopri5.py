@@ -18,9 +18,11 @@ operations:
 - the stage rows of A and the nodes C are taken out of the tableau once,
   each stepper's views of its stages K are built once, and the error
   scale reuses the accepted state's ``|y|``;
-- stage states, ``y_new``, the error scale and the scaled error are built
-  in place (``d = K_s.dot(a); d *= h; d += y``), swapping only operands of
-  ``+`` and ``*``, and the attempt's RMS norm divides by a stored sqrt(n);
+- ``fun(t, y, out)`` fills each stage's row of K (the next step copies
+  the FSAL stage K[6] to K[0]); stage states, ``y_new``, the error scale
+  and the scaled error are built in place (``K_s.dot(a, out=d); d *= h;
+  d += y``), swapping only operands of ``+`` and ``*``; the RMS norm
+  divides by a stored sqrt(n); no array but the stepper's is written;
 - the dense-output powers of x are multiplied out one by one: the
   sequential product that scipy's ``cumprod`` over ``np.tile`` computes.
 
@@ -79,34 +81,36 @@ def _finite(dy):
 
 class Dopri5:
     """Integrate y' = fun(t, y) from t = 0 towards ``t_end`` with relative
-    and absolute tolerance ``tol``.
+    and absolute tolerance ``tol``, where ``fun(t, y, out)`` writes into out.
 
-    The constructor evaluates the field at y0 and once more to select the
-    first step. After each :meth:`step`, ``t``, ``y`` and ``f = fun(t, y)``
-    describe the end of the accepted step, ``h`` is its size and
-    :meth:`dense` interpolates within it. ``n_steps``, ``n_rejected`` and
-    ``h_min``/``h_max`` (inf and 0 before the first step) count accepted
-    and rejected steps and the range of accepted sizes. ``nfev`` counts the
-    field's evaluations, a raising one included: 2 + 6 per attempted step
-    while nothing raises. A field value that is not finite raises
-    ``FloatingPointError``; each attempted step checks its stages once,
-    before its error is judged, or when an evaluation raises. When the
-    constructor raises it, the exception carries ``nfev``, since the
-    caller has no stepper to ask.
+    The constructor evaluates the field at y0 and once more to select the first
+    step. After each :meth:`step`, ``t``, ``y`` and ``f = fun(t, y)`` (the row
+    K[6], rewritten by the next step) describe the end of the accepted step,
+    ``h`` is its size and :meth:`dense` interpolates in it. ``n_steps``,
+    ``n_rejected`` and ``h_min``/``h_max`` (inf and 0 before the first step)
+    count accepted and rejected steps and the range of accepted sizes. ``nfev``
+    counts the field's evaluations, a raising one included: 2 + 6 per attempted
+    step while nothing raises. A field value that is not finite raises
+    ``FloatingPointError``; each attempted step checks its stages once, before
+    its error is judged, or when an evaluation raises. When the constructor
+    raises it, the exception carries ``nfev``, since the caller has no stepper
+    to ask.
     """
 
     def __init__(self, fun, y0, t_end, tol):
         self.fun, self.t_end, self.tol = fun, t_end, tol
         self.t, self.y, self._abs_y = 0.0, y0, np.abs(y0)
         K = self.K = np.empty((7, y0.size))
-        self._stages = tuple((s, K[:s].T, a, c) for s, a, c in _STAGES)
+        self.f = K[-1]          # the FSAL stage
+        self._y_stage, self._scale, self._err = np.empty((3, y0.size))
+        self._stages = tuple((s, K[s], K[:s].T, a, c) for s, a, c in _STAGES)
         self._K_B, self._K_E = K[:-1].T, K.T
         self._sqrt_n = y0.size ** 0.5
         self.n_steps = self.n_rejected = 0
         self.h_min, self.h_max = np.inf, 0.0
         self.nfev = 1
         try:
-            self.f = _finite(fun(0.0, y0))
+            _finite(fun(0.0, y0, self.f))
             self.nfev = 2
             self.h_abs = self._initial_step()
         except FloatingPointError as exc:
@@ -120,7 +124,7 @@ class Dopri5:
         d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        f1 = _finite(self.fun(h0, y0 + h0 * f0))
+        f1 = _finite(self.fun(h0, y0 + h0 * f0, self._err))
         d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -129,20 +133,19 @@ class Dopri5:
         return min(100 * h0, h1, interval)
 
     def _attempt(self, h):
-        """Fill the stages K of a step of size h; return the new state."""
-        t, y, K, fun = self.t, self.y, self.K, self.fun
-        K[0] = self.f
+        """Fill K[1:] for a step of size h from K[0] = f; return y_new."""
+        t, y, K, fun, d = self.t, self.y, self.K, self.fun, self._y_stage
         try:
-            for s, K_s, a, c in self._stages:
-                d = K_s.dot(a)
+            for s, K_new, K_s, a, c in self._stages:
+                K_s.dot(a, out=d)
                 d *= h
                 d += y
-                K[s] = fun(t + c * h, d)
+                fun(t + c * h, d, K_new)
             s = 6
             y_new = self._K_B.dot(B)
             y_new *= h
             y_new += y
-            f_new = fun(t + h, y_new)
+            fun(t + h, y_new, self.f)
         except Exception:
             self.nfev += s
             # an oracle may raise on a state built from a non-finite stage
@@ -150,9 +153,8 @@ class Dopri5:
             _finite(K[:s])
             raise
         self.nfev += 6
-        K[-1] = f_new
         _finite(K)
-        return y_new, f_new
+        return y_new
 
     def step(self):
         """Take one accepted step, clipped to end at ``t_end``; return False
@@ -161,17 +163,18 @@ class Dopri5:
         min_step = 10 * math.ulp(t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
+        self.K[0] = self.f      # a rejected attempt leaves K[0] as it is
         while True:
             if h_abs < min_step:
                 return False
             t_new = min(t + h_abs, self.t_end)
             h = h_abs = t_new - t
-            y_new, f_new = self._attempt(h)
+            y_new = self._attempt(h)
             abs_new = np.abs(y_new)
-            scale = np.maximum(abs_y, abs_new)
+            scale = np.maximum(abs_y, abs_new, out=self._scale)
             scale *= tol
             scale += tol
-            err = self._K_E.dot(E)
+            err = self._K_E.dot(E, out=self._err)
             err *= h
             err /= scale
             error_norm = math.sqrt(err.dot(err)) / self._sqrt_n
@@ -184,7 +187,7 @@ class Dopri5:
                   else min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT))
         self.h_abs = h_abs * (min(1, factor) if rejected else factor)
         self.t_old, self.y_old, self.h = t, y, h
-        self.t, self.y, self.f, self._abs_y = t_new, y_new, f_new, abs_new
+        self.t, self.y, self._abs_y = t_new, y_new, abs_new
         self.n_steps += 1
         self.h_min, self.h_max = min(self.h_min, h), max(self.h_max, h)
         return True
@@ -195,9 +198,8 @@ class Dopri5:
         x = (ts - self.t_old) / self.h
         p = np.empty((4, x.size))
         p[0] = x
-        np.multiply(p[0], x, out=p[1])
-        np.multiply(p[1], x, out=p[2])
-        np.multiply(p[2], x, out=p[3])
+        for i in range(1, 4):
+            np.multiply(p[i - 1], x, out=p[i])
         y = self.h * np.dot(Q, p)
         y += self.y_old[:, None]
         return y.T

@@ -98,6 +98,7 @@ class ReferenceSolution:
 
 
 _reference_cache = weakref.WeakKeyDictionary()
+_REFERENCE_MAX_ITER = 200000
 
 
 def _l1_free_set(g, x):
@@ -154,7 +155,7 @@ def _polish(problem, x):
     return g.prox(out, 0.0)   # zero-step prox: projection onto dom g
 
 
-def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
+def solve_reference(problem, mu, tol=1e-12):
     """High-accuracy minimizer of F, certified via the gradient map.
 
     Runs the accelerated proximal iteration with objective restarts until
@@ -195,13 +196,13 @@ def solve_reference(problem, mu, tol=1e-12, max_iter=200000):
             best = (z.copy(), gn)
         return gn
 
-    for k in range(1, max_iter + 1):
+    for k in range(1, _REFERENCE_MAX_ITER + 1):
         iterations = k
         x_new = g.prox(y - mu * f.gradient(y), mu)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         y = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
         x, t_mom = x_new, t_new
-        if k % 25 == 0 or k == max_iter:
+        if k % 25 == 0 or k == _REFERENCE_MAX_ITER:
             obj = f.value(x) + g.value(x)
             if obj > obj_prev:          # objective restart
                 y = x.copy()
@@ -435,8 +436,7 @@ def certify_exponential(traj, rho_theory, t_window):
 # envelope inequalities for strongly convex problems
 # ---------------------------------------------------------------------------
 
-def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
-                                reference=None):
+def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0):
     """Verify the envelope-objective bounds on random point pairs, drawn
     from N(0, 4 I) (radius 2).
 
@@ -456,8 +456,7 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0,
     mu = check_mu_domain(mu, f.L)
     if n_pairs < 1:
         raise ParameterDomainError(f"n_pairs must be >= 1, got {n_pairs}")
-    if reference is None:
-        reference = solve_reference(problem, mu, tol=1e-10)
+    reference = solve_reference(problem, mu, tol=1e-10)
     x_star, f_star = reference.x, reference.value
     # pair i is (x_i, xh_i), drawn in that order
     pairs = 2.0 * np.random.default_rng(seed).standard_normal(

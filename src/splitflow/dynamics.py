@@ -182,9 +182,9 @@ class DynamicsSpec:
 
     @cached_property
     def _rhs(self):
-        """The field as a function of (t, psi), with the oracles' bound
-        methods, mu, alpha, n, the schedule and the branch for this kind
-        looked up once, at the first evaluation.
+        """The field as a function of (t, psi, out=None), with the oracles'
+        bound methods, mu, alpha, n, the schedule and the branch for this
+        kind looked up once, at the first evaluation.
 
         G is ``generalized_gradient``'s expression without its per-call
         check of mu, which ``__post_init__`` made once.
@@ -202,26 +202,31 @@ class DynamicsSpec:
 
         G = G_z if self.kind in _DR_KINDS else G_x
         if self.kind in _FLOW_KINDS:
-            return lambda t, psi: -alpha * G(psi)
+            return lambda t, psi, out=None: np.multiply(-alpha, G(psi), out)
 
-        def second_order(t, psi):
+        def second_order(t, psi, out=None):
             if psi.ndim > 1 and np.ndim(t):   # times (S,) of a stack
                 t = np.asarray(t, dtype=float)[:, None]
             pos, vel = psi[..., :n], psi[..., n:]
-            acc = -gamma(t) * vel - alpha * G(pos + beta(t) * vel)
-            return np.concatenate([vel, acc], axis=-1)
+            out = np.empty_like(psi) if out is None else out
+            out[..., :n] = vel
+            np.subtract(-gamma(t) * vel, alpha * G(pos + beta(t) * vel),
+                        out=out[..., n:])
+            return out
 
         return second_order
 
 
-def vector_field(spec, t, psi):
+def vector_field(spec, t, psi, out=None):
     """Right-hand side of the selected dynamics at time t and state psi, or
-    at times (S,) and a stack of states (S, state_dim).
+    at times (S,) and a stack of states (S, state_dim), written into
+    ``out`` (float, psi's shape, apart from psi) and returned, or into one
+    new array; psi and the arrays oracles return are never written.
 
     A spec looks up its problem's oracle methods at its first evaluation,
     so an oracle replaced on the problem afterwards is not the one called.
     """
-    return spec._rhs(t, np.asarray(psi, dtype=float))
+    return spec._rhs(t, np.asarray(psi, dtype=float), out)
 
 
 @dataclass(frozen=True)
@@ -325,8 +330,9 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     (seconds on the DR primal map and the observables).
 
     The stepper reproduces scipy's RK45 (tableau, FSAL stage, quartic dense
-    output, error control and initial step) bit for bit. A non-finite field
-    value or state sample, or a step size below 10 ulp of t, raises
+    output, error control and initial step) bit for bit, with each field
+    value written into its stage matrix; psi0 is not written. A non-finite
+    field value or state sample, or a step size below 10 ulp of t, raises
     :class:`IntegrationFailure` carrying the samples taken so far.
     """
     if not (1e-12 <= tol <= 1e-3):

@@ -391,7 +391,12 @@ def _run_dynamics(config, problem, setup, reference, out_dir):
     try:
         for i in range(1, w):
             r, wr = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(wr)
+                raise
             if pid == 0:                 # the child never returns
                 try:
                     with os.fdopen(wr, "wb") as fh:

@@ -76,8 +76,9 @@ def test_matches_scipy_rk45(case):
         tol = 1e-6
     traj = integrate(spec, psi0=psi0, t_end=t_end, tol=tol,
                      sample_dt=sample_dt)
-    own, samples = side_by_side(lambda t, y: vector_field(spec, t, y), psi0,
-                                t_end, tol, traj.times[1:])
+    own, samples = side_by_side(
+        lambda t, y, out=None: vector_field(spec, t, y, out), psi0, t_end,
+        tol, traj.times[1:])
     assert traj.times[-1] == t_end == own.t
     assert np.array_equal(traj.states, samples)
     assert traj.meta["rhs_calls"] == 2 + 6 * (traj.meta["n_steps"]
@@ -95,15 +96,17 @@ def test_blow_up_fails_where_scipy_does(monkeypatch):
     # y' = y^2 from y(0) = 1 blows up at t = 1: the step size underflows
     # at the step where scipy's solver reports failure
     monkeypatch.setattr("splitflow.dynamics.vector_field",
-                        lambda spec, t, psi: psi ** 2)
+                        lambda spec, t, psi, out=None: np.multiply(
+                            psi, psi, out=out))
     spec = DynamicsSpec(FB_FLOW, smooth_problem(n=1), 0.1,
                         ConvexSchedule(alpha=1.0))
     y0 = np.ones(1)
     with pytest.raises(IntegrationFailure,
                        match="adaptive step-size underflow") as exc:
         integrate(spec, psi0=y0, t_end=2.0, sample_dt=0.01)
-    own, samples = side_by_side(lambda t, y: y ** 2, y0, 2.0, 1e-9,
-                                np.arange(1, 201) * 0.01)
+    own, samples = side_by_side(
+        lambda t, y, out=None: np.multiply(y, y, out=out), y0, 2.0, 1e-9,
+        np.arange(1, 201) * 0.01)
     assert 0.99 < own.t < 1.0
     partial = exc.value.partial
     assert partial.meta["n_steps"] == own.n_steps

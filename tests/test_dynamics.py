@@ -6,8 +6,8 @@ from scipy.integrate import solve_ivp
 
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        ConstantSchedule, ConvexSchedule, DynamicsSpec,
-                       GenericProx, IntegrationFailure, L1, LogisticRidge,
-                       ParameterDomainError, Quadratic,
+                       GenericOracle, GenericProx, IntegrationFailure, L1,
+                       LogisticRidge, ParameterDomainError, Quadratic,
                        UnsupportedOperationError, discrete_dr_step,
                        discrete_fb_step, generalized_gradient, identity_prox,
                        integrate, run_discrete,
@@ -167,6 +167,26 @@ def kink_errors(seed):
     return switches, errors
 
 
+class SharedGradient(GenericOracle):
+    """Hands out one array object, overwritten, from every gradient call."""
+
+    shared = np.empty(0)
+
+    def gradient(self, x):
+        grad = super().gradient(x)
+        if self.shared.shape != grad.shape:
+            self.shared = np.empty_like(grad)
+        self.shared[...] = grad
+        return self.shared
+
+
+class InputProx(GenericProx):
+    """g = 0, whose prox hands back its input itself."""
+
+    def prox(self, v, mu):
+        return v
+
+
 class TestIntegrate:
     def test_matches_matrix_exponential(self):
         p = smooth_problem(n=5, seed=3)
@@ -258,9 +278,11 @@ class TestIntegrate:
                 outputs.append(super().dense(ts))
                 return outputs[-1]
 
-        def field(spec, t, psi):
+        def field(spec, t, psi, out=None):
             # finite up to t = 4, non-finite after it
-            return vector_field(spec, t, psi) * (np.nan if t > 4.0 else 1.0)
+            out = vector_field(spec, t, psi, out)
+            out *= np.nan if t > 4.0 else 1.0
+            return out
         monkeypatch.setattr(dynamics_module, "Dopri5", Recording)
         spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
         if case == "failure":
@@ -287,9 +309,9 @@ class TestIntegrate:
         # one the stepper counted: two to start, six per attempted step
         calls = []
 
-        def counting(spec, t, psi):
+        def counting(spec, t, psi, out=None):
             calls.append(t)
-            return vector_field(spec, t, psi)
+            return vector_field(spec, t, psi, out)
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
         p = make_quadratic_l1()
@@ -332,9 +354,9 @@ class TestIntegrate:
         calls = {"n": 0}
         seen = []
 
-        def counting(spec, t, psi):
+        def counting(spec, t, psi, out=None):
             seen.append(t)
-            return vector_field(spec, t, psi)
+            return vector_field(spec, t, psi, out)
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
 
@@ -360,9 +382,9 @@ class TestIntegrate:
         spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
         calls = []
 
-        def counting(spec, t, psi):
+        def counting(spec, t, psi, out=None):
             calls.append(t)
-            return vector_field(spec, t, psi)
+            return vector_field(spec, t, psi, out)
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
         with pytest.raises(IntegrationFailure) as exc:
@@ -451,7 +473,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_initial_state(self, monkeypatch, bad):
         # refused up front: the field is never evaluated
-        def no_field(spec, t, psi):
+        def no_field(spec, t, psi, out=None):
             raise AssertionError("field evaluated")
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", no_field)
@@ -461,6 +483,27 @@ class TestIntegrate:
         psi0[4] = bad
         with pytest.raises(ParameterDomainError, match="finite"):
             integrate(spec, psi0=psi0, t_end=1.0)
+
+    @pytest.mark.parametrize("kind", [FB_FLOW, ACC_FB])
+    def test_field_writes_into_no_oracle_output(self, kind):
+        # oracles whose outputs alias other arrays give the states of
+        # fresh-array oracles, and the caller's psi0 is left as it was
+        base = smooth_problem(n=4, seed=1)
+        Q, q = base.f.Q, base.f.q
+        oracle = (lambda x: 0.5 * x @ Q @ x + q @ x, lambda x: Q @ x + q, 4,
+                  base.f.m, base.f.L)
+        runs = []
+        aliased_g = InputProx(lambda x: 0.0, None)
+        for f, g in ((GenericOracle(*oracle), identity_prox()),
+                     (SharedGradient(*oracle), aliased_g)):
+            spec = DynamicsSpec(kind, CompositeProblem(f, g), 0.1,
+                                ConvexSchedule(alpha=0.7))
+            psi0 = np.linspace(-1.0, 1.0, spec.state_dim)
+            runs.append(integrate(spec, psi0=psi0, t_end=5.0, sample_dt=0.1))
+            assert np.array_equal(psi0, np.linspace(-1.0, 1.0, spec.state_dim))
+        fresh, aliased = runs
+        assert np.array_equal(fresh.states, aliased.states)
+        assert fresh.meta["rhs_calls"] == aliased.meta["rhs_calls"]
 
     def test_acc_dr_output_map_residual(self):
         p = make_quadratic_l1(n=8, seed=13)

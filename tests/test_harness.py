@@ -350,6 +350,24 @@ print(json.dumps([alone, with_thread, thread.is_alive()]))
         assert counts == [min(4, _CPUS), 1, False]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="open descriptors are counted in /proc/self/fd")
+def test_failed_fork_closes_its_pipe(monkeypatch):
+    # a fork that raises propagates, and leaves no descriptor of the pipe
+    # made for that worker open
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr("splitflow.harness._workers", lambda n_kinds: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    cfg = BenchmarkConfig(dims=(8, 20), dynamics=("acc_fb", "fb_flow"),
+                          t_end=2.0, sample_dt=0.5, window=(0.5, 2.0))
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="fork refused"):
+        run_benchmark(cfg)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 class TestCli:
     def test_run_and_exit_codes(self, tmp_path):
         cfg = BenchmarkConfig(example=BOX_QP, dims=(0, 12), kappa=30.0,

@@ -159,11 +159,18 @@ def test_kernel_stack_equals_rows(kind, seed, x, frac):
 @STACK
 @given(seeds, times, stacks, stacks, mu_fractions)
 def test_vector_field_stack_equals_rows(kind, seed, t, pos, vel, frac):
+    # and on the stack and each row, the field written into a buffer is the
+    # buffer, holding the bytes of the allocating call
     p = make_quadratic_l1(n=N, seed=seed)
     spec = DynamicsSpec(kind, p, frac / p.f.L, ConvexSchedule(alpha=0.5))
     psi = pos if kind in (FB_FLOW, DR_FLOW) else np.hstack([pos, vel])
-    assert_rows_match(vector_field(spec, t, psi),
-                      [vector_field(spec, ti, row) for ti, row in zip(t, psi)])
+    stacked = vector_field(spec, t, psi)
+    rows = [vector_field(spec, ti, row) for ti, row in zip(t, psi)]
+    assert_rows_match(stacked, rows)
+    for ti, state, value in zip([t, *t], [psi, *psi], [stacked, *rows]):
+        buf = np.full_like(state, np.nan)
+        assert vector_field(spec, ti, state, out=buf) is buf
+        assert buf.tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize("case", [QUAD_CONVEX, QUAD_STRONG, GENERAL_STRONG])
