@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, dynamics, envelopes
 from .problems import (BoxIndicator, CompositeProblem, L1, LogisticRidge,
-                       Quadratic)
+                       Quadratic, _load_lapack)
 
 __all__ = [
     "LambdaRule",
@@ -375,6 +375,7 @@ def _run_dynamics(config, problem, setup, reference, out_dir):
     that ran them: the caller runs ``kinds[0::w]``, and forked child i runs
     ``kinds[i::w]`` and sends its records back pickled over a pipe."""
     kinds = tuple(dict.fromkeys(config.dynamics))
+    _load_lapack()          # before the thread count; the children inherit it
     w = _workers(len(kinds))
 
     def run(share):

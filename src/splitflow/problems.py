@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.linalg.lapack import dpotrs
 
 from .exceptions import ParameterDomainError, UnsupportedOperationError
 
@@ -68,6 +66,22 @@ def _softplus(t):
     """log(1 + e^t) in SIMD ufuncs; within 2 ulp of the scalar-loop
     ``np.logaddexp(0, t)`` on [-745, 745], equal at +-inf and nan."""
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+_cho_factor = _dpotrs = _svdvals = None    # bound by _load_lapack
+
+
+def _load_lapack():
+    """Bind scipy's LAPACK routines on first use. ``import scipy.linalg``
+    takes about 0.2 s, and lasso and box-QP generation, certification and
+    the FB kinds never factor a matrix; a process that forks calls this
+    first, so that its children inherit the module and scipy's BLAS threads
+    are counted."""
+    global _cho_factor, _dpotrs, _svdvals
+    if _dpotrs is None:     # bound last: once it is set, all three are
+        from scipy.linalg import cho_factor, svdvals
+        from scipy.linalg.lapack import dpotrs
+        _cho_factor, _svdvals, _dpotrs = cho_factor, svdvals, dpotrs
 
 
 def _check_mu(mu):
@@ -181,15 +195,16 @@ class Quadratic(SmoothFunction):
         key = float(mu)
         fac = self._prox_factors.get(key)
         if fac is None:
-            fac = sla.cho_factor(np.eye(self.dim) + mu * self.Q)
+            _load_lapack()
+            fac = _cho_factor(np.eye(self.dim) + mu * self.Q)
             self._prox_factors[key] = fac
         return fac
 
     def solve_shifted(self, mu, rhs):
         """Solve (I + mu Q) z = rhs, for one right-hand side or a stack."""
-        # the LAPACK call of sla.cho_solve, without its per-call checks
+        # the LAPACK call of scipy's cho_solve, without its per-call checks
         c, lower = self._shifted_factor(mu)
-        z, info = dpotrs(c, rhs.T, lower=lower)
+        z, info = _dpotrs(c, rhs.T, lower=lower)
         if info != 0:
             raise np.linalg.LinAlgError(f"potrs failed with info={info}")
         return z.T
@@ -252,16 +267,20 @@ class LogisticRidge(SmoothFunction):
             raise ValueError("A must be a 2-D matrix")
         if A.shape[0] != y.shape[0]:
             raise ValueError("A and y dimensions disagree")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("A contains non-finite entries")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must lie in {0, 1}")
         ridge = float(ridge)
-        if ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0 <= ridge < np.inf:
+            raise ValueError(
+                f"ridge must be nonnegative and finite, got {ridge}")
         self.A = A
         self.y = y
         self.ridge = ridge
         self.dim = A.shape[1]
-        smax = sla.svdvals(A)[0] if min(A.shape) else 0.0
+        _load_lapack()
+        smax = _svdvals(A)[0] if min(A.shape) else 0.0
         self.m = ridge
         self.L = ridge + 0.25 * float(smax) ** 2
         self.newton_prox = bool(newton_prox)
@@ -346,8 +365,9 @@ class L1(NonsmoothFunction):
 
     def __init__(self, weight):
         weight = float(weight)
-        if weight <= 0:
-            raise ValueError("l1 weight must be positive")
+        if not 0 < weight < np.inf:
+            raise ValueError(
+                f"l1 weight must be positive and finite, got {weight}")
         self.weight = weight
 
     def value(self, x):
@@ -369,15 +389,19 @@ class BoxIndicator(NonsmoothFunction):
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape:
             raise ValueError("bound shapes disagree")
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
+        if not np.all(lower <= upper):
+            raise ValueError("bounds must satisfy lower <= upper, without nan")
         self.lower = lower
         self.upper = upper
         self.dim = lower.shape[0] if lower.shape[0] > 1 else None
+        # value()'s relative slack, scaled by the finite bounds only
+        slack = 1e-12 * (1.0 + np.abs(np.where(np.isinf(lower), 0.0, lower))
+                         + np.abs(np.where(np.isinf(upper), 0.0, upper)))
+        self._lower_slack = lower - slack
+        self._upper_slack = upper + slack
 
     def value(self, x):
-        slack = 1e-12 * (1.0 + np.abs(self.lower) + np.abs(self.upper))
-        inside = np.all((x >= self.lower - slack) & (x <= self.upper + slack),
+        inside = np.all((x >= self._lower_slack) & (x <= self._upper_slack),
                         axis=-1)
         return np.where(inside, 0.0, np.inf)[()]
 

@@ -304,6 +304,29 @@ print(json.dumps([forked.to_dict(), serial.to_dict()]))
             assert (tmp_path / "forked" / trace).read_bytes() == (
                 tmp_path / "serial" / trace).read_bytes()
 
+    def test_forked_dr_run_matches_serial(self):
+        # every DR kind solves with the Cholesky factor that LAPACK, bound
+        # before the fork, computes in each process
+        forked, serial = _single_threaded_run("""
+import json
+from splitflow import harness
+cfg = harness.BenchmarkConfig(dims=(8, 20), dynamics=(
+    "acc_dr", "dr_flow", "dr_discrete"), t_end=20.0, sample_dt=0.5,
+    window=(2.0, 20.0))
+forked = harness.run_benchmark(cfg)
+harness._workers = lambda n_kinds: 1
+serial = harness.run_benchmark(cfg)
+print(json.dumps([forked.to_dict(), serial.to_dict()]))
+""")
+        assert forked["problem"]["workers"] >= 2
+        assert serial["problem"]["workers"] == 1
+        assert list(forked["dynamics"]) == ["acc_dr", "dr_flow", "dr_discrete"]
+        for kind, rec in serial["dynamics"].items():
+            assert "error" not in rec, rec
+            assert {k: v for k, v in forked["dynamics"][kind].items()
+                    if k not in _TIMING_KEYS} == {
+                k: v for k, v in rec.items() if k not in _TIMING_KEYS}
+
     def test_dead_child_gives_error_records(self):
         # the child running kinds[1::w] exits at its first kind
         report, left = _single_threaded_run(f"""
@@ -348,6 +371,26 @@ thread.join(timeout=10)
 print(json.dumps([alone, with_thread, thread.is_alive()]))
 """)
         assert counts == [min(4, _CPUS), 1, False]
+
+
+def test_lapack_is_bound_before_the_thread_count():
+    # children inherit scipy.linalg instead of importing it on every pass,
+    # and the thread count sees the BLAS pool that importing it may start;
+    # with FB kinds only, nothing before _run_dynamics factors a matrix
+    seen = _single_threaded_run("""
+import json, sys
+from splitflow import harness
+workers = harness._workers
+seen = []
+def spy(n_kinds):
+    seen.append("scipy.linalg" in sys.modules)
+    return workers(n_kinds)
+harness._workers = spy
+harness.run_benchmark(harness.BenchmarkConfig(dims=(6, 12), dynamics=(
+    "fb_flow", "acc_fb"), t_end=5.0, sample_dt=0.5, window=(1.0, 5.0)))
+print(json.dumps(seen))
+""")
+    assert seen == [True]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

@@ -379,6 +379,53 @@ class TestCompositeProblem:
         assert g.value(np.array([2.0, 0.0])) == np.inf
         assert g.value(np.array([0.5, -1.0])) == 0.0
 
+    def test_half_infinite_box_value_matches_prox(self):
+        # an infinite bound adds nothing to the slack of the finite ones
+        g = BoxIndicator([-np.inf, -1.0], [1.0, 1.0])
+        x = np.array([5.0, 0.0])
+        assert g.value(x) == np.inf
+        assert g.value(g.prox(x, 1.0)) == 0.0
+        assert g.value(np.array([-1e300, 1.0])) == 0.0
+        g = BoxIndicator([-np.inf, 0.0], [np.inf, np.inf])
+        assert g.value(np.array([-1e300, 1e300])) == 0.0
+
+    def test_finite_box_keeps_its_slack(self):
+        # x <= upper + 1e-12 (1 + |lower| + |upper|) counts as inside
+        lower, upper = np.array([-1.0, -3.0]), np.array([2.0, 0.5])
+        g = BoxIndicator(lower, upper)
+        edge = upper + 1e-12 * (1.0 + np.abs(lower) + np.abs(upper))
+        assert g.value(edge) == 0.0
+        assert g.value(np.nextafter(edge, np.inf)) == np.inf
+        edge = lower - 1e-12 * (1.0 + np.abs(lower) + np.abs(upper))
+        assert g.value(edge) == 0.0
+        assert g.value(np.nextafter(edge, -np.inf)) == np.inf
+
+
+class TestConstructorDomains:
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, 0.0, -1.0])
+    def test_l1_refuses_weight(self, weight):
+        with pytest.raises(ValueError, match="l1 weight must be positive"):
+            L1(weight)
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]),
+        ([2.0], [1.0])])
+    def test_box_refuses_nan_or_crossed_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            BoxIndicator(lower, upper)
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -0.5])
+    def test_logistic_refuses_ridge(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be nonnegative"):
+            LogisticRidge(np.ones((3, 2)), [0.0, 1.0, 1.0], ridge)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_logistic_refuses_non_finite_data(self, bad):
+        A = np.ones((3, 2))
+        A[1, 0] = bad
+        with pytest.raises(ValueError, match="A contains non-finite"):
+            LogisticRidge(A, [0.0, 1.0, 1.0], 0.1)
+
 
 class TestSerialization:
     def test_quadratic_l1_roundtrip(self):

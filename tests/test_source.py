@@ -59,14 +59,30 @@ def test_import_builds_no_csv_tables():
 
 
 def test_import_leaves_out_slow_scipy_modules():
-    # the integrator is in-house, the Newton prox imports the sparse
-    # solvers on first use and expit is imported when a logistic problem is
-    # built; any of these imports would add to every process's start-up time
+    # the integrator is in-house, LAPACK is bound when a matrix is first
+    # factored, the Newton prox imports the sparse solvers on first use and
+    # expit is imported when a logistic problem is built; any scipy import
+    # would add to every process's start-up time
     out = _fresh_output(
         "import splitflow, sys; "
-        "print(sorted({'scipy.integrate', 'scipy.sparse.linalg',"
-        " 'scipy.special'} & set(sys.modules)))")
+        "print([m for m in sys.modules if m.startswith('scipy')])")
     assert out == "[]"
+
+
+def test_generation_and_certify_load_no_scipy(tmp_path):
+    # lasso and box-QP generation and `splitflow certify` factor no matrix
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,x_1,objective_gap,dist_sq\n" + "".join(
+        f"{t!r},0.0,{t ** -2!r},{t ** -2!r}\n" for t in range(1, 11)))
+    out = _fresh_output(
+        "import sys; from splitflow import cli, harness\n"
+        "for example in ('lasso_l1', 'box_qp'):\n"
+        "    cfg = harness.BenchmarkConfig(example=example)\n"
+        "    harness._example_setup(cfg, harness.generate_problem(cfg))\n"
+        f"code = cli.main(['certify', '--trace', {str(trace)!r},"
+        " '--mode', 'sublinear', '--window', '1,10'])\n"
+        "print(code, [m for m in sys.modules if m.startswith('scipy')])")
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_lasso_run_leaves_out_scipy_special():
