@@ -192,10 +192,10 @@ class Quadratic(SmoothFunction):
 
     def _shifted_factor(self, mu):
         # Cholesky of (I + mu Q), cached per penalty value
+        _load_lapack()      # on a hit too: an unpickled cache comes along
         key = float(mu)
         fac = self._prox_factors.get(key)
         if fac is None:
-            _load_lapack()
             fac = _cho_factor(np.eye(self.dim) + mu * self.Q)
             self._prox_factors[key] = fac
         return fac

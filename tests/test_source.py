@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,24 @@ def test_generation_and_certify_load_no_scipy(tmp_path):
         " '--mode', 'sublinear', '--window', '1,10'])\n"
         "print(code, [m for m in sys.modules if m.startswith('scipy')])")
     assert out.splitlines()[-1] == "0 []"
+
+
+def test_unpickled_quadratic_solves_from_its_cached_factor(tmp_path):
+    # its filled factor cache comes along into a process that has bound no
+    # LAPACK routine yet, as under a multiprocessing spawn
+    import numpy as np
+    from splitflow.problems import Quadratic
+    f = Quadratic(np.diag([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0]))
+    rhs = [1.0, -2.0, 0.5]
+    z = f.solve_shifted(0.5, np.array(rhs))
+    path = tmp_path / "quadratic.pkl"
+    path.write_bytes(pickle.dumps(f))
+    out = _fresh_output(
+        "import pickle, sys; import numpy as np\n"
+        f"f = pickle.loads(open({str(path)!r}, 'rb').read())\n"
+        "print(list(f._prox_factors), 'scipy.linalg' in sys.modules)\n"
+        f"print(f.solve_shifted(0.5, np.array({rhs!r})).tolist())")
+    assert out.splitlines() == ["[0.5] False", repr(z.tolist())]
 
 
 def test_lasso_run_leaves_out_scipy_special():
