@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._csvfmt import write_csv
-from .dynamics import (ConvexSchedule, _schedule_constant, acc_fb_mu_bound,
-                       strongly_convex_point)
+from .dynamics import ConvexSchedule, acc_fb_mu_bound, strongly_convex_point
 from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
                          UnsupportedOperationError, WindowTooLateError)
-from .problems import _dot
+from .problems import _dot, _finite_scalar
 
 __all__ = [
     "CertificateReport",
@@ -47,6 +45,7 @@ __all__ = [
 ]
 
 _DECAY_EPS = 1e-4          # numerical slack for the V' + theta V check
+_ENVELOPE_PAIRS = 1000     # random point pairs of the envelope inequalities
 _GAP_FLOOR = 100.0 * np.finfo(float).eps
 
 
@@ -97,26 +96,7 @@ class ReferenceSolution:
     polishes: int       # polished points kept
 
 
-_reference_cache = weakref.WeakKeyDictionary()
 _REFERENCE_MAX_ITER = 200000
-
-
-def _l1_free_set(g, x):
-    free = x != 0
-    return free, np.where(free, x, 0.0), g.weight * np.sign(x[free])
-
-
-def _box_free_set(g, x):
-    tol = 1e-9 * (1.0 + np.abs(g.upper) + np.abs(g.lower))
-    at_lo = x <= g.lower + tol
-    at_hi = x >= g.upper - tol
-    held = np.where(at_hi, g.upper, np.where(at_lo, g.lower, x))
-    return ~(at_lo | at_hi), held, 0.0
-
-
-# per-g hook: the free coordinates, x with the others set to their held
-# values, and g's gradient on the free coordinates
-_FREE_SETS = {"l1": _l1_free_set, "box": _box_free_set}
 
 
 def _free_hessian(f, x, free):
@@ -131,11 +111,12 @@ def _free_hessian(f, x, free):
 
 def _polish(problem, x):
     """Newton polish of x on g's free coordinates, the others held fixed;
-    None when g has no free-set hook or a solve fails."""
+    None when g has no ``free_set`` hook or a solve fails."""
     f, g = problem.f, problem.g
-    if g.kind not in _FREE_SETS:
+    free_set = getattr(g, "free_set", None)
+    if free_set is None:
         return None
-    free, out, dg = _FREE_SETS[g.kind](g, x)
+    free, out, dg = free_set(x)
     try:
         if f.kind == "quadratic":   # stationarity on the free set is linear
             rhs = -(f.q[free] + dg + f.Q[np.ix_(free, ~free)] @ out[~free])
@@ -166,16 +147,9 @@ def solve_reference(problem, mu, tol=1e-12):
     sign flips. It is tried at every check when a Hessian costs no more
     than 25 iterations (quadratic f, or a logistic f with n <= 50), else
     every 200 iterations. A prox-gradient sweep from the polished point is
-    kept when it lowers the gradient-map norm. The result is cached per
-    problem instance.
+    kept when it lowers the gradient-map norm.
     """
     mu = check_mu_domain(mu, problem.f.L)
-    key = (round(float(mu), 15), float(tol))
-    bucket = _reference_cache.setdefault(problem, {})
-    hit = bucket.get(key)
-    if hit is not None:
-        return hit
-
     f, g = problem.f, problem.g
     n = problem.dim
     x = np.zeros(n)
@@ -229,11 +203,9 @@ def solve_reference(problem, mu, tol=1e-12):
     if gn > tol:
         raise RuntimeError(
             f"reference solve stalled at ||G_mu|| = {gn:.3e} > tol = {tol:.1e}")
-    sol = ReferenceSolution(x=x_best, value=problem.objective(x_best),
-                            grad_map_norm=gn, iterations=iterations,
-                            restarts=restarts, polishes=polishes)
-    bucket[key] = sol
-    return sol
+    return ReferenceSolution(x=x_best, value=problem.objective(x_best),
+                             grad_map_norm=gn, iterations=iterations,
+                             restarts=restarts, polishes=polishes)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +390,7 @@ def certify_sublinear(traj, t_window):
 def certify_exponential(traj, rho_theory, t_window):
     """Fit log ||x - x*||^2 against t; certified when the decay rate is at
     least 0.9 rho_theory, the theoretical rate, which must be finite > 0."""
-    rho_theory = _schedule_constant("theoretical rate", rho_theory,
-                                    positive=True)
+    rho_theory = _finite_scalar("theoretical rate", rho_theory, positive=True)
     t, dist = _window_series(traj, "dist_sq", t_window)
     slope, intercept = np.polyfit(t, np.log(dist), 1)
     rate = -float(slope)
@@ -436,9 +407,9 @@ def certify_exponential(traj, rho_theory, t_window):
 # envelope inequalities for strongly convex problems
 # ---------------------------------------------------------------------------
 
-def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0):
-    """Verify the envelope-objective bounds on random point pairs, drawn
-    from N(0, 4 I) (radius 2).
+def check_envelope_inequalities(problem, mu, seed=0):
+    """Verify the envelope-objective bounds on 1000 random point pairs,
+    drawn from N(0, 4 I) (radius 2).
 
     For strongly convex f (m > 0) and mu in (0, 1/L), the FB envelope
     satisfies, for all x, xh:
@@ -454,13 +425,11 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0):
         raise ParameterDomainError(
             "envelope inequalities require a strongly convex smooth part")
     mu = check_mu_domain(mu, f.L)
-    if n_pairs < 1:
-        raise ParameterDomainError(f"n_pairs must be >= 1, got {n_pairs}")
     reference = solve_reference(problem, mu, tol=1e-10)
     x_star, f_star = reference.x, reference.value
     # pair i is (x_i, xh_i), drawn in that order
     pairs = 2.0 * np.random.default_rng(seed).standard_normal(
-        (n_pairs, 2, problem.dim))
+        (_ENVELOPE_PAIRS, 2, problem.dim))
     x, xh = pairs[:, 0], pairs[:, 1]
     m, L = f.m, f.L
     lower_coef = m * m * (1.0 - mu * L) / (2.0 * L)
@@ -476,7 +445,7 @@ def check_envelope_inequalities(problem, mu, n_pairs=1000, seed=0):
     return CertificateReport(
         kind="envelope_inequalities", passed=bool(worst >= 0.0),
         fitted=None, theoretical=None, worst_slack=float(-worst),
-        n_samples=n_pairs,
+        n_samples=_ENVELOPE_PAIRS,
         details={"worst_upper_margin": float(worst_upper),
                  "worst_lower_margin": float(worst_lower),
                  "grad_map_norm_at_ref": reference.grad_map_norm})

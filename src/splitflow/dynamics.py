@@ -28,7 +28,7 @@ from ._dopri5 import Dopri5
 from .envelopes import _fb_kernel, check_mu_domain, generalized_gradient
 from .exceptions import (IntegrationFailure, ParameterDomainError,
                          UnsupportedOperationError)
-from .problems import _check_mu
+from .problems import _finite_scalar
 
 __all__ = [
     "FB_FLOW", "DR_FLOW", "ACC_FB", "ACC_DR",
@@ -59,19 +59,11 @@ _BLOCK_ROWS = 256
 _TIME_OFFSET = 3.0
 
 
-def _schedule_constant(name, value, positive=False):
-    value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise ParameterDomainError(
-            f"{name} must be finite{' and positive' * positive}, got {value}")
-    return value
-
-
 class ConvexSchedule:
     """Decaying damping schedule driving sublinear convergence."""
 
     def __init__(self, alpha):
-        self.alpha = _schedule_constant("alpha", alpha, positive=True)
+        self.alpha = _finite_scalar("alpha", alpha, positive=True)
 
     @staticmethod
     def gamma(t):
@@ -93,10 +85,10 @@ class ConstantSchedule:
     """Constant damping schedule for strongly convex problems."""
 
     def __init__(self, alpha, gamma, beta, theta):
-        self.alpha = _schedule_constant("alpha", alpha, positive=True)
-        self._gamma = _schedule_constant("gamma", gamma)
-        self._beta = _schedule_constant("beta", beta)
-        self._theta = _schedule_constant("theta", theta)
+        self.alpha = _finite_scalar("alpha", alpha, positive=True)
+        self._gamma = _finite_scalar("gamma", gamma)
+        self._beta = _finite_scalar("beta", beta)
+        self._theta = _finite_scalar("theta", theta)
 
     @property
     def rate(self):
@@ -263,35 +255,27 @@ def _sample_grid(t_end, sample_dt):
     return grid
 
 
-def _blocks(n_rows):
-    return (slice(i, i + _BLOCK_ROWS) for i in range(0, n_rows, _BLOCK_ROWS))
-
-
-def _compute_observables(problem, mu, primal, x_star=None, f_star=None):
-    obj_prox, env = np.empty((2, primal.shape[0]))
-    for rows in _blocks(primal.shape[0]):
-        _, p, _, gp, env[rows] = _fb_kernel(problem, primal[rows], mu)
-        obj_prox[rows] = problem.f.value(p) + gp
-    obs = {"objective_of_prox": obj_prox, "envelope": env}
-    if f_star is not None:
-        obs["objective_gap"] = obj_prox - float(f_star)
-    if x_star is not None:
-        diff = primal - np.asarray(x_star, dtype=float)[None, :]
-        obs["dist_sq"] = np.einsum("ij,ij->i", diff, diff)
-    return obs
-
-
 def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
                 meta, observables=True):
     """Package samples of a continuous or discrete run as a Trajectory."""
     t0 = time.perf_counter()
-    primal = position
-    if kind in _Z_KINDS:
-        primal = np.empty_like(position)
-        for rows in _blocks(position.shape[0]):
+    primal = np.empty_like(position) if kind in _Z_KINDS else position
+    obj_prox, env = np.empty((2, position.shape[0]))
+    for i in range(0, position.shape[0], _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        if primal is not position:
             primal[rows] = problem.f.prox(position[rows], mu)
-    obs = (_compute_observables(problem, mu, primal, x_star, f_star)
-           if observables else {})
+        if observables:
+            _, p, _, gp, env[rows] = _fb_kernel(problem, primal[rows], mu)
+            obj_prox[rows] = problem.f.value(p) + gp
+    obs = {}
+    if observables:
+        obs = {"objective_of_prox": obj_prox, "envelope": env}
+        if f_star is not None:
+            obs["objective_gap"] = obj_prox - float(f_star)
+        if x_star is not None:
+            diff = primal - np.asarray(x_star, dtype=float)[None, :]
+            obs["dist_sq"] = np.einsum("ij,ij->i", diff, diff)
     meta = dict(meta, kind=kind, mu=mu, observables_s=time.perf_counter() - t0)
     if f_star is not None:
         meta["f_star"] = float(f_star)
@@ -337,9 +321,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ParameterDomainError(f"tolerance {tol} outside [1e-12, 1e-3]")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ParameterDomainError(
-            f"t_end must be finite and positive, got {t_end}")
+    t_end = _finite_scalar("t_end", t_end, positive=True)
     if psi0 is None:
         psi0 = np.zeros(spec.state_dim)
     psi0 = np.asarray(psi0, dtype=float)
@@ -350,9 +332,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         raise ParameterDomainError("initial state must be finite")
     if sample_dt is None:
         sample_dt = t_end / 2000.0
-    if not (math.isfinite(sample_dt) and sample_dt > 0):
-        raise ParameterDomainError(
-            f"sample_dt must be finite and positive, got {sample_dt}")
+    sample_dt = _finite_scalar("sample_dt", sample_dt, positive=True)
     grid = _sample_grid(t_end, sample_dt)
     grid_points = grid.tolist()
     samples = np.empty((grid.size + 1, spec.state_dim))   # psi0, grid samples
@@ -415,26 +395,26 @@ def discrete_fb_step(problem, x, alpha_bar, mu):
 
 def discrete_dr_step(problem, z, mu):
     """One Douglas-Rachford step z - prox_f(z) + prox_g(2 prox_f(z) - z)."""
-    mu = _check_mu(mu)
+    mu = _finite_scalar("penalty mu", mu, positive=True)
     if not problem.f.supports_prox():
         raise UnsupportedOperationError("DR step requires prox of the smooth part")
     xh = problem.f.prox(z, mu)
     return z - xh + problem.g.prox(2.0 * xh - z, mu)
 
 
-def run_discrete(problem, kind, mu, n_steps, dt=1.0, x_star=None, f_star=None):
-    """Iterate a discrete splitting from zero and package the iterates as a
-    Trajectory.
+def run_discrete(problem, kind, mu, n_steps, x_star=None, f_star=None):
+    """Iterate a discrete splitting n_steps >= 0 times from zero and package
+    the iterates as a Trajectory, iterate k at time k.
 
     fb_discrete is ISTA (step size mu); dr_discrete is Douglas-Rachford.
-    Iterate k is placed at time k*dt so discrete baselines can be compared
-    against continuous trajectories on a shared axis.
     """
+    if n_steps < 0:
+        raise ParameterDomainError(f"n_steps must be >= 0, got {n_steps}")
     if kind == "fb_discrete":
         mu = check_mu_domain(mu, problem.f.L)
         step = partial(discrete_fb_step, problem, alpha_bar=mu, mu=mu)
     elif kind == "dr_discrete":
-        mu = _check_mu(mu)
+        mu = _finite_scalar("penalty mu", mu, positive=True)
         step = partial(discrete_dr_step, problem, mu=mu)
     else:
         raise ValueError(f"unknown discrete kind {kind!r}")
@@ -442,9 +422,9 @@ def run_discrete(problem, kind, mu, n_steps, dt=1.0, x_star=None, f_star=None):
     for _ in range(n_steps):
         iterates.append(step(iterates[-1]))
     positions = np.asarray(iterates)
-    times = dt * np.arange(positions.shape[0], dtype=float)
+    times = np.arange(positions.shape[0], dtype=float)
     return _trajectory(problem, kind, mu, times, positions, positions[:, :0],
-                       x_star, f_star, {"dt": dt, "n_steps": n_steps})
+                       x_star, f_star, {"n_steps": n_steps})
 
 
 # ---------------------------------------------------------------------------

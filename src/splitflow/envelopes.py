@@ -62,14 +62,6 @@ class EnvelopeEval:
     gen_grad: np.ndarray
     prox_point: np.ndarray
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "gradient": self.gradient.tolist(),
-            "gen_grad": self.gen_grad.tolist(),
-            "prox_point": self.prox_point.tolist(),
-        }
-
 
 def forward_prox_point(problem, x, mu):
     """p_mu(x) = prox_{mu g}(x - mu grad f(x))."""

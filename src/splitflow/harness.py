@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -150,6 +151,13 @@ def gen_logistic(s, n, ridge=0.1, lambda_rule=LambdaRule(), seed=0):
 # configuration / report
 # ---------------------------------------------------------------------------
 
+def _numbers(values, kind=numbers.Real):
+    """True for a tuple or list of finite numbers of ``kind`` (not bools)."""
+    return isinstance(values, (tuple, list)) and all(
+        isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values)
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     example: str = LASSO
@@ -163,6 +171,21 @@ class BenchmarkConfig:
     tol: float = 1e-9
     sample_dt: float = 0.1
     window: tuple | None = None      # rate-fit window; example default if None
+
+    def __post_init__(self):
+        # malformed inputs fail here, before any problem is generated; box
+        # QP ignores the rows s of dims [s, n]
+        d, w = self.dims, self.window
+        if not (_numbers(d, numbers.Integral) and len(d) == 2
+                and d[0] >= (self.example != BOX_QP) and d[1] >= 1):
+            raise ValueError("config dims must be two integers [s, n], n >= 1 "
+                             f"and s >= 1 (s >= 0 for box_qp), got {d!r}")
+        if not (_numbers([self.seed]) and float(self.seed).is_integer()):
+            raise ValueError(f"config seed must be an integer, got {self.seed!r}")
+        if w is not None and not (_numbers(w) and len(w) == 2 and w[0] < w[1]):
+            raise ValueError(
+                f"config window must be two finite numbers a < b, got {w!r}")
+        object.__setattr__(self, "seed", int(self.seed))   # 2.0 reads as 2
 
     def to_dict(self):
         return {
@@ -197,7 +220,7 @@ class BenchmarkConfig:
             example=d["example"], dims=tuple(full["dims"]),
             kappa=float(full["kappa"]), ridge=float(full["ridge"]),
             lambda_rule=LambdaRule.from_dict(full["lambda_rule"]),
-            seed=int(full["seed"]), dynamics=tuple(d["dynamics"]),
+            seed=full["seed"], dynamics=tuple(d["dynamics"]),
             t_end=float(full["t_end"]), tol=float(full["tol"]),
             sample_dt=float(full["sample_dt"]),
             window=tuple(full["window"]) if full["window"] else None)
@@ -310,10 +333,9 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
     t0 = time.perf_counter()
     phases = {}
     if kind in ("fb_discrete", "dr_discrete"):
-        h = 1.0 / problem.f.L
-        dt = h / alpha_flow
-        n_steps = int(math.ceil(config.t_end / dt))
-        traj = dynamics.run_discrete(problem, kind, mu, n_steps, dt=dt,
+        # step h = 1/L is h/alpha_flow = 1 unit of flow time: iterate k at t = k
+        traj = dynamics.run_discrete(problem, kind, mu,
+                                     int(math.ceil(config.t_end)),
                                      x_star=x_star, f_star=f_star)
     else:
         if kind in ("fb_flow", "dr_flow"):

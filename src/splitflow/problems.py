@@ -84,11 +84,13 @@ def _load_lapack():
         _cho_factor, _svdvals, _dpotrs = cho_factor, svdvals, dpotrs
 
 
-def _check_mu(mu):
-    mu = float(mu)
-    if not np.isfinite(mu) or mu <= 0:
-        raise ParameterDomainError(f"penalty mu must be positive, got {mu}")
-    return mu
+def _finite_scalar(name, value, positive=False):
+    """float(value); ParameterDomainError unless finite (and > 0 if asked)."""
+    value = float(value)
+    if not np.isfinite(value) or (positive and value <= 0):
+        raise ParameterDomainError(
+            f"{name} must be finite{' and positive' * positive}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +380,11 @@ class L1(NonsmoothFunction):
         t = mu * self.weight
         return v - np.minimum(np.maximum(v, -t), t)
 
+    def free_set(self, x):
+        """Polish hook: mask x != 0, a copy of x, g's gradient on the mask."""
+        free = x != 0
+        return free, np.where(free, x, 0.0), self.weight * np.sign(x[free])
+
 
 class BoxIndicator(NonsmoothFunction):
     """Indicator of the box {x : lower <= x <= upper}; prox is clamping."""
@@ -394,11 +401,12 @@ class BoxIndicator(NonsmoothFunction):
         self.lower = lower
         self.upper = upper
         self.dim = lower.shape[0] if lower.shape[0] > 1 else None
-        # value()'s relative slack, scaled by the finite bounds only
-        slack = 1e-12 * (1.0 + np.abs(np.where(np.isinf(lower), 0.0, lower))
-                         + np.abs(np.where(np.isinf(upper), 0.0, upper)))
-        self._lower_slack = lower - slack
-        self._upper_slack = upper + slack
+        # value()'s slack and free_set()'s tolerance scale with finite bounds
+        scale = (1.0 + np.abs(np.where(np.isinf(lower), 0.0, lower))
+                 + np.abs(np.where(np.isinf(upper), 0.0, upper)))
+        self._lower_slack = lower - 1e-12 * scale
+        self._upper_slack = upper + 1e-12 * scale
+        self._free_tol = 1e-9 * scale
 
     def value(self, x):
         inside = np.all((x >= self._lower_slack) & (x <= self._upper_slack),
@@ -408,6 +416,13 @@ class BoxIndicator(NonsmoothFunction):
     def prox(self, v, mu):
         """``np.clip(v, lower, upper)`` without its Python wrapper."""
         return np.minimum(np.maximum(v, self.lower), self.upper)
+
+    def free_set(self, x):
+        """Polish hook: mask off the bounds, x held at them, g's gradient 0."""
+        at_lo = x <= self.lower + self._free_tol
+        at_hi = x >= self.upper - self._free_tol
+        held = np.where(at_hi, self.upper, np.where(at_lo, self.lower, x))
+        return ~(at_lo | at_hi), held, 0.0
 
 
 class GenericProx(NonsmoothFunction):
@@ -460,14 +475,14 @@ class CompositeProblem:
 
 def prox_g(g, v, mu):
     """prox of the nonsmooth part: argmin_z g(z) + ||z - v||^2 / (2 mu)."""
-    mu = _check_mu(mu)
+    mu = _finite_scalar("penalty mu", mu, positive=True)
     v = _check_vector(v)
     return g.prox(v, mu)
 
 
 def prox_f(f, v, mu):
     """prox of the smooth part (closed form for quadratics, Newton opt-in)."""
-    mu = _check_mu(mu)
+    mu = _finite_scalar("penalty mu", mu, positive=True)
     v = _check_vector(v)
     return f.prox(v, mu)
 
@@ -487,7 +502,7 @@ def moreau(g, v, mu):
     envelope gradient is (v - p)/mu, which lies in the subdifferential of
     g at p.
     """
-    mu = _check_mu(mu)
+    mu = _finite_scalar("penalty mu", mu, positive=True)
     v = _check_vector(v)
     p = g.prox(v, mu)
     value = g.value(p) + float((p - v) @ (p - v)) / (2.0 * mu)

@@ -197,7 +197,7 @@ class TestEnvelopeInequalitySuite:
                 p = make_logistic_l1(s=20, n=10, ridge=0.3, lam=0.2,
                                      seed=seed)
             mu = 0.5 / p.f.L
-            rep = check_envelope_inequalities(p, mu, n_pairs=1000, seed=seed)
+            rep = check_envelope_inequalities(p, mu, seed=seed)
             worst = min(worst,
                         rep.details["worst_upper_margin"],
                         rep.details["worst_lower_margin"])

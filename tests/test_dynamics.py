@@ -603,6 +603,14 @@ class TestDiscreteSteps:
         with pytest.raises(ParameterDomainError):
             run_discrete(p, "dr_discrete", mu, 3)
 
+    def test_iterate_k_at_time_k(self):
+        p = make_quadratic_l1()
+        traj = run_discrete(p, "fb_discrete", 0.5 / p.f.L, 3)
+        assert traj.times.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert run_discrete(p, "fb_discrete", 0.5 / p.f.L, 0).times.size == 1
+        with pytest.raises(ParameterDomainError, match="n_steps"):
+            run_discrete(p, "fb_discrete", 0.5 / p.f.L, -3)
+
     def test_discrete_fb_converges_to_flow_limit(self):
         p = make_quadratic_l1(n=8, m=1.0, L=5.0, seed=17)
         mu = 1.0 / (2.0 * p.f.L)

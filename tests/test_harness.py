@@ -148,6 +148,32 @@ class TestConfig:
         assert code == 1
         assert "no dynamics" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("dims", [5]), ("dims", [20, 0]), ("dims", [0, 100]),
+        ("dims", [20.0, 100]), ("dims", [True, 100]), ("window", [1.0]),
+        ("window", [5.0, 1.0]), ("window", [1.0, float("inf")]),
+        ("seed", 1.7), ("seed", "0")])
+    def test_malformed_input_rejected(self, key, value):
+        # refused by name when the config is built, before any integration
+        d = dict(BenchmarkConfig().to_dict(), **{key: value})
+        with pytest.raises(ValueError, match=f"config {key} must be"):
+            BenchmarkConfig.from_dict(d)
+
+    def test_malformed_window_fails_before_any_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(BenchmarkConfig().to_dict(),
+                                            window=[1.0])))
+        code = cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1 and not (tmp_path / "out").exists()
+        assert "config window must be" in capsys.readouterr().err
+
+    def test_integral_seed_accepted(self):
+        # a box QP ignores its rows, and a whole float seed reads as an int
+        cfg = BenchmarkConfig.from_dict(dict(
+            BenchmarkConfig(example=BOX_QP).to_dict(), dims=[0, 12], seed=2.0))
+        assert cfg.dims == (0, 12) and type(cfg.seed) is int and cfg.seed == 2
+
     def test_readme_config_loads(self):
         # the README's schema block, its // comments stripped
         with open(Path(__file__).parents[1] / "README.md",

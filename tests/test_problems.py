@@ -389,6 +389,14 @@ class TestCompositeProblem:
         g = BoxIndicator([-np.inf, 0.0], [np.inf, np.inf])
         assert g.value(np.array([-1e300, 1e300])) == 0.0
 
+    def test_half_infinite_box_free_set(self):
+        # the polish hook's tolerance, too, scales with the finite bounds
+        # only: an infinite bound holds no coordinate and adds no nan
+        g = BoxIndicator([-np.inf, -1.0, 0.0], [1.0, np.inf, np.inf])
+        free, held, dg = g.free_set(np.array([1.0, 0.5, 1e-12]))
+        assert free.tolist() == [False, True, False]
+        assert held.tolist() == [1.0, 0.5, 0.0] and dg == 0.0
+
     def test_finite_box_keeps_its_slack(self):
         # x <= upper + 1e-12 (1 + |lower| + |upper|) counts as inside
         lower, upper = np.array([-1.0, -3.0]), np.array([2.0, 0.5])

@@ -49,6 +49,14 @@ def _fresh_output(code):
                           capture_output=True, text=True).stdout.strip()
 
 
+def test_readme_library_example_runs():
+    # the README's "Library example" block, as a user would paste it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = text.split("## Library example")[1]
+    code = code.split("```python")[1].split("```")[0]
+    assert float(_fresh_output(code)) <= -1.8     # accelerated: slope ~ -2
+
+
 def test_import_builds_no_csv_tables():
     # the trace writer's lookup tables are built on the first export; a
     # build at import would add to every process's start-up time
