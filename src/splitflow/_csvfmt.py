@@ -111,9 +111,9 @@ def _decimal_digits(a, t):
     return i, n, sure
 
 
-def format_rows(block, newline):
+def format_rows(block):
     """Bytes of ``block`` (R, C) as R CSV lines of ``'%.17e'`` fields joined
-    by ``,``, each line ended by ``newline`` (one or two characters)."""
+    by ``,``, each line ended by CRLF."""
     t = _tables()
     block = np.asarray(block, dtype=np.float64)
     n_rows, n_cols = block.shape
@@ -139,10 +139,8 @@ def format_rows(block, newline):
     pairs[:, 0] = t["lead"].take(n) | np.signbit(v) * np.uint16(ord("-"))
     pairs[:, 1] = t["dot"].take(n)
     buf[:, 5] = t["exp4"].take(i)
-    ends = np.zeros((n_cols, 4), dtype=np.uint8)      # (u, sep, sep, pad)
-    ends[:-1, 1] = ord(",")
-    ends[-1, 1:1 + len(newline)] = list(newline.encode("ascii"))
-    buf.reshape(n_rows, n_cols, 7)[..., 6] = ends.view(_U32).ravel()
+    ends = b"\0,\0\0" * (n_cols - 1) + b"\0\r\n\0"     # (u, sep, sep, pad)
+    buf.reshape(n_rows, n_cols, 7)[..., 6] = np.frombuffer(ends, _U32)
     pairs[:, 12] |= t["exp2"].take(i)
     out = buf.view(np.uint8)
     for k in np.flatnonzero(~fast):
@@ -152,14 +150,14 @@ def format_rows(block, newline):
     return out.tobytes().translate(None, b"\0")
 
 
-def write_csv(path, header, columns, newline):
+def write_csv(path, header, columns):
     """Write a header line and the rows of the column blocks ``columns``
-    (each (R, k)) to ``path``, formatting CHUNK_ROWS rows at a time.
-    Returns the number of bytes written."""
+    (each (R, k)) to ``path`` with CRLF line endings, formatting CHUNK_ROWS
+    rows at a time. Returns the number of bytes written."""
     with open(path, "wb") as fh:
-        size = fh.write((",".join(header) + newline).encode("ascii"))
+        size = fh.write((",".join(header) + "\r\n").encode("ascii"))
         for i in range(0, columns[0].shape[0], CHUNK_ROWS):
             rows = slice(i, i + CHUNK_ROWS)
             size += fh.write(format_rows(
-                np.hstack([c[rows] for c in columns]), newline))
+                np.hstack([c[rows] for c in columns])))
     return size

@@ -438,12 +438,8 @@ def export_trajectory_csv(traj, path):
     second-order kinds, then objective_gap, dist_sq. Missing observables
     are written as nan. CRLF line endings.
 
-    Every value is written in exactly the bytes of ``'%.17e' % value``.
-    A vectorized formatter computes the 18 digits exactly with numpy; the
-    few values it cannot decide with certainty (non-finite values,
-    magnitudes outside [1e-280, 1e280], values whose 18th digit lies
-    within 1e-6 of a rounding tie, and values whose decimal exponent the
-    logarithm got wrong) are formatted by ``'%.17e'`` itself. Returns the
+    Every value is written in exactly the bytes of ``'%.17e' % value``,
+    by the vectorized formatter of ``splitflow._csvfmt``. Returns the
     number of bytes written.
     """
     n = traj.primal.shape[1]
@@ -460,7 +456,7 @@ def export_trajectory_csv(traj, path):
     for name in ("objective_gap", "dist_sq"):
         header.append(name)
         blocks.append(traj.observables.get(name, nan)[:, None])
-    return write_csv(path, header, blocks, "\r\n")
+    return write_csv(path, header, blocks)
 
 
 def read_trace_csv(path):

@@ -18,7 +18,7 @@ import pickle
 import signal
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,6 +46,17 @@ _ALL_DYNAMICS = ("fb_flow", "dr_flow", "acc_fb", "acc_dr",
                  "fb_discrete", "dr_discrete")
 
 
+def _numbers(values, kind=numbers.Real):
+    """True for a tuple or list of finite numbers of ``kind`` (not bools)."""
+    return isinstance(values, (tuple, list)) and all(
+        isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values)
+
+
+# each l1 weight rule and the JSON key that holds its value
+_LAMBDA_KEYS = {"fraction_of_max": "fraction", "fixed": "value"}
+
+
 @dataclass(frozen=True)
 class LambdaRule:
     """l1 weight selection: a fraction of the zero-point dual norm, or fixed."""
@@ -53,22 +64,28 @@ class LambdaRule:
     kind: str = "fraction_of_max"
     value: float = 0.1
 
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in _LAMBDA_KEYS
+                and _numbers([self.value])):
+            raise ValueError("config lambda_rule must have a type in "
+                             f"{list(_LAMBDA_KEYS)} and a finite value: {self}")
+        object.__setattr__(self, "value", float(self.value))
+
     def resolve(self, lam_max):
-        if self.kind == "fraction_of_max":
-            return self.value * lam_max
-        if self.kind == "fixed":
-            return self.value
-        raise ValueError(f"unknown lambda rule {self.kind!r}")
+        return self.value * (lam_max if self.kind == "fraction_of_max" else 1)
 
     def to_dict(self):
-        key = "fraction" if self.kind == "fraction_of_max" else "value"
-        return {"type": self.kind, key: self.value}
+        return {"type": self.kind, _LAMBDA_KEYS[self.kind]: self.value}
 
     @staticmethod
     def from_dict(d):
-        kind = d["type"]
-        value = d.get("fraction", d.get("value"))
-        return LambdaRule(kind=kind, value=float(value))
+        """Rule from its JSON form, exactly {"type": t, t's key: value}."""
+        # str(): an unhashable "type" is refused, not a TypeError
+        key = isinstance(d, dict) and _LAMBDA_KEYS.get(str(d.get("type")))
+        if not key or set(d) != {"type", key}:
+            raise ValueError(f"config lambda_rule must be {{type: t, key: x}}"
+                             f" with t, key in {_LAMBDA_KEYS}, got {d!r}")
+        return LambdaRule(d["type"], d[key])
 
 
 def _random_orthogonal(n, rng):
@@ -151,13 +168,6 @@ def gen_logistic(s, n, ridge=0.1, lambda_rule=LambdaRule(), seed=0):
 # configuration / report
 # ---------------------------------------------------------------------------
 
-def _numbers(values, kind=numbers.Real):
-    """True for a tuple or list of finite numbers of ``kind`` (not bools)."""
-    return isinstance(values, (tuple, list)) and all(
-        isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
-        for v in values)
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     example: str = LASSO
@@ -173,9 +183,12 @@ class BenchmarkConfig:
     window: tuple | None = None      # rate-fit window; example default if None
 
     def __post_init__(self):
-        # malformed inputs fail here, before any problem is generated; box
-        # QP ignores the rows s of dims [s, n]
-        d, w = self.dims, self.window
+        # every field, from JSON or from Python; ranges are checked at use
+        if not (isinstance(self.example, str) and self.example in _EXAMPLES):
+            raise ValueError("config example must be one of "
+                             f"{list(_EXAMPLES)}, got {self.example!r}")
+        d, w, kinds = self.dims, self.window, self.dynamics
+        # box QP ignores the rows s of dims [s, n]
         if not (_numbers(d, numbers.Integral) and len(d) == 2
                 and d[0] >= (self.example != BOX_QP) and d[1] >= 1):
             raise ValueError("config dims must be two integers [s, n], n >= 1 "
@@ -185,6 +198,25 @@ class BenchmarkConfig:
         if w is not None and not (_numbers(w) and len(w) == 2 and w[0] < w[1]):
             raise ValueError(
                 f"config window must be two finite numbers a < b, got {w!r}")
+        if not (isinstance(kinds, (tuple, list))
+                and all(k in _ALL_DYNAMICS for k in kinds)):
+            raise ValueError("config dynamics must be a list of "
+                             f"{list(_ALL_DYNAMICS)}, got {kinds!r}")
+        if not kinds:
+            raise ValueError("config dynamics must not be empty: it lists "
+                             "no dynamics")
+        for key in ("kappa", "ridge", "t_end", "tol", "sample_dt"):
+            v = getattr(self, key)
+            if not _numbers([v]):
+                raise ValueError(
+                    f"config {key} must be a finite number, got {v!r}")
+            object.__setattr__(self, key, float(v))
+        if not isinstance(self.lambda_rule, LambdaRule):
+            object.__setattr__(self, "lambda_rule",
+                               LambdaRule.from_dict(self.lambda_rule))
+        object.__setattr__(self, "dims", tuple(d))
+        object.__setattr__(self, "dynamics", tuple(kinds))
+        object.__setattr__(self, "window", None if w is None else tuple(w))
         object.__setattr__(self, "seed", int(self.seed))   # 2.0 reads as 2
 
     def to_dict(self):
@@ -200,30 +232,20 @@ class BenchmarkConfig:
     @staticmethod
     def from_dict(d):
         """Config from its JSON form; absent optional keys take the field
-        defaults, while "example" and "dynamics" are required; an unknown
-        key raises ValueError."""
-        schema = d.get("schema")
+        defaults. A missing "example" or "dynamics" or an unknown key raises
+        ValueError naming it; the constructor checks the values."""
+        schema = d.get("schema") if isinstance(d, dict) else None
         if schema != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported config schema {schema!r}; expected {SCHEMA_VERSION}")
-        full = BenchmarkConfig().to_dict()
-        unknown = sorted(set(d) - set(full))
+        keys = {f.name for f in fields(BenchmarkConfig)}
+        unknown = sorted(set(d) - keys - {"schema"})
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        if not d["dynamics"]:
-            raise ValueError("config lists no dynamics")
-        unknown = [k for k in d["dynamics"] if k not in _ALL_DYNAMICS]
-        if unknown:
-            raise ValueError(f"unknown dynamics {unknown}")
-        full.update(d)
-        return BenchmarkConfig(
-            example=d["example"], dims=tuple(full["dims"]),
-            kappa=float(full["kappa"]), ridge=float(full["ridge"]),
-            lambda_rule=LambdaRule.from_dict(full["lambda_rule"]),
-            seed=full["seed"], dynamics=tuple(d["dynamics"]),
-            t_end=float(full["t_end"]), tol=float(full["tol"]),
-            sample_dt=float(full["sample_dt"]),
-            window=tuple(full["window"]) if full["window"] else None)
+        missing = [k for k in ("example", "dynamics") if k not in d]
+        if missing:
+            raise ValueError(f"config is missing required keys {missing}")
+        return BenchmarkConfig(**{k: v for k, v in d.items() if k != "schema"})
 
     @staticmethod
     def load(path):
@@ -238,16 +260,13 @@ class BenchmarkReport:
     wall_clock: float
 
     def all_passed(self):
-        flags = [rec.get("pass") for rec in self.dynamics.values()
-                 if "pass" in rec]
-        return all(flags) if flags else False
+        """Every record passed; an error record or no record fails."""
+        return bool(self.dynamics) and all(
+            rec.get("pass") is True for rec in self.dynamics.values())
 
     def to_dict(self):
-        return {
-            "problem": self.problem_meta,
-            "dynamics": self.dynamics,
-            "wall_clock": self.wall_clock,
-        }
+        return {"problem": self.problem_meta, "dynamics": self.dynamics,
+                "wall_clock": self.wall_clock}
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -307,20 +326,13 @@ _EXAMPLES = {
 }
 
 
-def _example(config):
-    try:
-        return _EXAMPLES[config.example]
-    except KeyError:
-        raise ValueError(f"unknown example {config.example!r}") from None
-
-
 def generate_problem(config):
-    return _example(config).generate(config)
+    return _EXAMPLES[config.example].generate(config)
 
 
 def _example_setup(config, problem):
     """Per-example penalty, flow time scale, and certification plan."""
-    example = _example(config)
+    example = _EXAMPLES[config.example]
     return {"mu": example.mu(problem), "alpha_flow": 1.0 / problem.f.L,
             "mode": example.mode,
             "window": config.window or example.window(config.t_end)}
@@ -341,7 +353,7 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
         if kind in ("fb_flow", "dr_flow"):
             sched = dynamics.ConvexSchedule(alpha=alpha_flow)
         else:
-            sched = _example(config).accelerated(problem, kind, mu)
+            sched = _EXAMPLES[config.example].accelerated(problem, kind, mu)
             rho = getattr(sched, "rate", None)    # None: convex schedule
         spec = dynamics.DynamicsSpec(kind, problem, mu, sched)
         traj = dynamics.integrate(spec, t_end=config.t_end, tol=config.tol,

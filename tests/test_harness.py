@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitflow import (BenchmarkConfig, LambdaRule, gen_boxqp, gen_lasso,
-                       gen_logistic, h_curve, run_benchmark, save_problem,
-                       solve_reference)
+from splitflow import (BenchmarkConfig, BenchmarkReport, LambdaRule,
+                       gen_boxqp, gen_lasso, gen_logistic, h_curve,
+                       run_benchmark, save_problem, solve_reference)
 from splitflow.cli import main as cli_main
 from splitflow.harness import BOX_QP, LOGISTIC, generate_problem
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, percent_e_csv
 
 
 class TestGenLasso:
@@ -113,9 +113,11 @@ class TestGenLogistic:
 class TestConfig:
     def test_roundtrip(self):
         cfg = BenchmarkConfig(example=BOX_QP, dims=(0, 24), kappa=50.0,
-                              dynamics=("acc_fb",), t_end=30.0)
+                              dynamics=("acc_fb",), t_end=30.0,
+                              lambda_rule=LambdaRule("fixed", 0.25))
         d = cfg.to_dict()
         assert d["schema"] == 1
+        assert d["lambda_rule"] == {"type": "fixed", "value": 0.25}
         cfg2 = BenchmarkConfig.from_dict(json.loads(json.dumps(d)))
         assert cfg2 == cfg
 
@@ -152,12 +154,45 @@ class TestConfig:
         ("dims", [5]), ("dims", [20, 0]), ("dims", [0, 100]),
         ("dims", [20.0, 100]), ("dims", [True, 100]), ("window", [1.0]),
         ("window", [5.0, 1.0]), ("window", [1.0, float("inf")]),
-        ("seed", 1.7), ("seed", "0")])
+        ("seed", 1.7), ("seed", "0"), ("dims", 5), ("window", 5),
+        ("dynamics", "acc_fb"), ("kappa", "1000"),
+        ("lambda_rule", {"type": "fraction_of_max"}),
+        ("lambda_rule", {"type": "fixed", "fraction": 0.3, "value": 9})])
     def test_malformed_input_rejected(self, key, value):
-        # refused by name when the config is built, before any integration
+        # refused by name when the config is built, before any integration,
+        # whether it comes from JSON or from Python
         d = dict(BenchmarkConfig().to_dict(), **{key: value})
         with pytest.raises(ValueError, match=f"config {key} must be"):
             BenchmarkConfig.from_dict(d)
+        with pytest.raises(ValueError, match=f"config {key} must be"):
+            BenchmarkConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, build", [
+        ("dynamics", lambda: BenchmarkConfig(dynamics=())),
+        ("dynamics", lambda: BenchmarkConfig(dynamics=("acc_fb", "bogus"))),
+        ("example", lambda: BenchmarkConfig(example="nope")),
+        ("lambda_rule", lambda: LambdaRule("bogus")),
+        ("t_end", lambda: BenchmarkConfig(t_end=float("nan"))),
+        ("tol", lambda: BenchmarkConfig(tol=True))],
+        ids=["no-dynamics", "bogus-dynamics", "example", "lambda-rule",
+             "nan-t_end", "bool-tol"])
+    def test_python_constructor_checks_like_json(self, key, build):
+        with pytest.raises(ValueError, match=f"config {key} must"):
+            build()
+
+    def test_missing_required_keys_named(self):
+        with pytest.raises(ValueError, match=r"\['example', 'dynamics'\]"):
+            BenchmarkConfig.from_dict({"schema": 1})
+
+    def test_numbers_stored_as_floats(self, tmp_path):
+        # integer JSON numbers are written back as the floats they stand for
+        cfg = BenchmarkConfig.from_dict(
+            {"schema": 1, "example": BOX_QP, "dims": [0, 8], "kappa": 1000,
+             "t_end": 200, "sample_dt": 1, "dynamics": ["fb_discrete"]})
+        assert type(cfg.t_end) is float and type(cfg.kappa) is float
+        run_benchmark(cfg, out_dir=str(tmp_path))
+        text = (tmp_path / "config.json").read_text()
+        assert '"t_end": 200.0' in text and '"kappa": 1000.0' in text
 
     def test_malformed_window_fails_before_any_run(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -219,6 +254,11 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert "error" in report.dynamics["acc_dr"]
         assert "error" not in report.dynamics["acc_fb"]
+        # an error record has no verdict, so the report does not pass
+        assert not report.all_passed()
+
+    def test_report_without_records_does_not_pass(self):
+        assert not BenchmarkReport({}, {}, 0.0).all_passed()
 
     def test_records_carry_run_telemetry(self, tmp_path):
         cfg = BenchmarkConfig(dims=(8, 20), seed=0,
@@ -488,6 +528,14 @@ class TestCli:
         lines = (tmp_path / "hcurve.csv").read_text().strip().splitlines()
         assert lines[0] == "w,h"
         assert len(lines) == 201
+
+    def test_verify_hcurve_csv_bytes(self, tmp_path):
+        assert cli_main(["verify", "hcurve", "--grid", "50",
+                         "--out", str(tmp_path)]) == 0
+        d = h_curve(np.arange(1, 51) / 50).details
+        block = np.column_stack([d["w"], d["h"]])
+        assert (tmp_path / "hcurve.csv").read_bytes() == (
+            b"w,h\n" + percent_e_csv(block, "\n"))
 
     def test_verify_conditions(self, tmp_path):
         code = cli_main(["verify", "conditions", "--grid", "100",
