@@ -152,7 +152,7 @@ class DynamicsSpec:
         if self.kind not in _FLOW_KINDS + _ACC_KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
         check_mu_domain(self.mu, self.problem.f.L)
-        if self.kind in _DR_KINDS and not self.problem.f.supports_prox():
+        if self.kind in _DR_KINDS and self.problem.f.kind != "quadratic":
             raise UnsupportedOperationError(
                 f"{self.kind} requires prox of the smooth part")
         # for non-quadratic strongly convex f with a constant schedule, the
@@ -396,7 +396,7 @@ def discrete_fb_step(problem, x, alpha_bar, mu):
 def discrete_dr_step(problem, z, mu):
     """One Douglas-Rachford step z - prox_f(z) + prox_g(2 prox_f(z) - z)."""
     mu = _finite_scalar("penalty mu", mu, positive=True)
-    if not problem.f.supports_prox():
+    if problem.f.kind != "quadratic":
         raise UnsupportedOperationError("DR step requires prox of the smooth part")
     xh = problem.f.prox(z, mu)
     return z - xh + problem.g.prox(2.0 * xh - z, mu)

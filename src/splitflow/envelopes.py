@@ -113,30 +113,21 @@ def fb_envelope(problem, x, mu):
                         prox_point=p)
 
 
-def _apply_prox_jacobian(f, x_hat, mu, rhs):
-    """Solve (I + mu hess f(x_hat)) w = rhs."""
-    if f.kind == "quadratic":
-        return f.solve_shifted(mu, rhs)
-    H = f.hessian(x_hat)
-    return np.linalg.solve(np.eye(x_hat.shape[0]) + mu * H, rhs)
-
-
 def dr_envelope(problem, z, mu):
     """DR envelope evaluation at z.
 
     value    = FB envelope at prox_{mu f}(z)
     gradient = (2 jac prox_{mu f}(z) - I) G_mu(prox_{mu f}(z))
+    for a quadratic f (the paper's DR case), whose jac prox is (I + mu Q)^-1
     """
     mu = check_mu_domain(mu, problem.f.L)
     f = problem.f
-    if not f.supports_prox():
+    if f.kind != "quadratic":
         raise UnsupportedOperationError(
-            "DR envelope needs prox of the smooth part (quadratic f, or a "
-            "smooth part with the inner Newton solver enabled)")
+            "DR envelope needs prox of the smooth part (a quadratic f)")
     x_hat = f.prox(z, mu)
     _, _, G, _, value = _fb_kernel(problem, x_hat, mu)
-    w = _apply_prox_jacobian(f, x_hat, mu, G)
-    gradient = 2.0 * w - G
+    gradient = 2.0 * f.solve_shifted(mu, G) - G
     return EnvelopeEval(value=value, gradient=gradient, gen_grad=G,
                         prox_point=x_hat)
 

@@ -47,10 +47,14 @@ _ALL_DYNAMICS = ("fb_flow", "dr_flow", "acc_fb", "acc_dr",
 
 
 def _numbers(values, kind=numbers.Real):
-    """True for a tuple or list of finite numbers of ``kind`` (not bools)."""
-    return isinstance(values, (tuple, list)) and all(
-        isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
-        for v in values)
+    """True for a tuple or list of finite numbers of ``kind`` (not bools);
+    an integer beyond float range is not finite."""
+    try:
+        return isinstance(values, (tuple, list)) and all(
+            isinstance(v, kind) and not isinstance(v, bool)
+            and math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
 
 
 # each l1 weight rule and the JSON key that holds its value
@@ -193,8 +197,10 @@ class BenchmarkConfig:
                 and d[0] >= (self.example != BOX_QP) and d[1] >= 1):
             raise ValueError("config dims must be two integers [s, n], n >= 1 "
                              f"and s >= 1 (s >= 0 for box_qp), got {d!r}")
-        if not (_numbers([self.seed]) and float(self.seed).is_integer()):
-            raise ValueError(f"config seed must be an integer, got {self.seed!r}")
+        if not (_numbers([self.seed]) and float(self.seed).is_integer()
+                and self.seed >= 0):
+            raise ValueError("config seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
         if w is not None and not (_numbers(w) and len(w) == 2 and w[0] < w[1]):
             raise ValueError(
                 f"config window must be two finite numbers a < b, got {w!r}")
@@ -333,9 +339,12 @@ def generate_problem(config):
 def _example_setup(config, problem):
     """Per-example penalty, flow time scale, and certification plan."""
     example = _EXAMPLES[config.example]
+    a, b = window = config.window or example.window(config.t_end)
+    if not a < min(b, config.t_end):    # else every record fails its fit
+        raise ValueError(f"config window {list(window)} holds no time of "
+                         f"the run (0, t_end={config.t_end}]")
     return {"mu": example.mu(problem), "alpha_flow": 1.0 / problem.f.L,
-            "mode": example.mode,
-            "window": config.window or example.window(config.t_end)}
+            "mode": example.mode, "window": window}
 
 
 def _run_one(config, problem, kind, setup, reference, out_dir):

@@ -8,7 +8,8 @@ call concurrently (internal factorization caches are idempotent).
 
 The ``value``, ``gradient`` and ``prox`` oracles take a point ``(n,)`` or a
 stack of points ``(S, n)`` and return one result per point; black-box
-callables and the inner Newton prox are applied row by row.
+callables are applied row by row. The prox of f has a closed form only for
+a quadratic f, the case the paper's Douglas-Rachford theorems cover.
 """
 
 from __future__ import annotations
@@ -102,15 +103,13 @@ class SmoothFunction:
 
     Subclasses provide value / gradient / Hessian-vector oracles and the
     constants ``m`` (strong convexity, >= 0) and ``L`` (gradient Lipschitz).
-    The prox is available through the opt-in inner Newton solver
-    (``newton_prox=True``) unless a subclass has a closed form.
+    Only ``Quadratic`` has a prox; the others raise UnsupportedOperationError.
     """
 
     kind = "generic"
     m = 0.0
     L = 0.0
     dim = None
-    newton_prox = False
 
     def value(self, x):
         raise NotImplementedError
@@ -126,16 +125,10 @@ class SmoothFunction:
         raise UnsupportedOperationError(
             f"{type(self).__name__} has no dense Hessian oracle")
 
-    def supports_prox(self):
-        return self.newton_prox
-
     def prox(self, v, mu):
-        if not self.newton_prox:
-            raise UnsupportedOperationError(
-                f"prox of the smooth part is not available for "
-                f"{type(self).__name__}; enable the inner Newton solver "
-                "(newton_prox=True) or use a quadratic f")
-        return _by_rows(lambda r: _newton_prox(self, r, mu), v)
+        raise UnsupportedOperationError(
+            f"prox of the smooth part is not available for "
+            f"{type(self).__name__}: only a quadratic f has one")
 
 
 class Quadratic(SmoothFunction):
@@ -189,9 +182,6 @@ class Quadratic(SmoothFunction):
     def hessian(self, x):
         return self.Q
 
-    def supports_prox(self):
-        return True
-
     def _shifted_factor(self, mu):
         # Cholesky of (I + mu Q), cached per penalty value
         _load_lapack()      # on a hit too: an unpickled cache comes along
@@ -215,43 +205,6 @@ class Quadratic(SmoothFunction):
         return self.solve_shifted(mu, v - mu * self.q)
 
 
-def _newton_prox(f, v, mu):
-    """Damped Newton solve of grad f(z) + (z - v)/mu = 0, to a residual of
-    1e-10 (1 + ||v||) within 100 iterations."""
-    z = np.array(v, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("inner Newton prox: non-finite input")
-    target = 1e-10 * (1.0 + np.linalg.norm(v))
-    for _ in range(100):
-        r = mu * f.gradient(z) + z - v
-        rnorm = np.linalg.norm(r)
-        if rnorm <= target:
-            return z
-        try:
-            H = f.hessian(z)
-            delta = np.linalg.solve(mu * H + np.eye(z.shape[0]), -r)
-        except UnsupportedOperationError:
-            # the only user of scipy.sparse.linalg, imported here to keep it
-            # out of every process's start-up
-            from scipy.sparse.linalg import LinearOperator, cg
-            op = LinearOperator(
-                (z.shape[0], z.shape[0]),
-                matvec=lambda u: mu * f.hess_vec(z, u) + u)
-            delta, _ = cg(op, -r, rtol=1e-12, atol=0.0)
-        step = 1.0
-        while step > 1e-12:
-            zn = z + step * delta
-            rn = np.linalg.norm(mu * f.gradient(zn) + zn - v)
-            if rn <= (1.0 - 0.25 * step) * rnorm:
-                break
-            step *= 0.5
-        z = z + step * delta
-    r = mu * f.gradient(z) + z - v
-    if np.linalg.norm(r) <= target:
-        return z
-    raise RuntimeError("inner Newton prox solve did not converge")
-
-
 class LogisticRidge(SmoothFunction):
     """Ridge-regularized logistic loss.
 
@@ -262,7 +215,7 @@ class LogisticRidge(SmoothFunction):
 
     kind = "logistic_ridge"
 
-    def __init__(self, A, y, ridge, newton_prox=False):
+    def __init__(self, A, y, ridge):
         A = np.asarray(A, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         if A.ndim != 2:
@@ -285,7 +238,6 @@ class LogisticRidge(SmoothFunction):
         smax = _svdvals(A)[0] if min(A.shape) else 0.0
         self.m = ridge
         self.L = ridge + 0.25 * float(smax) ** 2
-        self.newton_prox = bool(newton_prox)
         from scipy.special import expit     # kept out of `import splitflow`
         self._expit = expit
 
@@ -312,14 +264,12 @@ class LogisticRidge(SmoothFunction):
 class GenericOracle(SmoothFunction):
     """Black-box smooth function given by callables.
 
-    ``hess_vec_fn`` is optional but required by envelope gradients; the
-    inner Newton prox solve is opt-in via ``newton_prox=True``.
+    ``hess_vec_fn`` is optional but required by envelope gradients.
     """
 
     kind = "generic"
 
-    def __init__(self, value_fn, grad_fn, dim, m, L, hess_vec_fn=None,
-                 newton_prox=False):
+    def __init__(self, value_fn, grad_fn, dim, m, L, hess_vec_fn=None):
         self.value_fn = value_fn
         self.grad_fn = grad_fn
         self.hess_vec_fn = hess_vec_fn
@@ -328,7 +278,6 @@ class GenericOracle(SmoothFunction):
         self.L = float(L)
         if not 0 <= self.m <= self.L:
             raise ValueError("constants must satisfy 0 <= m <= L")
-        self.newton_prox = bool(newton_prox)
 
     def value(self, x):
         return _by_rows(self.value_fn, x)
@@ -481,7 +430,7 @@ def prox_g(g, v, mu):
 
 
 def prox_f(f, v, mu):
-    """prox of the smooth part (closed form for quadratics, Newton opt-in)."""
+    """prox of the smooth part (closed form; only a quadratic f has one)."""
     mu = _finite_scalar("penalty mu", mu, positive=True)
     v = _check_vector(v)
     return f.prox(v, mu)

@@ -7,10 +7,10 @@ from scipy.integrate import solve_ivp
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
                        ConstantSchedule, ConvexSchedule, DynamicsSpec,
                        GenericOracle, GenericProx, IntegrationFailure, L1,
-                       LogisticRidge, ParameterDomainError, Quadratic,
+                       ParameterDomainError, Quadratic,
                        UnsupportedOperationError, discrete_dr_step,
-                       discrete_fb_step, generalized_gradient, identity_prox,
-                       integrate, run_discrete,
+                       discrete_fb_step, dr_envelope, generalized_gradient,
+                       identity_prox, integrate, prox_f, run_discrete,
                        schedule_strongly_convex, solve_reference,
                        vector_field)
 from splitflow import dynamics as dynamics_module
@@ -127,9 +127,27 @@ class TestVectorField:
         np.testing.assert_allclose(dx, [-3.0], atol=1e-13)
 
     def test_dr_kinds_need_prox(self):
-        p = make_logistic_l1()
-        with pytest.raises(UnsupportedOperationError):
-            DynamicsSpec(DR_FLOW, p, 0.5 / p.f.L, ConvexSchedule(alpha=1.0))
+        # every DR entry point needs the prox of f, which only a quadratic
+        # f has, as in the paper's DR theorems
+        logistic = make_logistic_l1()
+        generic = CompositeProblem(GenericOracle(
+            lambda x: float(x @ x), lambda x: 2.0 * x, logistic.dim, 2.0, 2.0),
+            logistic.g)
+        entries = {
+            "dr_flow": lambda p, z, mu: DynamicsSpec(DR_FLOW, p, mu,
+                                                     ConvexSchedule(1.0)),
+            "acc_dr": lambda p, z, mu: DynamicsSpec(ACC_DR, p, mu,
+                                                    ConvexSchedule(1.0)),
+            "discrete_dr_step": discrete_dr_step,
+            "dr_discrete": lambda p, z, mu: run_discrete(p, "dr_discrete",
+                                                         mu, 3),
+            "dr_envelope": dr_envelope,
+            "prox_f": lambda p, z, mu: prox_f(p.f, z, mu)}
+        for p in (logistic, generic):
+            for name, entry in entries.items():
+                with pytest.raises(UnsupportedOperationError):
+                    entry(p, np.ones(p.dim), 0.5 / p.f.L)
+                    pytest.fail(f"{name} ran on {p.f.kind} f")
 
     def test_nonquadratic_acc_fb_mu_bound(self):
         p = make_logistic_l1()
@@ -346,11 +364,11 @@ class TestIntegrate:
         assert exc.value.partial is not None
         assert exc.value.partial.times.shape[0] >= 1
 
-    def test_non_finite_stage_reaching_newton_prox(self, monkeypatch):
+    def test_non_finite_stage_reaching_raising_prox(self, monkeypatch):
         # the stages of a step are checked together, so a later stage's
-        # state is built from a non-finite one; the Newton prox of f then
-        # refuses it, which must still read as a non-finite field, with
-        # the refused evaluation counted
+        # state is built from a non-finite one; a prox that refuses it must
+        # still read as a non-finite field, with the refused evaluation
+        # counted
         calls = {"n": 0}
         seen = []
 
@@ -361,11 +379,12 @@ class TestIntegrate:
         monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
 
         def bad_prox(v, mu):
+            if not np.isfinite(v).all():
+                raise ValueError("prox refuses non-finite input")
             calls["n"] += 1
             return v * np.nan if calls["n"] > 40 else v
 
-        lr = make_logistic_l1().f
-        f = LogisticRidge(lr.A, lr.y, lr.ridge, newton_prox=True)
+        f = make_quadratic_l1().f
         p = CompositeProblem(f, GenericProx(lambda x: 0.0, bad_prox))
         spec = DynamicsSpec(ACC_DR, p, 0.5 / f.L, ConvexSchedule(alpha=0.1))
         with pytest.raises(IntegrationFailure, match="non-finite") as exc:

@@ -12,7 +12,8 @@ from splitflow import (BenchmarkConfig, BenchmarkReport, LambdaRule,
                        gen_boxqp, gen_lasso, gen_logistic, h_curve,
                        run_benchmark, save_problem, solve_reference)
 from splitflow.cli import main as cli_main
-from splitflow.harness import BOX_QP, LOGISTIC, generate_problem
+from splitflow.harness import (BOX_QP, LOGISTIC, _example_setup,
+                               generate_problem)
 
 from oracles import finite_diff_grad, percent_e_csv
 
@@ -157,7 +158,11 @@ class TestConfig:
         ("seed", 1.7), ("seed", "0"), ("dims", 5), ("window", 5),
         ("dynamics", "acc_fb"), ("kappa", "1000"),
         ("lambda_rule", {"type": "fraction_of_max"}),
-        ("lambda_rule", {"type": "fixed", "fraction": 0.3, "value": 9})])
+        ("lambda_rule", {"type": "fixed", "fraction": 0.3, "value": 9}),
+        ("seed", -1),
+        pytest.param("kappa", 10**400, id="kappa-int-beyond-float"),
+        pytest.param("dims", [10**400, 5], id="dims-int-beyond-float"),
+        pytest.param("seed", 10**400, id="seed-int-beyond-float")])
     def test_malformed_input_rejected(self, key, value):
         # refused by name when the config is built, before any integration,
         # whether it comes from JSON or from Python
@@ -202,6 +207,32 @@ class TestConfig:
                          "--out", str(tmp_path / "out")])
         assert code == 1 and not (tmp_path / "out").exists()
         assert "config window must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"t_end": 5.0}, {"window": [300.0, 400.0]}, {"t_end": -1.0}],
+        ids=["default-window-after-t_end", "window-after-t_end",
+             "negative-t_end"])
+    def test_window_outside_run_refused(self, overrides):
+        # a window with no time in (0, t_end] would fail every record's fit
+        # after all the integrations; it is refused before the reference
+        cfg = BenchmarkConfig(**overrides)
+        with pytest.raises(ValueError, match="config window"):
+            _example_setup(cfg, generate_problem(cfg))
+
+    def test_window_outside_run_fails_before_any_run(self, tmp_path, capsys):
+        # the default lasso window (10, 200) clipped to t_end = 5 is (10, 5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(BenchmarkConfig().to_dict(),
+                                            t_end=5.0)))
+        code = cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1 and not (tmp_path / "out" / "report.json").exists()
+        assert "config window [10.0, 5.0]" in capsys.readouterr().err
+
+    def test_window_ending_after_t_end_accepted(self):
+        cfg = BenchmarkConfig(window=[1.0, 400.0])
+        setup = _example_setup(cfg, generate_problem(cfg))
+        assert setup["window"] == (1.0, 400.0)
 
     def test_integral_seed_accepted(self):
         # a box QP ignores its rows, and a whole float seed reads as an int

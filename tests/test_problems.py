@@ -164,49 +164,10 @@ class TestProxF:
             assert np.array_equal(f.prox(v, mu),
                                   sla.cho_solve(fac, (v - mu * f.q).T).T)
 
-    def test_logistic_requires_newton_optin(self):
+    def test_logistic_has_no_prox(self):
         problem = make_logistic_l1()
         with pytest.raises(UnsupportedOperationError):
             prox_f(problem.f, np.zeros(problem.dim), 0.1)
-
-    def test_logistic_newton_prox(self, rng):
-        gen = np.random.default_rng(3)
-        A = gen.standard_normal((12, 6))
-        y = (gen.uniform(size=12) < 0.5).astype(float)
-        f = LogisticRidge(A, y, 0.3, newton_prox=True)
-        v = rng.standard_normal(6)
-        z = prox_f(f, v, 0.4)
-        resid = f.gradient(z) + (z - v) / 0.4
-        assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(v))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_newton_prox_refuses_non_finite_input(self, monkeypatch, bad):
-        # refused before the first Newton iteration, not after 100 of them
-        lr = make_logistic_l1().f
-        f = LogisticRidge(lr.A, lr.y, lr.ridge, newton_prox=True)
-        calls = []
-
-        def counting(x):
-            calls.append(x)
-            return LogisticRidge.gradient(f, x)
-
-        monkeypatch.setattr(f, "gradient", counting)
-        v = np.zeros(f.dim)
-        v[3] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            f.prox(v, 0.1)
-        assert len(calls) <= 1
-
-    def test_generic_newton_prox(self):
-        f = GenericOracle(lambda x: float(np.cosh(x).sum()),
-                          lambda x: np.sinh(x),
-                          dim=3, m=1.0, L=10.0,
-                          hess_vec_fn=lambda x, v: np.cosh(x) * v,
-                          newton_prox=True)
-        v = np.array([1.0, -2.0, 0.3])
-        z = prox_f(f, v, 0.05)
-        resid = f.gradient(z) + (z - v) / 0.05
-        assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(v))
 
 
 class TestSoftplus:

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
                        CompositeProblem, ConvexSchedule, DynamicsSpec,
-                       GenericOracle, GenericProx, L1, LogisticRidge,
+                       GenericOracle, GenericProx, L1,
                        generalized_gradient, lyapunov_value,
                        make_lyapunov_spec, prox_g, solve_reference,
                        vector_field)
@@ -113,20 +113,19 @@ def oracles(seed, mu):
     """Every value / gradient / prox oracle, as a function of x alone."""
     quad = make_quadratic_l1(n=N, seed=seed).f
     logi = make_logistic_l1(s=10, n=N, seed=seed).f
-    newton = LogisticRidge(logi.A, logi.y, logi.ridge, newton_prox=True)
     gen_f = GenericOracle(lambda x: float(x @ x), lambda x: 2.0 * x, N,
                           2.0, 2.0)
     gen_g = GenericProx(lambda x: float(np.abs(x).sum()),
                         lambda v, m: np.sign(v) * np.maximum(np.abs(v) - m, 0))
     l1, box = L1(0.7), BoxIndicator(-np.ones(N), np.ones(N))
-    smooth = {"quadratic": quad, "logistic": newton, "generic_f": gen_f}
+    smooth = {"quadratic": quad, "logistic": logi, "generic_f": gen_f}
     parts = dict(smooth, l1=l1, box=box, generic_g=gen_g)
     out = {"objective": CompositeProblem(logi, l1).objective}
     for name, part in parts.items():
         out[name + ".value"] = part.value
         if name in smooth:
             out[name + ".gradient"] = part.gradient
-        if name != "generic_f":         # built without the Newton prox
+        if name not in ("logistic", "generic_f"):   # f's prox: quadratic only
             out[name + ".prox"] = lambda x, part=part: part.prox(x, mu)
     return out
 

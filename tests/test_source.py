@@ -69,9 +69,8 @@ def test_import_builds_no_csv_tables():
 
 def test_import_leaves_out_slow_scipy_modules():
     # the integrator is in-house, LAPACK is bound when a matrix is first
-    # factored, the Newton prox imports the sparse solvers on first use and
-    # expit is imported when a logistic problem is built; any scipy import
-    # would add to every process's start-up time
+    # factored and expit is imported when a logistic problem is built; any
+    # scipy import would add to every process's start-up time
     out = _fresh_output(
         "import splitflow, sys; "
         "print([m for m in sys.modules if m.startswith('scipy')])")
