@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, dynamics, envelopes
 from .problems import (BoxIndicator, CompositeProblem, L1, LogisticRidge,
-                       Quadratic, _load_lapack)
+                       Quadratic, _finite_scalar, _load_lapack)
 
 __all__ = [
     "LambdaRule",
@@ -340,9 +340,14 @@ def _example_setup(config, problem):
     """Per-example penalty, flow time scale, and certification plan."""
     example = _EXAMPLES[config.example]
     a, b = window = config.window or example.window(config.t_end)
-    if not a < min(b, config.t_end):    # else every record fails its fit
-        raise ValueError(f"config window {list(window)} holds no time of "
-                         f"the run (0, t_end={config.t_end}]")
+    for discrete in {kind.endswith("_discrete") for kind in config.dynamics}:
+        times = np.arange(math.ceil(config.t_end) + 1) if discrete else (
+            np.append(0.0, dynamics._sample_grid(config.t_end, _finite_scalar(
+                "sample_dt", config.sample_dt, positive=True))))
+        if np.count_nonzero((a <= times) & (times <= b)) < 2:
+            family = "discrete" if discrete else "flow"
+            raise ValueError(f"config window {list(window)} holds fewer than "
+                             f"2 sample times of the {family} kinds")
     return {"mu": example.mu(problem), "alpha_flow": 1.0 / problem.f.L,
             "mode": example.mode, "window": window}
 
@@ -418,7 +423,8 @@ def _run_dynamics(config, problem, setup, reference, out_dir):
     that ran them: the caller runs ``kinds[0::w]``, and forked child i runs
     ``kinds[i::w]`` and sends its records back pickled over a pipe."""
     kinds = tuple(dict.fromkeys(config.dynamics))
-    _load_lapack()          # before the thread count; the children inherit it
+    if problem.f.kind == "quadratic" and set(kinds) & set(dynamics._Z_KINDS):
+        _load_lapack()      # before the thread count; the children inherit it
     w = _workers(len(kinds))
 
     def run(share):

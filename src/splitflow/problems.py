@@ -69,20 +69,17 @@ def _softplus(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-_cho_factor = _dpotrs = _svdvals = None    # bound by _load_lapack
+_cho_factor = _dpotrs = None    # bound by _load_lapack
 
 
 def _load_lapack():
-    """Bind scipy's LAPACK routines on first use. ``import scipy.linalg``
-    takes about 0.2 s, and lasso and box-QP generation, certification and
-    the FB kinds never factor a matrix; a process that forks calls this
-    first, so that its children inherit the module and scipy's BLAS threads
-    are counted."""
-    global _cho_factor, _dpotrs, _svdvals
-    if _dpotrs is None:     # bound last: once it is set, all three are
-        from scipy.linalg import cho_factor, svdvals
-        from scipy.linalg.lapack import dpotrs
-        _cho_factor, _svdvals, _dpotrs = cho_factor, svdvals, dpotrs
+    """Bind scipy's Cholesky routines on first use: ``import scipy.linalg``
+    takes about 0.2 s. A process that forks with a DR kind calls this first,
+    so that its children inherit the module and its BLAS threads count."""
+    global _cho_factor, _dpotrs
+    if _dpotrs is None:     # bound last: once it is set, both are
+        from scipy.linalg import cho_factor, lapack
+        _cho_factor, _dpotrs = cho_factor, lapack.dpotrs
 
 
 def _finite_scalar(name, value, positive=False):
@@ -234,8 +231,8 @@ class LogisticRidge(SmoothFunction):
         self.y = y
         self.ridge = ridge
         self.dim = A.shape[1]
-        _load_lapack()
-        smax = _svdvals(A)[0] if min(A.shape) else 0.0
+        # numpy's gesdd, the LAPACK routine scipy's svdvals calls
+        smax = np.linalg.svd(A, compute_uv=False)[0] if min(A.shape) else 0.0
         self.m = ridge
         self.L = ridge + 0.25 * float(smax) ** 2
         from scipy.special import expit     # kept out of `import splitflow`
@@ -489,18 +486,15 @@ def problem_to_dict(problem):
 def problem_from_dict(d):
     fd, gd = d["f"], d["g"]
     if fd["kind"] == "quadratic":
-        f = Quadratic(np.asarray(fd["Q"], dtype=float),
-                      np.asarray(fd["q"], dtype=float), fd.get("m"), fd.get("L"))
+        f = Quadratic(fd["Q"], fd["q"], fd.get("m"), fd.get("L"))
     elif fd["kind"] == "logistic_ridge":
-        f = LogisticRidge(np.asarray(fd["A"], dtype=float),
-                          np.asarray(fd["y"], dtype=float), fd["ridge"])
+        f = LogisticRidge(fd["A"], fd["y"], fd["ridge"])
     else:
         raise ValueError(f"unknown smooth kind {fd['kind']!r}")
     if gd["kind"] == "l1":
         g = L1(gd["weight"])
     elif gd["kind"] == "box":
-        g = BoxIndicator(np.asarray(gd["lower"], dtype=float),
-                         np.asarray(gd["upper"], dtype=float))
+        g = BoxIndicator(gd["lower"], gd["upper"])
     else:
         raise ValueError(f"unknown nonsmooth kind {gd['kind']!r}")
     return CompositeProblem(f, g)

@@ -234,6 +234,44 @@ class TestConfig:
         setup = _example_setup(cfg, generate_problem(cfg))
         assert setup["window"] == (1.0, 400.0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(t_end=20.0, window=[10.0, 20.0], sample_dt=30.0,
+              dynamics=["fb_flow", "acc_fb"]),
+         r"config window \[10.0, 20.0\] holds fewer than 2 sample times "
+         r"of the flow kinds"),
+        (dict(window=[10.2, 10.8], dynamics=["fb_discrete"]),
+         r"config window \[10.2, 10.8\] holds fewer than 2 sample times "
+         r"of the discrete kinds"),
+        (dict(window=[10.2, 10.8], dynamics=["acc_fb", "fb_discrete"]),
+         "of the discrete kinds"),
+        (dict(sample_dt=0.0), "sample_dt must be finite and positive")],
+        ids=["flow-grid-too-coarse", "discrete-between-iterates",
+             "one-family-too-few", "zero-sample_dt"])
+    def test_sparse_window_refused_before_any_solve(self, monkeypatch,
+                                                     overrides, message):
+        # at t_end = 20 and sample_dt = 30 a flow samples t = 0 and 20 only,
+        # so [10, 20] holds one sample, and [10.2, 10.8] holds no iterate;
+        # each such kind's fit would fail after the reference and the runs
+        calls = []
+        for name in ("integrate", "run_discrete"):
+            monkeypatch.setattr(f"splitflow.dynamics.{name}",
+                                lambda *a, _name=name, **k: calls.append(_name))
+        monkeypatch.setattr("splitflow.analysis.solve_reference",
+                            lambda *a, **k: calls.append("solve_reference"))
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(BenchmarkConfig(**overrides))
+        assert calls == []
+
+    @pytest.mark.parametrize("overrides", [
+        dict(t_end=20.0, window=[0.0, 20.0], sample_dt=30.0),
+        dict(t_end=10.5, window=[10.0, 12.0], dynamics=["fb_discrete"]),
+        dict(window=[10.2, 10.8], dynamics=["acc_fb"], sample_dt=0.25)],
+        ids=["flow-0-and-t_end", "discrete-past-t_end", "flow-fine-grid"])
+    def test_window_with_two_sample_times_accepted(self, overrides):
+        cfg = BenchmarkConfig(**overrides)
+        setup = _example_setup(cfg, generate_problem(cfg))
+        assert setup["window"] == tuple(overrides["window"])
+
     def test_integral_seed_accepted(self):
         # a box QP ignores its rows, and a whole float seed reads as an int
         cfg = BenchmarkConfig.from_dict(dict(
@@ -470,11 +508,10 @@ print(json.dumps([alone, with_thread, thread.is_alive()]))
         assert counts == [min(4, _CPUS), 1, False]
 
 
-def test_lapack_is_bound_before_the_thread_count():
-    # children inherit scipy.linalg instead of importing it on every pass,
-    # and the thread count sees the BLAS pool that importing it may start;
-    # with FB kinds only, nothing before _run_dynamics factors a matrix
-    seen = _single_threaded_run("""
+def _lapack_at_thread_count(kinds):
+    """Whether scipy.linalg was loaded when ``_workers`` counted threads,
+    and at the end of a lasso run of ``kinds`` in a fresh interpreter."""
+    return _single_threaded_run(f"""
 import json, sys
 from splitflow import harness
 workers = harness._workers
@@ -483,11 +520,43 @@ def spy(n_kinds):
     seen.append("scipy.linalg" in sys.modules)
     return workers(n_kinds)
 harness._workers = spy
-harness.run_benchmark(harness.BenchmarkConfig(dims=(6, 12), dynamics=(
-    "fb_flow", "acc_fb"), t_end=5.0, sample_dt=0.5, window=(1.0, 5.0)))
-print(json.dumps(seen))
+harness.run_benchmark(harness.BenchmarkConfig(dims=(6, 12), dynamics={kinds!r},
+    t_end=5.0, sample_dt=0.5, window=(1.0, 5.0)))
+print(json.dumps(seen + ["scipy.linalg" in sys.modules]))
 """)
-    assert seen == [True]
+
+
+def test_lapack_is_bound_before_the_thread_count():
+    # children inherit scipy.linalg instead of importing it on every pass,
+    # and the thread count sees the BLAS pool that importing it may start;
+    # with a DR kind listed, nothing before _run_dynamics factors a matrix
+    assert _lapack_at_thread_count(("fb_flow", "acc_dr")) == [True, True]
+
+
+def test_fb_only_run_loads_no_lapack():
+    # no FB kind factors a matrix, so the run never binds LAPACK
+    assert _lapack_at_thread_count(
+        ("fb_flow", "acc_fb", "fb_discrete")) == [False, False]
+
+
+def test_logistic_L_matches_scipy_svdvals_bit_for_bit():
+    # L takes its top singular value from numpy's gesdd, the LAPACK routine
+    # of scipy's svdvals, on one BLAS thread (a BLAS pool may round the
+    # last bit differently): the Lyapunov pool's 20x12 problems, three
+    # 200x1000 paper-scale ones and `verify lemma3`'s 30x20 one
+    pairs = _single_threaded_run("""
+import json
+from scipy.linalg import svdvals
+from splitflow import cli, harness
+problems = [harness.gen_logistic(20, 12, ridge=0.3, seed=s) for s in range(16)]
+problems += [harness.gen_logistic(200, 1000, seed=s) for s in (0, 1, 2)]
+problems += [p for name, p, _ in cli._default_inequality_problems(0)
+             if name == "logistic_l1"]
+print(json.dumps([[p.f.L, p.f.ridge + 0.25 * float(svdvals(p.f.A)[0]) ** 2]
+                  for p in problems]))
+""")
+    assert len(pairs) == 20
+    assert [L for L, _ in pairs] == [ref for _, ref in pairs]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

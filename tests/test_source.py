@@ -111,6 +111,29 @@ def test_unpickled_quadratic_solves_from_its_cached_factor(tmp_path):
     assert out.splitlines() == ["[0.5] False", repr(z.tolist())]
 
 
+def test_logistic_problem_loads_expit_but_no_lapack():
+    # L = ridge + lambda_max(A'A)/4 needs a singular value, not a factor
+    out = _fresh_output(
+        "import sys; from splitflow import harness\n"
+        "harness.gen_logistic(30, 20, seed=1)\n"
+        "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert out == "True False"
+
+
+def test_lemma3_and_fb_only_run_load_no_lapack(tmp_path):
+    # only a quadratic f's prox, for the DR kinds, factors I + mu Q; lemma3
+    # builds a logistic and a quadratic problem and takes no prox of f
+    out = _fresh_output(
+        "import sys; from splitflow import cli, harness\n"
+        f"code = cli.main(['verify', 'lemma3', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.linalg' in sys.modules)\n"
+        "harness.run_benchmark(harness.BenchmarkConfig(dims=(6, 12),"
+        " dynamics=('acc_fb', 'fb_flow', 'fb_discrete'), t_end=5.0,"
+        " sample_dt=0.5, window=(1.0, 5.0)))\n"
+        "print('scipy.linalg' in sys.modules)")
+    assert out.splitlines()[-2:] == ["0 False", "False"]
+
+
 def test_lasso_run_leaves_out_scipy_special():
     # only logistic problems evaluate expit
     out = _fresh_output(
