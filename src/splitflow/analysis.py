@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ConvexSchedule, acc_fb_mu_bound, strongly_convex_point
+from .dynamics import acc_fb_mu_bound, strongly_convex_point
 from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
@@ -35,8 +35,6 @@ __all__ = [
     "check_envelope_inequalities",
     "check_conditions",
     "h_curve",
-    "decay_form_timevarying",
-    "decay_form_constant",
     "solve_reference",
     "ReferenceSolution",
     "fb_weight_matrix",
@@ -526,35 +524,3 @@ def write_h_curve_csv(report, path):
     d = report.details
     np.savetxt(path, np.column_stack([d["w"], d["h"]]), fmt="%.17e",
                delimiter=",", header="w,h", comments="")
-
-
-# ---------------------------------------------------------------------------
-# certificate-matrix assembly
-# ---------------------------------------------------------------------------
-
-def decay_form_timevarying(t, H):
-    """Quadratic-form block of the decay bound under the time-varying
-    schedule (:class:`ConvexSchedule`); identically zero."""
-    theta = ConvexSchedule.theta(t)
-    gamma = ConvexSchedule.gamma(t)
-    theta_dot = -0.5 * theta ** 2         # d/dt of 2/(t+3)
-    coeff = np.array([
-        [2.0 * theta_dot * theta + theta ** 3,
-         theta_dot + 2.0 * theta ** 2 - theta * gamma],
-        [theta_dot + 2.0 * theta ** 2 - theta * gamma,
-         3.0 * theta - 2.0 * gamma],
-    ])
-    return np.kron(coeff, H)
-
-
-def decay_form_constant(alpha, m_tilde, gamma, beta, theta, H):
-    """Quadratic-form block of the decay bound under a constant schedule;
-    negative semidefinite for the certified parameter choices."""
-    am = alpha * m_tilde
-    coeff = np.array([
-        [theta * (theta ** 2 - am),
-         theta * (2.0 * theta - gamma - am * beta)],
-        [theta * (2.0 * theta - gamma - am * beta),
-         3.0 * theta - 2.0 * gamma - 2.0 * am * beta],
-    ])
-    return np.kron(coeff, H)

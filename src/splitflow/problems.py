@@ -82,6 +82,15 @@ def _load_lapack():
         _cho_factor, _dpotrs = cho_factor, lapack.dpotrs
 
 
+def _expit(t):
+    """scipy's logistic sigmoid, imported on the first call (``import
+    scipy.special`` takes about 0.2 s), which rebinds this name to it."""
+    global _expit
+    from scipy.special import expit
+    _expit = expit
+    return expit(t)
+
+
 def _finite_scalar(name, value, positive=False):
     """float(value); ParameterDomainError unless finite (and > 0 if asked)."""
     value = float(value)
@@ -235,8 +244,6 @@ class LogisticRidge(SmoothFunction):
         smax = np.linalg.svd(A, compute_uv=False)[0] if min(A.shape) else 0.0
         self.m = ridge
         self.L = ridge + 0.25 * float(smax) ** 2
-        from scipy.special import expit     # kept out of `import splitflow`
-        self._expit = expit
 
     def value(self, x):
         t = (self.A @ x.T).T
@@ -244,16 +251,16 @@ class LogisticRidge(SmoothFunction):
                 + 0.5 * self.ridge * _dot(x, x))
 
     def gradient(self, x):
-        s = self._expit((self.A @ x.T).T)
+        s = _expit((self.A @ x.T).T)
         return (self.A.T @ (s - self.y).T).T + self.ridge * x
 
     def hess_vec(self, x, v):
-        s = self._expit(self.A @ x)
+        s = _expit(self.A @ x)
         w = s * (1.0 - s)
         return self.A.T @ (w * (self.A @ v)) + self.ridge * v
 
     def hessian(self, x):
-        s = self._expit(self.A @ x)
+        s = _expit(self.A @ x)
         w = s * (1.0 - s)
         return self.A.T @ (w[:, None] * self.A) + self.ridge * np.eye(self.dim)
 

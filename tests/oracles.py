@@ -5,8 +5,9 @@ scalar proxes come from golden-section search on the prox objective,
 gradients from central finite differences, linear flows from the
 eigendecomposition solution of the ODE (with one 2x2 matrix exponential
 per eigenvalue for the second-order flows), the FB flow across l1 kinks
-from one matrix exponential per sign pattern, and CSV text from Python's
-own ``'%.17e'`` formatting, one value at a time.
+from one matrix exponential per sign pattern, CSV text from Python's
+own ``'%.17e'`` formatting, one value at a time, and the quadratic-form
+blocks of the Lyapunov decay bound from the schedules' closed forms.
 """
 
 import math
@@ -14,6 +15,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
+
+from splitflow import ConvexSchedule
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -229,3 +232,31 @@ def trace_csv_reference(traj):
            for name in ("objective_gap", "dist_sq")])
     return (",".join(header) + "\r\n").encode("ascii") + percent_e_csv(
         rows, "\r\n")
+
+
+def decay_form_timevarying(t, H):
+    """Quadratic-form block of the decay bound under the time-varying
+    schedule (:class:`ConvexSchedule`); identically zero."""
+    theta = ConvexSchedule.theta(t)
+    gamma = ConvexSchedule.gamma(t)
+    theta_dot = -0.5 * theta ** 2         # d/dt of 2/(t+3)
+    coeff = np.array([
+        [2.0 * theta_dot * theta + theta ** 3,
+         theta_dot + 2.0 * theta ** 2 - theta * gamma],
+        [theta_dot + 2.0 * theta ** 2 - theta * gamma,
+         3.0 * theta - 2.0 * gamma],
+    ])
+    return np.kron(coeff, H)
+
+
+def decay_form_constant(alpha, m_tilde, gamma, beta, theta, H):
+    """Quadratic-form block of the decay bound under a constant schedule;
+    negative semidefinite for the certified parameter choices."""
+    am = alpha * m_tilde
+    coeff = np.array([
+        [theta * (theta ** 2 - am),
+         theta * (2.0 * theta - gamma - am * beta)],
+        [theta * (2.0 * theta - gamma - am * beta),
+         3.0 * theta - 2.0 * gamma - 2.0 * am * beta],
+    ])
+    return np.kron(coeff, H)

@@ -17,13 +17,13 @@ from splitflow import (CompositeProblem, ConvexSchedule, DynamicsSpec, L1,
                        make_lyapunov_spec, schedule_strongly_convex,
                        solve_reference)
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
-                                decay_form_constant, decay_form_timevarying,
                                 dr_weight_matrix, fb_weight_matrix)
 from splitflow.envelopes import _fb_kernel
 from splitflow.harness import gen_boxqp, gen_lasso, gen_logistic
 
 from conftest import make_logistic_l1, make_quadratic_box, make_quadratic_l1
-from oracles import (fb_envelope_prox_form, finite_diff_grad,
+from oracles import (decay_form_constant, decay_form_timevarying,
+                     fb_envelope_prox_form, finite_diff_grad,
                      random_spd_matrix, second_directional_difference)
 
 

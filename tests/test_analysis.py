@@ -19,7 +19,6 @@ from splitflow import (ACC_DR, ACC_FB, BoxIndicator, CompositeProblem,
                        solve_reference)
 from splitflow import analysis
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
-                                decay_form_constant, decay_form_timevarying,
                                 dr_weight_matrix, fb_weight_matrix,
                                 lyapunov_series)
 from splitflow.dynamics import strongly_convex_point
@@ -27,7 +26,8 @@ from splitflow.envelopes import fb_envelope_value, generalized_gradient
 from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
 
 from conftest import make_logistic_l1, make_quadratic_l1
-from oracles import random_spd_matrix
+from oracles import (decay_form_constant, decay_form_timevarying,
+                     random_spd_matrix)
 
 
 def synthetic_traj(times, gap=None, dist=None, f_star=0.0):

@@ -11,7 +11,7 @@ import pytest
 from splitflow import (BenchmarkConfig, BenchmarkReport, LambdaRule,
                        gen_boxqp, gen_lasso, gen_logistic, h_curve,
                        run_benchmark, save_problem, solve_reference)
-from splitflow.cli import main as cli_main
+from splitflow.cli import _default_inequality_problems, main as cli_main
 from splitflow.harness import (BOX_QP, LOGISTIC, _example_setup,
                                generate_problem)
 
@@ -109,6 +109,32 @@ class TestGenLogistic:
         b = gen_logistic(15, 10, seed=11)
         np.testing.assert_array_equal(a.f.A, b.f.A)
         np.testing.assert_array_equal(a.f.y, b.f.y)
+
+    def test_labels_match_scipy_expit_draws(self):
+        # labels use numpy's 1/(1 + exp(-logit)), within a few ulp of
+        # scipy's expit; replaying the generator's draws with expit gives
+        # the same labels on the Lyapunov pool's 20x12 problems, three
+        # 200x1000 paper-scale ones and `verify lemma3`'s 30x20 one
+        from scipy.special import expit
+        cases = [(gen_logistic(20, 12, ridge=0.3, seed=s), s)
+                 for s in range(16)]
+        cases += [(gen_logistic(200, 1000, seed=s), s) for s in (0, 1, 2)]
+        cases += [(p, 1) for name, p, _ in _default_inequality_problems(0)
+                  if name == "logistic_l1"]
+        assert len(cases) == 20
+        for p, seed in cases:
+            s, n = p.f.A.shape
+            rng = np.random.default_rng(seed)
+            A = 1.0 + rng.standard_normal((s, n))
+            np.testing.assert_array_equal(A, p.f.A)
+            k = max(1, int(round(0.1 * n)))
+            support = rng.choice(n, size=k, replace=False)
+            x_plant = np.zeros(n)
+            x_plant[support] = rng.standard_normal(k)
+            logits = A @ x_plant
+            logits *= 2.0 / float(np.std(logits))
+            y = (rng.uniform(size=s) < expit(logits)).astype(float)
+            np.testing.assert_array_equal(p.f.y, y, err_msg=f"{s}x{n} {seed}")
 
 
 class TestConfig:
@@ -410,6 +436,23 @@ def _single_threaded_run(code):
     return json.loads(out.stdout)
 
 
+def _assert_forked_equals_serial(reports, kinds, out):
+    """A forked and a serial report of ``kinds`` agree but for timings, and
+    their traces under ``out``/forked and ``out``/serial are byte-identical."""
+    forked, serial = (r["dynamics"] for r in reports)
+    assert reports[0]["problem"]["workers"] >= 2
+    assert reports[1]["problem"]["workers"] == 1
+    assert list(forked) == list(serial) == kinds
+    for kind, rec in serial.items():
+        assert "error" not in rec, rec
+        assert {k: v for k, v in forked[kind].items()
+                if k not in _TIMING_KEYS} == {
+            k: v for k, v in rec.items() if k not in _TIMING_KEYS}
+        trace = f"trace_{kind}.csv"
+        assert (out / "forked" / trace).read_bytes() == (
+            out / "serial" / trace).read_bytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork") or _CPUS < 2,
                     reason="the dynamics fork only on Linux with >= 2 CPUs")
 class TestForkedWorkers:
@@ -425,19 +468,32 @@ harness._workers = lambda n_kinds: 1
 serial = harness.run_benchmark(cfg, {str(tmp_path / "serial")!r})
 print(json.dumps([forked.to_dict(), serial.to_dict()]))
 """)
-        forked, serial = (r["dynamics"] for r in reports)
-        assert reports[0]["problem"]["workers"] >= 2
-        assert reports[1]["problem"]["workers"] == 1
-        assert list(forked) == list(serial) == [
-            "acc_fb", "acc_dr", "fb_flow", "fb_discrete"]
-        for kind, rec in serial.items():
-            assert "error" not in rec, rec
-            assert {k: v for k, v in forked[kind].items()
-                    if k not in _TIMING_KEYS} == {
-                k: v for k, v in rec.items() if k not in _TIMING_KEYS}
-            trace = f"trace_{kind}.csv"
-            assert (tmp_path / "forked" / trace).read_bytes() == (
-                tmp_path / "serial" / trace).read_bytes()
+        _assert_forked_equals_serial(
+            reports, ["acc_fb", "acc_dr", "fb_flow", "fb_discrete"], tmp_path)
+
+    def test_forked_logistic_run_matches_serial(self, tmp_path):
+        # the reference solve's first gradient imports scipy.special for
+        # expit before the thread count, so the children inherit it
+        seen, *reports = _single_threaded_run(f"""
+import json, sys
+from splitflow import harness
+workers = harness._workers
+seen = []
+def spy(n_kinds):
+    seen.append("scipy.special" in sys.modules)
+    return workers(n_kinds)
+harness._workers = spy
+cfg = harness.BenchmarkConfig(example="logistic_l1", dims=(20, 12), ridge=0.3,
+    seed=3, dynamics=("acc_fb", "fb_flow", "fb_discrete"), t_end=60.0,
+    sample_dt=0.2)
+forked = harness.run_benchmark(cfg, {str(tmp_path / "forked")!r})
+harness._workers = lambda n_kinds: 1
+serial = harness.run_benchmark(cfg, {str(tmp_path / "serial")!r})
+print(json.dumps([seen, forked.to_dict(), serial.to_dict()]))
+""")
+        assert seen == [True]
+        _assert_forked_equals_serial(
+            reports, ["acc_fb", "fb_flow", "fb_discrete"], tmp_path)
 
     def test_forked_dr_run_matches_serial(self):
         # every DR kind solves with the Cholesky factor that LAPACK, bound

@@ -69,8 +69,9 @@ def test_import_builds_no_csv_tables():
 
 def test_import_leaves_out_slow_scipy_modules():
     # the integrator is in-house, LAPACK is bound when a matrix is first
-    # factored and expit is imported when a logistic problem is built; any
-    # scipy import would add to every process's start-up time
+    # factored and expit is imported at a logistic problem's first gradient,
+    # Hessian-vector or Hessian call; any scipy import would add to every
+    # process's start-up time
     out = _fresh_output(
         "import splitflow, sys; "
         "print([m for m in sys.modules if m.startswith('scipy')])")
@@ -111,13 +112,37 @@ def test_unpickled_quadratic_solves_from_its_cached_factor(tmp_path):
     assert out.splitlines() == ["[0.5] False", repr(z.tolist())]
 
 
-def test_logistic_problem_loads_expit_but_no_lapack():
-    # L = ridge + lambda_max(A'A)/4 needs a singular value, not a factor
+def test_logistic_problem_loads_no_scipy_until_its_gradient():
+    # labels are drawn with numpy's exp and L needs a singular value, not a
+    # factor; expit is imported on the first oracle call
     out = _fresh_output(
-        "import sys; from splitflow import harness\n"
-        "harness.gen_logistic(30, 20, seed=1)\n"
+        "import sys; import numpy as np\n"
+        "from splitflow import harness, problems\n"
+        "p = harness.generate_problem(harness.BenchmarkConfig("
+        "example='logistic_l1', dims=(20, 12), ridge=0.3, seed=3))\n"
+        "f = problems.LogisticRidge(np.eye(3), [0.0, 1.0, 1.0], 0.5)\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        "p.f.gradient(np.zeros(12))\n"
         "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)")
-    assert out == "True False"
+    assert out.splitlines() == ["[]", "True False"]
+
+
+def test_unpickled_logistic_loads_no_scipy_until_evaluated(tmp_path):
+    # a pickled LogisticRidge holds its data and no scipy function, so the
+    # process that unpickles it imports expit at the first gradient
+    import numpy as np
+    from splitflow.harness import gen_logistic
+    f = gen_logistic(20, 12, ridge=0.3, seed=5).f
+    x = np.linspace(-1.0, 1.0, 12)
+    g = f.gradient(x)
+    path = tmp_path / "logistic.pkl"
+    path.write_bytes(pickle.dumps(f))
+    out = _fresh_output(
+        "import pickle, sys; import numpy as np\n"
+        f"f = pickle.loads(open({str(path)!r}, 'rb').read())\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        "print(f.gradient(np.linspace(-1.0, 1.0, 12)).tolist())")
+    assert out.splitlines() == ["[]", repr(g.tolist())]
 
 
 def test_lemma3_and_fb_only_run_load_no_lapack(tmp_path):
