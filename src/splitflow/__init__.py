@@ -25,10 +25,9 @@ from .exceptions import (IntegrationFailure, NeedsReferenceError,
                          WindowTooLateError)
 from .harness import (BenchmarkConfig, BenchmarkReport, LambdaRule,
                       gen_boxqp, gen_lasso, gen_logistic, run_benchmark)
-from .problems import (BoxIndicator, CompositeProblem, GenericOracle,
-                       GenericProx, L1, LogisticRidge, NonsmoothFunction,
-                       Quadratic, SmoothFunction, grad_f, identity_prox,
-                       load_problem, moreau, problem_from_dict,
-                       problem_to_dict, prox_f, prox_g, save_problem)
+from .problems import (BoxIndicator, CompositeProblem, L1, LogisticRidge,
+                       NonsmoothFunction, Quadratic, SmoothFunction,
+                       load_problem, problem_from_dict, problem_to_dict,
+                       save_problem)
 
 __version__ = "0.1.0"

@@ -149,7 +149,7 @@ class Dopri5:
         except Exception:
             self.nfev += s
             # an oracle may raise on a state built from a non-finite stage
-            # (a black-box prox may): report the stage instead
+            # (a user-defined prox may): report the stage instead
             _finite(K[:s])
             raise
         self.nfev += 6

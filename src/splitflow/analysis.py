@@ -96,19 +96,10 @@ class ReferenceSolution:
 _REFERENCE_MAX_ITER = 200000
 
 
-def _free_hessian(f, x, free):
-    """f's Hessian at x on the free coordinates; from Hessian-vector
-    products, one per free coordinate, when f has no dense Hessian."""
-    try:
-        return f.hessian(x)[np.ix_(free, free)]
-    except UnsupportedOperationError:
-        cols = [f.hess_vec(x, e)[free] for e in np.eye(x.shape[0])[free]]
-        return np.array(cols).reshape(len(cols), len(cols)).T
-
-
 def _polish(problem, x):
     """Newton polish of x on g's free coordinates, the others held fixed;
-    None when g has no ``free_set`` hook or a solve fails."""
+    None when g has no ``free_set`` hook, f no dense ``hessian`` (unless
+    quadratic), or a solve fails."""
     f, g = problem.f, problem.g
     free_set = getattr(g, "free_set", None)
     if free_set is None:
@@ -121,7 +112,7 @@ def _polish(problem, x):
         else:
             for _ in range(8):
                 grad = f.gradient(out)[free] + dg
-                H = _free_hessian(f, out, free)
+                H = f.hessian(out)[np.ix_(free, free)]
                 step = np.linalg.solve(H, -grad)
                 out[free] = out[free] + step
                 if np.any(np.sign(out[free]) * dg < 0):  # an l1 sign flipped
@@ -140,8 +131,9 @@ def solve_reference(problem, mu, tol=1e-12):
     ||G_mu(x)|| <= tol, checked every 25 iterations. A polish solves for g's
     free coordinates (the l1 support, or those off the box bounds) with the
     others held (at 0, or at their bound): one linear solve for a quadratic
-    f, else up to 8 Newton steps, each building a Hessian, dropped if an l1
-    sign flips. It is tried at every check when a Hessian costs no more
+    f, else up to 8 Newton steps, each on f's dense ``hessian``, dropped if an
+    l1 sign flips; a g without ``free_set`` or an f without ``hessian`` is
+    not polished. It is tried at every check when a Hessian costs no more
     than 25 iterations (quadratic f, or a logistic f with n <= 50), else
     every 200 iterations. A prox-gradient sweep from the polished point is
     kept when it lowers the gradient-map norm.

@@ -6,10 +6,11 @@ with a strong convexity constant ``m`` and a gradient Lipschitz constant
 All oracles are pure functions of immutable problem data and are safe to
 call concurrently (internal factorization caches are idempotent).
 
-The ``value``, ``gradient`` and ``prox`` oracles take a point ``(n,)`` or a
-stack of points ``(S, n)`` and return one result per point; black-box
-callables are applied row by row. The prox of f has a closed form only for
-a quadratic f, the case the paper's Douglas-Rachford theorems cover.
+Every oracle takes a point ``(n,)`` or a stack of points ``(S, n)`` and
+returns one result per point. A custom f or g subclasses
+``SmoothFunction`` or ``NonsmoothFunction`` and keeps that convention. The
+prox of f has a closed form only for a quadratic f, the case the paper's
+Douglas-Rachford theorems cover.
 """
 
 from __future__ import annotations
@@ -24,17 +25,10 @@ __all__ = [
     "SmoothFunction",
     "Quadratic",
     "LogisticRidge",
-    "GenericOracle",
     "NonsmoothFunction",
     "L1",
     "BoxIndicator",
-    "GenericProx",
-    "identity_prox",
     "CompositeProblem",
-    "prox_g",
-    "prox_f",
-    "grad_f",
-    "moreau",
     "problem_to_dict",
     "problem_from_dict",
     "save_problem",
@@ -56,11 +50,6 @@ def _check_vector(v, name="v"):
 def _dot(a, b):
     """Last-axis inner product; on two vectors the BLAS dot of ``a @ b``."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
-
-
-def _by_rows(fn, x, *args):
-    """Float results of a single-point callable on each row of x."""
-    return np.asarray(np.apply_along_axis(fn, -1, x, *args), dtype=float)[()]
 
 
 def _softplus(t):
@@ -107,9 +96,11 @@ def _finite_scalar(name, value, positive=False):
 class SmoothFunction:
     """Smooth part of a composite objective.
 
-    Subclasses provide value / gradient / Hessian-vector oracles and the
-    constants ``m`` (strong convexity, >= 0) and ``L`` (gradient Lipschitz).
-    Only ``Quadratic`` has a prox; the others raise UnsupportedOperationError.
+    Subclasses provide batch-first value / gradient / Hessian-vector
+    oracles, a dense ``hessian`` at one point if they can (the reference
+    solver's polish needs it), ``dim``, and the constants ``m`` (strong
+    convexity, >= 0) and ``L`` (gradient Lipschitz). Only ``Quadratic`` has
+    a prox; the others raise UnsupportedOperationError.
     """
 
     kind = "generic"
@@ -183,7 +174,7 @@ class Quadratic(SmoothFunction):
         return (self.Q @ x.T).T + self.q
 
     def hess_vec(self, x, v):
-        return self.Q @ v
+        return (self.Q @ v.T).T
 
     def hessian(self, x):
         return self.Q
@@ -255,9 +246,9 @@ class LogisticRidge(SmoothFunction):
         return (self.A.T @ (s - self.y).T).T + self.ridge * x
 
     def hess_vec(self, x, v):
-        s = _expit(self.A @ x)
+        s = _expit((self.A @ x.T).T)
         w = s * (1.0 - s)
-        return self.A.T @ (w * (self.A @ v)) + self.ridge * v
+        return (self.A.T @ (w * (self.A @ v.T).T).T).T + self.ridge * v
 
     def hessian(self, x):
         s = _expit(self.A @ x)
@@ -265,43 +256,16 @@ class LogisticRidge(SmoothFunction):
         return self.A.T @ (w[:, None] * self.A) + self.ridge * np.eye(self.dim)
 
 
-class GenericOracle(SmoothFunction):
-    """Black-box smooth function given by callables.
-
-    ``hess_vec_fn`` is optional but required by envelope gradients.
-    """
-
-    kind = "generic"
-
-    def __init__(self, value_fn, grad_fn, dim, m, L, hess_vec_fn=None):
-        self.value_fn = value_fn
-        self.grad_fn = grad_fn
-        self.hess_vec_fn = hess_vec_fn
-        self.dim = int(dim)
-        self.m = float(m)
-        self.L = float(L)
-        if not 0 <= self.m <= self.L:
-            raise ValueError("constants must satisfy 0 <= m <= L")
-
-    def value(self, x):
-        return _by_rows(self.value_fn, x)
-
-    def gradient(self, x):
-        return _by_rows(self.grad_fn, x)
-
-    def hess_vec(self, x, v):
-        if self.hess_vec_fn is None:
-            raise UnsupportedOperationError(
-                "GenericOracle was built without a Hessian-vector oracle")
-        return np.asarray(self.hess_vec_fn(x, v), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # nonsmooth part
 # ---------------------------------------------------------------------------
 
 class NonsmoothFunction:
-    """Nonsmooth part of a composite objective, accessed via its prox."""
+    """Nonsmooth part of a composite objective, accessed via its prox.
+
+    Subclasses provide batch-first ``value`` and ``prox``, and may add a
+    ``free_set`` hook (see ``L1``), which the reference solver's polish uses.
+    """
 
     kind = "generic_prox"
     dim = None
@@ -378,30 +342,8 @@ class BoxIndicator(NonsmoothFunction):
         return ~(at_lo | at_hi), held, 0.0
 
 
-class GenericProx(NonsmoothFunction):
-    """Black-box nonsmooth function given by value and prox callables."""
-
-    kind = "generic_prox"
-
-    def __init__(self, value_fn, prox_fn, dim=None):
-        self.value_fn = value_fn
-        self.prox_fn = prox_fn
-        self.dim = dim
-
-    def value(self, x):
-        return _by_rows(self.value_fn, x)
-
-    def prox(self, v, mu):
-        return _by_rows(self.prox_fn, v, mu)
-
-
-def identity_prox(dim=None):
-    """g = 0 (prox is the identity); handy for reducing to the smooth case."""
-    return GenericProx(lambda x: 0.0, lambda v, mu: v, dim=dim)
-
-
 # ---------------------------------------------------------------------------
-# composite problem and module-level oracles
+# composite problem
 # ---------------------------------------------------------------------------
 
 class CompositeProblem:
@@ -424,43 +366,6 @@ class CompositeProblem:
     def __repr__(self):
         return (f"CompositeProblem(f={self.f.kind}, g={self.g.kind}, "
                 f"n={self.dim}, m={self.f.m:.6g}, L={self.f.L:.6g})")
-
-
-def prox_g(g, v, mu):
-    """prox of the nonsmooth part: argmin_z g(z) + ||z - v||^2 / (2 mu)."""
-    mu = _finite_scalar("penalty mu", mu, positive=True)
-    v = _check_vector(v)
-    return g.prox(v, mu)
-
-
-def prox_f(f, v, mu):
-    """prox of the smooth part (closed form; only a quadratic f has one)."""
-    mu = _finite_scalar("penalty mu", mu, positive=True)
-    v = _check_vector(v)
-    return f.prox(v, mu)
-
-
-def grad_f(f, x):
-    """Gradient of the smooth part at x."""
-    x = _check_vector(x, "x")
-    if f.dim is not None and x.shape[0] != f.dim:
-        raise ValueError(f"x has dimension {x.shape[0]}, expected {f.dim}")
-    return f.gradient(x)
-
-
-def moreau(g, v, mu):
-    """Moreau envelope of g at v: returns (value, gradient).
-
-    value = g(p) + ||p - v||^2 / (2 mu) with p the prox point, and the
-    envelope gradient is (v - p)/mu, which lies in the subdifferential of
-    g at p.
-    """
-    mu = _finite_scalar("penalty mu", mu, positive=True)
-    v = _check_vector(v)
-    p = g.prox(v, mu)
-    value = g.value(p) + float((p - v) @ (p - v)) / (2.0 * mu)
-    gradient = (v - p) / mu
-    return value, gradient
 
 
 # ---------------------------------------------------------------------------

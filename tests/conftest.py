@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from splitflow import (BoxIndicator, CompositeProblem, L1, LogisticRidge,
-                       Quadratic, identity_prox)
+                       Quadratic, SmoothFunction, fb_envelope)
 from oracles import random_spd_matrix
 
 
@@ -25,11 +25,36 @@ def make_quadratic_l1(n=20, m=1.0, L=10.0, lam=0.5, seed=0):
 
 
 def smooth_problem(n=4, seed=0, m=0.5, L=3.0):
-    """Quadratic with a planted [m, L] spectrum and no nonsmooth part."""
+    """Quadratic with a planted [m, L] spectrum and g = 0, the unbounded
+    box, whose prox is the identity."""
     gen = np.random.default_rng(seed)
     Q = random_spd_matrix(n, m, L, gen)
     return CompositeProblem(Quadratic(Q, gen.standard_normal(n), m=m, L=L),
-                            identity_prox())
+                            BoxIndicator(-np.inf, np.inf))
+
+
+def moreau_envelope(g, v, mu):
+    """(value, gradient) of g's Moreau envelope at v: the FB envelope of
+    f = 0 plus g, whose gradient is (v - prox_{mu g}(v)) / mu."""
+    n = v.shape[-1]
+    zero = Quadratic(np.zeros((n, n)), np.zeros(n))
+    ev = fb_envelope(CompositeProblem(zero, g), v, mu)
+    return ev.value, ev.gradient
+
+
+class SquaredNorm(SmoothFunction):
+    """A user-defined f = ||x||^2, with neither prox nor Hessian oracles."""
+
+    m = L = 2.0
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def value(self, x):
+        return np.sum(x * x, axis=-1)
+
+    def gradient(self, x):
+        return 2.0 * x
 
 
 def make_quadratic_box(n=12, m=1.0, L=10.0, seed=0):

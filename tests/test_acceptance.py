@@ -13,7 +13,7 @@ from splitflow import (CompositeProblem, ConvexSchedule, DynamicsSpec, L1,
                        Quadratic, certify_exponential, certify_sublinear,
                        check_envelope_inequalities, check_lyapunov_decay,
                        dr_envelope, envelope_constants, fb_envelope,
-                       fb_envelope_value, h_curve, integrate, moreau,
+                       fb_envelope_value, h_curve, integrate,
                        make_lyapunov_spec, schedule_strongly_convex,
                        solve_reference)
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
@@ -21,7 +21,8 @@ from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
 from splitflow.envelopes import _fb_kernel
 from splitflow.harness import gen_boxqp, gen_lasso, gen_logistic
 
-from conftest import make_logistic_l1, make_quadratic_box, make_quadratic_l1
+from conftest import (make_logistic_l1, make_quadratic_box, make_quadratic_l1,
+                      moreau_envelope)
 from oracles import (decay_form_constant, decay_form_timevarying,
                      fb_envelope_prox_form, finite_diff_grad,
                      random_spd_matrix, second_directional_difference)
@@ -253,8 +254,8 @@ class TestGradientOracles:
         g = p.g
         for _ in range(100):
             v = 2.0 * gen.standard_normal(p.dim)
-            _, grad = moreau(g, v, mu)
-            fd = finite_diff_grad(lambda z: moreau(g, z, mu)[0], v)
+            _, grad = moreau_envelope(g, v, mu)
+            fd = finite_diff_grad(lambda z: moreau_envelope(g, z, mu)[0], v)
             worst["moreau"] = max(worst["moreau"],
                                   np.linalg.norm(fd - grad)
                                   / (1 + np.linalg.norm(grad)))

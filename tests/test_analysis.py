@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from splitflow import (ACC_DR, ACC_FB, BoxIndicator, CompositeProblem,
-                       ConvexSchedule, DynamicsSpec, GenericOracle,
-                       GenericProx, L1,
-                       NeedsReferenceError, ParameterDomainError, Quadratic,
+                       ConvexSchedule, DynamicsSpec, L1,
+                       NeedsReferenceError, NonsmoothFunction,
+                       ParameterDomainError, Quadratic,
                        WindowTooLateError,
                        certify_exponential, certify_sublinear,
                        check_conditions, check_envelope_inequalities,
@@ -25,7 +25,7 @@ from splitflow.dynamics import strongly_convex_point
 from splitflow.envelopes import fb_envelope_value, generalized_gradient
 from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
 
-from conftest import make_logistic_l1, make_quadratic_l1
+from conftest import SquaredNorm, make_logistic_l1, make_quadratic_l1
 from oracles import (decay_form_constant, decay_form_timevarying,
                      random_spd_matrix)
 
@@ -134,30 +134,30 @@ class TestSolveReference:
         np.testing.assert_array_equal(refs[0].x, refs[1].x)
 
     def test_generic_prox_is_not_polished(self):
-        # no free-set hook for a black-box g: the README-size lasso then
+        # no free-set hook on a user-defined g: the README-size lasso then
         # converges by restarted momentum alone
         config = BenchmarkConfig(dims=(20, 100), seed=0)
         p = generate_problem(config)
         mu = _example_setup(config, p)["mu"]
-        black_box = CompositeProblem(p.f, GenericProx(p.g.value, p.g.prox))
-        ref = solve_reference(black_box, mu, tol=1e-12)
+
+        class HooklessL1(NonsmoothFunction):
+            def value(self, x):
+                return p.g.value(x)
+
+            def prox(self, v, mu):
+                return p.g.prox(v, mu)
+
+        ref = solve_reference(CompositeProblem(p.f, HooklessL1()), mu,
+                              tol=1e-12)
         assert ref.grad_map_norm <= 1e-12
         assert ref.polishes == 0 and ref.restarts >= 1
 
-    def test_polish_through_hess_vec(self):
-        # a black-box f with a Hessian-vector oracle but no dense Hessian
-        # is polished as well (600 iterations without the polish)
-        p = make_logistic_l1(s=30, n=20)
-        f = p.f
-        black_box = CompositeProblem(
-            GenericOracle(f.value, f.gradient, f.dim, f.m, f.L,
-                          hess_vec_fn=f.hess_vec), p.g)
-        mu = 0.5 / f.L
-        ref = solve_reference(p, mu, tol=1e-12)
-        got = solve_reference(black_box, mu, tol=1e-12)
-        assert got.grad_map_norm <= 1e-12
-        assert got.iterations <= ref.iterations + 200
-        np.testing.assert_allclose(got.x, ref.x, rtol=0, atol=1e-10)
+    def test_f_without_hessian_is_not_polished(self):
+        # a non-quadratic f must have a dense Hessian to be polished
+        x = np.array([0.1, -0.2, -0.6])
+        p = CompositeProblem(SquaredNorm(3), L1(0.5))
+        assert analysis._polish(p, x) is None
+        assert analysis._polish(make_logistic_l1(n=3), x) is not None
 
 
 class TestLyapunovValue:

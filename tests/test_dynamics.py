@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, CompositeProblem,
-                       ConstantSchedule, ConvexSchedule, DynamicsSpec,
-                       GenericOracle, GenericProx, IntegrationFailure, L1,
+from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
+                       CompositeProblem, ConstantSchedule, ConvexSchedule,
+                       DynamicsSpec, IntegrationFailure, L1,
                        ParameterDomainError, Quadratic,
                        UnsupportedOperationError, discrete_dr_step,
                        discrete_fb_step, dr_envelope, generalized_gradient,
-                       identity_prox, integrate, prox_f, run_discrete,
-                       schedule_strongly_convex, solve_reference,
-                       vector_field)
+                       integrate, run_discrete, schedule_strongly_convex,
+                       solve_reference, vector_field)
 from splitflow import dynamics as dynamics_module
 from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
 from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
 
-from conftest import make_logistic_l1, make_quadratic_l1, smooth_problem
+from conftest import (SquaredNorm, make_logistic_l1, make_quadratic_l1,
+                      smooth_problem)
 from oracles import (linear_flow_solution, piecewise_fb_flow_solution,
                      scalar_prox_l1,
                      second_order_flow_solution, trace_csv_reference)
@@ -130,9 +130,7 @@ class TestVectorField:
         # every DR entry point needs the prox of f, which only a quadratic
         # f has, as in the paper's DR theorems
         logistic = make_logistic_l1()
-        generic = CompositeProblem(GenericOracle(
-            lambda x: float(x @ x), lambda x: 2.0 * x, logistic.dim, 2.0, 2.0),
-            logistic.g)
+        generic = CompositeProblem(SquaredNorm(logistic.dim), logistic.g)
         entries = {
             "dr_flow": lambda p, z, mu: DynamicsSpec(DR_FLOW, p, mu,
                                                      ConvexSchedule(1.0)),
@@ -142,7 +140,7 @@ class TestVectorField:
             "dr_discrete": lambda p, z, mu: run_discrete(p, "dr_discrete",
                                                          mu, 3),
             "dr_envelope": dr_envelope,
-            "prox_f": lambda p, z, mu: prox_f(p.f, z, mu)}
+            "f.prox": lambda p, z, mu: p.f.prox(z, mu)}
         for p in (logistic, generic):
             for name, entry in entries.items():
                 with pytest.raises(UnsupportedOperationError):
@@ -185,7 +183,7 @@ def kink_errors(seed):
     return switches, errors
 
 
-class SharedGradient(GenericOracle):
+class SharedGradient(Quadratic):
     """Hands out one array object, overwritten, from every gradient call."""
 
     shared = np.empty(0)
@@ -198,11 +196,29 @@ class SharedGradient(GenericOracle):
         return self.shared
 
 
-class InputProx(GenericProx):
+class InputProx(BoxIndicator):
     """g = 0, whose prox hands back its input itself."""
+
+    def __init__(self):
+        super().__init__(-np.inf, np.inf)
 
     def prox(self, v, mu):
         return v
+
+
+class PoisonedProx(BoxIndicator):
+    """g = 0, whose prox turns non-finite after its first ``after`` calls;
+    with ``refuse``, it raises on a non-finite input, uncounted."""
+
+    def __init__(self, after, refuse=False):
+        super().__init__(-np.inf, np.inf)
+        self.after, self.refuse, self.calls = after, refuse, 0
+
+    def prox(self, v, mu):
+        if self.refuse and not np.isfinite(v).all():
+            raise ValueError("prox refuses non-finite input")
+        self.calls += 1
+        return v * np.nan if self.calls > self.after else v
 
 
 class TestIntegrate:
@@ -340,24 +356,9 @@ class TestIntegrate:
         assert meta["n_steps"] > 0
 
     def test_integration_failure_carries_partial(self):
-        f_bad = Quadratic(np.eye(2), np.zeros(2))
-        p = CompositeProblem(f_bad, identity_prox())
-
-        evil = CompositeProblem(
-            Quadratic(np.eye(2), np.zeros(2)), identity_prox())
-
-        # blow up the field after t > 0.5 via a poisoned generic prox
-        from splitflow import GenericProx
-        calls = {"n": 0}
-
-        def bad_prox(v, mu):
-            calls["n"] += 1
-            if calls["n"] > 40:
-                return v * np.nan
-            return v
-
+        # blow up the field after t > 0.5 via a poisoned prox
         p_bad = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
-                                 GenericProx(lambda x: 0.0, bad_prox))
+                                 PoisonedProx(after=40))
         spec = DynamicsSpec(FB_FLOW, p_bad, 0.5, ConvexSchedule(alpha=1.0))
         with pytest.raises(IntegrationFailure) as exc:
             integrate(spec, psi0=np.ones(2), t_end=10.0, sample_dt=0.1)
@@ -369,7 +370,6 @@ class TestIntegrate:
         # state is built from a non-finite one; a prox that refuses it must
         # still read as a non-finite field, with the refused evaluation
         # counted
-        calls = {"n": 0}
         seen = []
 
         def counting(spec, t, psi, out=None):
@@ -377,15 +377,8 @@ class TestIntegrate:
             return vector_field(spec, t, psi, out)
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
-
-        def bad_prox(v, mu):
-            if not np.isfinite(v).all():
-                raise ValueError("prox refuses non-finite input")
-            calls["n"] += 1
-            return v * np.nan if calls["n"] > 40 else v
-
         f = make_quadratic_l1().f
-        p = CompositeProblem(f, GenericProx(lambda x: 0.0, bad_prox))
+        p = CompositeProblem(f, PoisonedProx(after=40, refuse=True))
         spec = DynamicsSpec(ACC_DR, p, 0.5 / f.L, ConvexSchedule(alpha=0.1))
         with pytest.raises(IntegrationFailure, match="non-finite") as exc:
             integrate(spec, psi0=np.ones(spec.state_dim), t_end=10.0)
@@ -396,8 +389,7 @@ class TestIntegrate:
         # the stepper's constructor evaluates the field at psi0; that
         # failure keeps the one-sample partial and its field-call count
         p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
-                             GenericProx(lambda x: 0.0,
-                                         lambda v, mu: v * np.nan))
+                             PoisonedProx(after=0))
         spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
         calls = []
 
@@ -417,20 +409,14 @@ class TestIntegrate:
     def test_field_non_finite_at_first_step_probe(self):
         # finite at psi0, not at the point the constructor probes to select
         # the first step: two evaluations, still a one-row partial
-        seen = []
-
-        def prox(v, mu):
-            seen.append(v)
-            return v if len(seen) == 1 else v * np.nan
-
-        p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
-                             GenericProx(lambda x: 0.0, prox))
+        g = PoisonedProx(after=1)
+        p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)), g)
         spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
         with pytest.raises(IntegrationFailure, match="non-finite") as exc:
             integrate(spec, psi0=np.ones(2), t_end=10.0, sample_dt=0.1)
         partial = exc.value.partial
         np.testing.assert_array_equal(partial.times, [0.0])
-        assert partial.meta["rhs_calls"] == len(seen) == 2
+        assert partial.meta["rhs_calls"] == g.calls == 2
         assert partial.meta["n_steps"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -508,15 +494,12 @@ class TestIntegrate:
         # oracles whose outputs alias other arrays give the states of
         # fresh-array oracles, and the caller's psi0 is left as it was
         base = smooth_problem(n=4, seed=1)
-        Q, q = base.f.Q, base.f.q
-        oracle = (lambda x: 0.5 * x @ Q @ x + q @ x, lambda x: Q @ x + q, 4,
-                  base.f.m, base.f.L)
+        f = base.f
+        aliasing = CompositeProblem(SharedGradient(f.Q, f.q, f.m, f.L),
+                                    InputProx())
         runs = []
-        aliased_g = InputProx(lambda x: 0.0, None)
-        for f, g in ((GenericOracle(*oracle), identity_prox()),
-                     (SharedGradient(*oracle), aliased_g)):
-            spec = DynamicsSpec(kind, CompositeProblem(f, g), 0.1,
-                                ConvexSchedule(alpha=0.7))
+        for p in (base, aliasing):
+            spec = DynamicsSpec(kind, p, 0.1, ConvexSchedule(alpha=0.7))
             psi0 = np.linspace(-1.0, 1.0, spec.state_dim)
             runs.append(integrate(spec, psi0=psi0, t_end=5.0, sample_dt=0.1))
             assert np.array_equal(psi0, np.linspace(-1.0, 1.0, spec.state_dim))
@@ -676,13 +659,7 @@ class TestTrajectoryCsv:
         elif case == "one_row_partial":
             # the prox turns non-finite in the first step, after the two
             # field evaluations of the stepper's set-up
-            calls = {"n": 0}
-
-            def bad_prox(v, m):
-                calls["n"] += 1
-                return v * np.nan if calls["n"] > 2 else v
-
-            p_bad = CompositeProblem(p.f, GenericProx(lambda x: 0.0, bad_prox))
+            p_bad = CompositeProblem(p.f, PoisonedProx(after=2))
             with pytest.raises(IntegrationFailure) as exc:
                 integrate(DynamicsSpec(FB_FLOW, p_bad, mu, sched),
                           psi0=np.linspace(-1.0, 1.0, 4), t_end=1.0)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from splitflow import (CompositeProblem, L1, ParameterDomainError, Quadratic,
-                       dr_envelope, envelope_constants, fb_envelope,
-                       fb_envelope_value, generalized_gradient, identity_prox,
-                       prox_f, solve_reference)
+from splitflow import (BoxIndicator, CompositeProblem, L1,
+                       ParameterDomainError, Quadratic,
+                       UnsupportedOperationError, dr_envelope,
+                       envelope_constants, fb_envelope, fb_envelope_value,
+                       generalized_gradient, solve_reference)
 from splitflow.envelopes import _fb_kernel
 
-from conftest import make_logistic_l1, make_quadratic_l1
+from conftest import SquaredNorm, make_logistic_l1, make_quadratic_l1
 from oracles import (fb_envelope_prox_form, finite_diff_grad,
                      random_spd_matrix, scalar_prox_l1,
                      second_directional_difference)
@@ -17,7 +18,7 @@ def smooth_only_problem(n=4, seed=0):
     gen = np.random.default_rng(seed)
     Q = random_spd_matrix(n, 0.5, 3.0, gen)
     return CompositeProblem(Quadratic(Q, gen.standard_normal(n)),
-                            identity_prox())
+                            BoxIndicator(-np.inf, np.inf))
 
 
 class TestGeneralizedGradient:
@@ -113,10 +114,7 @@ class TestFbEnvelope:
 
 class TestOracleRequirements:
     def test_fb_gradient_needs_hessian_action(self):
-        from splitflow import GenericOracle, UnsupportedOperationError
-        f = GenericOracle(lambda x: float(x @ x), lambda x: 2.0 * x,
-                          dim=3, m=2.0, L=2.0)
-        p = CompositeProblem(f, L1(0.5))
+        p = CompositeProblem(SquaredNorm(3), L1(0.5))
         assert fb_envelope_value(p, np.ones(3), 0.1) is not None
         with pytest.raises(UnsupportedOperationError):
             fb_envelope(p, np.ones(3), 0.1)
@@ -128,7 +126,7 @@ class TestDrEnvelope:
         mu = 0.07
         z = rng.standard_normal(p.dim)
         ev = dr_envelope(p, z, mu)
-        xh = prox_f(p.f, z, mu)
+        xh = p.f.prox(z, mu)
         assert ev.value == fb_envelope(p, xh, mu).value
         np.testing.assert_allclose(ev.prox_point, xh, atol=1e-14)
 
@@ -243,5 +241,5 @@ class TestEnvelopeEquivalence:
                           options={"maxiter": 20000, "ftol": 1e-16,
                                    "gtol": 1e-12})
         assert abs(res_dr.fun - ref.value) <= 1e-6
-        x_from_z = prox_f(p.f, res_dr.x, mu)
+        x_from_z = p.f.prox(res_dr.x, mu)
         assert np.linalg.norm(x_from_z - ref.x) <= 1e-6

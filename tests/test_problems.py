@@ -5,22 +5,20 @@ import pytest
 from scipy import linalg as sla
 
 from splitflow import (ACC_FB, BoxIndicator, CompositeProblem,
-                       ConvexSchedule, DynamicsSpec, GenericOracle, L1,
-                       LogisticRidge, ParameterDomainError, Quadratic,
-                       UnsupportedOperationError, gen_boxqp, grad_f,
-                       integrate, moreau, problem_from_dict, problem_to_dict,
-                       prox_f, prox_g)
+                       ConvexSchedule, DynamicsSpec, L1, LogisticRidge,
+                       Quadratic, UnsupportedOperationError, gen_boxqp,
+                       integrate, problem_from_dict, problem_to_dict)
 
 from splitflow.problems import _softplus
 
-from conftest import make_logistic_l1, make_quadratic_l1
+from conftest import make_logistic_l1, make_quadratic_l1, moreau_envelope
 from oracles import finite_diff_grad, scalar_prox_box, scalar_prox_l1
 
 
 class TestProxG:
     def test_l1_soft_threshold(self):
         g = L1(1.0)
-        out = prox_g(g, np.array([2.0, -0.5, 0.0]), 1.0)
+        out = g.prox(np.array([2.0, -0.5, 0.0]), 1.0)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-14)
 
     def test_l1_matches_scalar_bruteforce(self, rng):
@@ -28,46 +26,37 @@ class TestProxG:
         for _ in range(20):
             v = 3.0 * rng.standard_normal(5)
             mu = float(rng.uniform(0.05, 2.0))
-            out = prox_g(g, v, mu)
+            out = g.prox(v, mu)
             expected = [scalar_prox_l1(vi, mu, 0.7) for vi in v]
             # golden-section argmin accuracy is sqrt(eps)-limited
             np.testing.assert_allclose(out, expected, atol=2e-7)
 
     def test_box_projection(self):
         g = BoxIndicator(0.0, 1.0)
-        assert prox_g(g, np.array([5.0]), 1.0) == pytest.approx(1.0)
+        assert g.prox(np.array([5.0]), 1.0) == pytest.approx(1.0)
 
     def test_box_matches_scalar_bruteforce(self, rng):
         g = BoxIndicator(-np.ones(4), np.ones(4))
         v = 2.5 * rng.standard_normal(4)
-        out = prox_g(g, v, 0.3)
+        out = g.prox(v, 0.3)
         expected = [scalar_prox_box(vi, 0.3, -1.0, 1.0) for vi in v]
         np.testing.assert_allclose(out, expected, atol=1e-9)
 
     def test_l1_zero_fixed_point(self):
-        assert np.all(prox_g(L1(1.0), np.zeros(3), 1.0) == 0.0)
+        assert np.all(L1(1.0).prox(np.zeros(3), 1.0) == 0.0)
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            prox_g(L1(1.0), np.array([np.nan, 0.0]), 1.0)
-
-    def test_rejects_nonpositive_mu(self):
-        with pytest.raises(ParameterDomainError):
-            prox_g(L1(1.0), np.zeros(2), 0.0)
-
-    @pytest.mark.parametrize("gname", ["l1", "box", "generic"])
+    @pytest.mark.parametrize("gname", ["l1", "box", "unbounded_box"])
     def test_firmly_nonexpansive(self, gname, rng):
         if gname == "l1":
             g = L1(0.8)
         elif gname == "box":
             g = BoxIndicator(-np.ones(6), np.ones(6))
         else:
-            from splitflow import GenericProx
-            g = GenericProx(lambda x: 0.0, lambda v, mu: v)
+            g = BoxIndicator(-np.inf, np.inf)
         for _ in range(50):
             a = 3.0 * rng.standard_normal(6)
             b = 3.0 * rng.standard_normal(6)
-            pa, pb = prox_g(g, a, 0.5), prox_g(g, b, 0.5)
+            pa, pb = g.prox(a, 0.5), g.prox(b, 0.5)
             d = pa - pb
             assert d @ d <= d @ (a - b) + 1e-12
             assert np.linalg.norm(d) <= np.linalg.norm(a - b) + 1e-12
@@ -121,22 +110,40 @@ class TestProxClosedForms:
                                   equal_nan=True)
 
 
+class TestUnboundedBox:
+    """g = 0 is the box [-inf, inf]: prox the identity, bit for bit."""
+
+    def test_prox_value_and_free_set(self, rng):
+        g = BoxIndicator(-np.inf, np.inf)
+        v = np.concatenate([_edge_values(1.0), rng.standard_normal(200)])
+        finite = v[np.isfinite(v)]
+        for x in (v, v.reshape(-1, 7), v[:1]):
+            out = g.prox(x, 0.5)
+            assert np.shape(out) == np.shape(x)
+            assert out.tobytes() == np.asarray(x).tobytes()
+        for x in (finite, finite[:210].reshape(-1, 7)):
+            assert np.array_equal(g.value(x), np.zeros(x.shape[:-1]))
+        free, held, dg = g.free_set(finite)
+        assert free.all() and held.tobytes() == finite.tobytes()
+        assert dg == 0.0
+
+
 class TestProxF:
     def test_linear_shift(self):
         f = Quadratic(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]))
         v = np.array([0.3, 0.4, 0.5])
-        np.testing.assert_allclose(prox_f(f, v, 2.0), v - 2.0 * f.q, atol=1e-14)
+        np.testing.assert_allclose(f.prox(v, 2.0), v - 2.0 * f.q, atol=1e-14)
 
     def test_identity_quadratic(self):
         f = Quadratic(np.eye(2), np.zeros(2))
         v = np.array([4.0, -6.0])
-        np.testing.assert_allclose(prox_f(f, v, 1.0), v / 2.0, atol=1e-14)
+        np.testing.assert_allclose(f.prox(v, 1.0), v / 2.0, atol=1e-14)
 
     def test_diagonal_against_direct_solve(self):
         f = Quadratic(np.diag([1.0, 10.0]), np.array([1.0, 0.0]))
         v = np.array([1.0, 1.0])
         expected = np.linalg.solve(np.eye(2) + 0.1 * f.Q, v - 0.1 * f.q)
-        np.testing.assert_allclose(prox_f(f, v, 0.1), expected, atol=1e-14)
+        np.testing.assert_allclose(f.prox(v, 0.1), expected, atol=1e-14)
 
     def test_optimality_residual(self, rng):
         n = 8
@@ -146,7 +153,7 @@ class TestProxF:
         for _ in range(10):
             v = rng.standard_normal(n)
             mu = float(rng.uniform(0.05, 1.0))
-            z = prox_f(f, v, mu)
+            z = f.prox(v, mu)
             resid = f.gradient(z) + (z - v) / mu
             assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(v))
 
@@ -167,7 +174,7 @@ class TestProxF:
     def test_logistic_has_no_prox(self):
         problem = make_logistic_l1()
         with pytest.raises(UnsupportedOperationError):
-            prox_f(problem.f, np.zeros(problem.dim), 0.1)
+            problem.f.prox(np.zeros(problem.dim), 0.1)
 
 
 class TestSoftplus:
@@ -188,12 +195,12 @@ class TestSoftplus:
 
 class TestMoreau:
     def test_at_origin(self):
-        value, grad = moreau(L1(1.0), np.zeros(1), 0.5)
+        value, grad = moreau_envelope(L1(1.0), np.zeros(1), 0.5)
         assert value == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(grad, [0.0], atol=1e-14)
 
     def test_worked_value(self):
-        value, grad = moreau(L1(1.0), np.array([2.0]), 0.5)
+        value, grad = moreau_envelope(L1(1.0), np.array([2.0]), 0.5)
         assert value == pytest.approx(1.75, abs=1e-12)
         np.testing.assert_allclose(grad, [1.0], atol=1e-12)
 
@@ -202,8 +209,8 @@ class TestMoreau:
         for _ in range(30):
             v = 2.0 * rng.standard_normal(4)
             mu = float(rng.uniform(0.1, 1.5))
-            _, grad = moreau(g, v, mu)
-            p = prox_g(g, v, mu)
+            _, grad = moreau_envelope(g, v, mu)
+            p = g.prox(v, mu)
             on = np.abs(p) > 0
             np.testing.assert_allclose(grad[on], 0.9 * np.sign(p[on]),
                                        atol=1e-10)
@@ -215,8 +222,8 @@ class TestMoreau:
         for _ in range(100):
             v = 2.0 * rng.standard_normal(5)
             mu = float(rng.uniform(0.2, 1.5))
-            _, grad = moreau(g, v, mu)
-            fd = finite_diff_grad(lambda z: moreau(g, z, mu)[0], v)
+            _, grad = moreau_envelope(g, v, mu)
+            fd = finite_diff_grad(lambda z: moreau_envelope(g, z, mu)[0], v)
             worst = max(worst,
                         np.linalg.norm(fd - grad) / (1 + np.linalg.norm(grad)))
         assert worst <= 1e-5
@@ -225,14 +232,14 @@ class TestMoreau:
 class TestGradF:
     def test_identity_quadratic(self):
         f = Quadratic(np.eye(2), np.zeros(2))
-        np.testing.assert_allclose(grad_f(f, np.array([1.0, 2.0])),
+        np.testing.assert_allclose(f.gradient(np.array([1.0, 2.0])),
                                    [1.0, 2.0], atol=1e-15)
 
     def test_logistic_at_zero(self):
         problem = make_logistic_l1()
         f = problem.f
         expected = f.A.T @ (0.5 - f.y)
-        np.testing.assert_allclose(grad_f(f, np.zeros(f.dim)), expected,
+        np.testing.assert_allclose(f.gradient(np.zeros(f.dim)), expected,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("make", [make_quadratic_l1, make_logistic_l1])
@@ -241,7 +248,7 @@ class TestGradF:
         worst = 0.0
         for _ in range(100):
             x = rng.standard_normal(f.dim)
-            g = grad_f(f, x)
+            g = f.gradient(x)
             fd = finite_diff_grad(f.value, x)
             worst = max(worst,
                         np.linalg.norm(fd - g) / (1 + np.linalg.norm(g)))
@@ -250,7 +257,7 @@ class TestGradF:
     def test_dimension_mismatch(self):
         f = Quadratic(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
-            grad_f(f, np.zeros(2))
+            f.gradient(np.zeros(2))
 
     @pytest.mark.parametrize("make", [make_quadratic_l1, make_logistic_l1])
     def test_gradient_lipschitz_sampled(self, make, rng):

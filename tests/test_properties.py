@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
-                       CompositeProblem, ConvexSchedule, DynamicsSpec,
-                       GenericOracle, GenericProx, L1,
-                       generalized_gradient, lyapunov_value,
-                       make_lyapunov_spec, prox_g, solve_reference,
+                       CompositeProblem, ConvexSchedule, DynamicsSpec, L1,
+                       dr_envelope, fb_envelope, generalized_gradient,
+                       lyapunov_value, make_lyapunov_spec, solve_reference,
                        vector_field)
 from splitflow._csvfmt import write_csv
 from splitflow.analysis import GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG
@@ -87,7 +86,7 @@ def test_gradient_map_vanishes_at_reference(kind, seed, frac):
 def test_prox_firmly_nonexpansive(gname, a, b, mu, scale):
     g = L1(scale) if gname == "l1" else BoxIndicator(-scale * np.ones(N),
                                                      scale * np.ones(N))
-    d = prox_g(g, a, mu) - prox_g(g, b, mu)
+    d = g.prox(a, mu) - g.prox(b, mu)
     assert d @ d <= d @ (a - b) + 1e-12 * (1.0 + np.abs(a - b).max() ** 2)
 
 
@@ -113,19 +112,15 @@ def oracles(seed, mu):
     """Every value / gradient / prox oracle, as a function of x alone."""
     quad = make_quadratic_l1(n=N, seed=seed).f
     logi = make_logistic_l1(s=10, n=N, seed=seed).f
-    gen_f = GenericOracle(lambda x: float(x @ x), lambda x: 2.0 * x, N,
-                          2.0, 2.0)
-    gen_g = GenericProx(lambda x: float(np.abs(x).sum()),
-                        lambda v, m: np.sign(v) * np.maximum(np.abs(v) - m, 0))
     l1, box = L1(0.7), BoxIndicator(-np.ones(N), np.ones(N))
-    smooth = {"quadratic": quad, "logistic": logi, "generic_f": gen_f}
-    parts = dict(smooth, l1=l1, box=box, generic_g=gen_g)
+    smooth = {"quadratic": quad, "logistic": logi}
+    parts = dict(smooth, l1=l1, box=box)
     out = {"objective": CompositeProblem(logi, l1).objective}
     for name, part in parts.items():
         out[name + ".value"] = part.value
         if name in smooth:
             out[name + ".gradient"] = part.gradient
-        if name not in ("logistic", "generic_f"):   # f's prox: quadratic only
+        if name != "logistic":      # f's prox: quadratic only
             out[name + ".prox"] = lambda x, part=part: part.prox(x, mu)
     return out
 
@@ -152,6 +147,21 @@ def test_kernel_stack_equals_rows(kind, seed, x, frac):
     rows = [_fb_kernel(p, row, mu) for row in x]
     for j, part in enumerate(stacked):
         assert_rows_match(part, [r[j] for r in rows])
+
+
+@pytest.mark.parametrize("rows", [S, N])    # S = n once hid a transpose
+@pytest.mark.parametrize("envelope, kind", [
+    (fb_envelope, "quadratic_l1"), (fb_envelope, "logistic_l1"),
+    (dr_envelope, "quadratic_box")])
+@STACK
+@given(seeds, arrays(np.float64, (N, N), elements=finite), mu_fractions)
+def test_envelope_gradient_stack_equals_rows(rows, envelope, kind, seed, x,
+                                            frac):
+    p = problem_for(kind, seed)
+    mu = frac / p.f.L
+    x = x[:rows]
+    assert_rows_match(envelope(p, x, mu).gradient,
+                      [envelope(p, row, mu).gradient for row in x])
 
 
 @pytest.mark.parametrize("kind", [FB_FLOW, DR_FLOW, ACC_FB, ACC_DR])
