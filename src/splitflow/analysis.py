@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import acc_fb_mu_bound, strongly_convex_point
+from .dynamics import _BLOCK_ROWS, acc_fb_mu_bound, strongly_convex_point
 from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
@@ -281,9 +281,18 @@ def make_lyapunov_spec(problem, mu, alpha, case, theta, envelope_kind=FB,
 
 
 def _lyapunov(spec, t, psi1, psi2, env=None):
-    """V at state blocks psi1, psi2; ``env``, when known, is a quadratic
-    case's envelope term: the DR envelope at z is the FB envelope at
-    x = prox_{mu f}(z), the ``envelope`` observable of an acc_dr run."""
+    """V at state blocks psi1, psi2 (n,) or (S, n) at times (S,), a longer
+    stack _BLOCK_ROWS rows at a time into one output; ``env``, when known,
+    is a quadratic case's envelope term: the DR envelope at z is the FB
+    envelope at x = prox_{mu f}(z), the ``envelope`` observable of acc_dr."""
+    if psi1.ndim > 1 and psi1.shape[0] > _BLOCK_ROWS:
+        V = np.empty(psi1.shape[0])
+        t = np.broadcast_to(t, V.shape)
+        for i in range(0, V.size, _BLOCK_ROWS):
+            rows = slice(i, i + _BLOCK_ROWS)
+            V[rows] = _lyapunov(spec, t[rows], psi1[rows], psi2[rows],
+                                None if env is None else env[rows])
+        return V
     r = spec.theta_at(t)[..., None] * (psi1 - spec.psi1_star) + psi2
     if spec.case == GENERAL_STRONG:
         y = psi1 + spec.beta * psi2
@@ -298,7 +307,8 @@ def _lyapunov(spec, t, psi1, psi2, env=None):
 
 def lyapunov_value(spec, t, psi):
     """Evaluate the Lyapunov function at time t and state psi (2n,), or at
-    times (S,) and a stack of states (S, 2n)."""
+    times (S,) and a stack of states (S, 2n), 256 rows at a time, so that
+    temporaries are bounded by the block size times n."""
     psi, n = np.asarray(psi, dtype=float), spec.problem.dim
     return _lyapunov(spec, t, psi[..., :n], psi[..., n:])
 
@@ -306,7 +316,12 @@ def lyapunov_value(spec, t, psi):
 def lyapunov_series(traj, spec):
     """Lyapunov values at every sample of a trajectory of spec's problem; a
     quadratic case on its own trajectory (FB on acc_fb, DR on acc_dr, same
-    mu) reads its envelope term from the ``envelope`` observable."""
+    mu) reads its envelope term from the ``envelope`` observable. Samples
+    go in the observables' 256-row blocks, so temporaries are bounded by
+    the block size times n. With one BLAS thread V had the bits of one
+    whole-stack evaluation in every case measured (up to logistic 200x1000);
+    a threaded BLAS splits products by shape, so V can differ in last bits.
+    """
     env = traj.observables.get("envelope")
     if (spec.case == GENERAL_STRONG or traj.mu != spec.mu
             or traj.kind != "acc_" + spec.envelope_kind):
@@ -318,7 +333,8 @@ def check_lyapunov_decay(traj, spec):
     """Verify V' + theta V <= eps (1 + V) at every interior sample.
 
     The derivative is approximated by central differences on the sample
-    grid; the first and last samples are excluded.
+    grid; the first and last samples are excluded. Temporaries are bounded
+    by the block size times n, as in :func:`lyapunov_series`.
     """
     if traj.times.shape[0] < 3:
         raise ValueError("need at least 3 samples for the decay check")

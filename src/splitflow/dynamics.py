@@ -52,7 +52,9 @@ _DR_KINDS = (DR_FLOW, ACC_DR)
 _Z_KINDS = _DR_KINDS + ("dr_discrete",)
 
 # rows per block when post-processing a trace, so that no temporary spans
-# the whole (samples x columns) trace
+# the whole (samples x columns) trace: the DR primal map and the
+# observables, dist_sq among them (here), and the Lyapunov series
+# (analysis._lyapunov)
 _BLOCK_ROWS = 256
 
 # damping offset r in theta(t) = 2/(t+r); r = 3 keeps beta(t) >= 0 for t >= 0
@@ -260,7 +262,7 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
     """Package samples of a continuous or discrete run as a Trajectory."""
     t0 = time.perf_counter()
     primal = np.empty_like(position) if kind in _Z_KINDS else position
-    obj_prox, env = np.empty((2, position.shape[0]))
+    obj_prox, env, dist = np.empty((3, position.shape[0]))
     for i in range(0, position.shape[0], _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
         if primal is not position:
@@ -268,14 +270,16 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
         if observables:
             _, p, _, gp, env[rows] = _fb_kernel(problem, primal[rows], mu)
             obj_prox[rows] = problem.f.value(p) + gp
+            if x_star is not None:
+                diff = primal[rows] - x_star
+                dist[rows] = np.einsum("ij,ij->i", diff, diff)
     obs = {}
     if observables:
         obs = {"objective_of_prox": obj_prox, "envelope": env}
         if f_star is not None:
             obs["objective_gap"] = obj_prox - float(f_star)
         if x_star is not None:
-            diff = primal - np.asarray(x_star, dtype=float)[None, :]
-            obs["dist_sq"] = np.einsum("ij,ij->i", diff, diff)
+            obs["dist_sq"] = dist
     meta = dict(meta, kind=kind, mu=mu, observables_s=time.perf_counter() - t0)
     if f_star is not None:
         meta["f_star"] = float(f_star)

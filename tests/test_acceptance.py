@@ -9,11 +9,11 @@ import time
 
 import numpy as np
 
-from splitflow import (CompositeProblem, ConvexSchedule, DynamicsSpec, L1,
-                       Quadratic, certify_exponential, certify_sublinear,
-                       check_envelope_inequalities, check_lyapunov_decay,
-                       dr_envelope, envelope_constants, fb_envelope,
-                       fb_envelope_value, h_curve, integrate,
+from splitflow import (BoxIndicator, CompositeProblem, ConvexSchedule,
+                       DynamicsSpec, L1, Quadratic, certify_exponential,
+                       certify_sublinear, check_envelope_inequalities,
+                       check_lyapunov_decay, dr_envelope, envelope_constants,
+                       fb_envelope, fb_envelope_value, h_curve, integrate,
                        make_lyapunov_spec, schedule_strongly_convex,
                        solve_reference)
 from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
@@ -25,7 +25,8 @@ from conftest import (make_logistic_l1, make_quadratic_box, make_quadratic_l1,
                       moreau_envelope)
 from oracles import (decay_form_constant, decay_form_timevarying,
                      fb_envelope_prox_form, finite_diff_grad,
-                     random_spd_matrix, second_directional_difference)
+                     linear_flow_solution, random_spd_matrix,
+                     second_directional_difference)
 
 
 def verdict(name, passed, detail=""):
@@ -55,6 +56,55 @@ class TestSublinearRateLasso:
                 f"slopes acc_fb={slopes['acc_fb']:.3f} "
                 f"acc_dr={slopes['acc_dr']:.3f} "
                 f"fb_flow={slopes['fb_flow']:.3f} ({elapsed:.1f}s)")
+
+
+def separated(acc_gaps, flow_gaps, factor=20.0):
+    """Every accelerated gap at most every flow gap over ``factor``."""
+    return max(acc_gaps) <= min(flow_gaps) / factor
+
+
+class TestAccelerationWorstCase:
+    """Nesterov's worst-case quadratic (Introductory Lectures on Convex
+    Optimization, 2004, Sec. 2.1.2): f = (L/8) x'Ax - (L/4) x_1 with
+    A = tridiag(-1, 2, -1), g the box [-10, 10]^n, inactive at every sample
+    (x*_i = 1 - i/(n+1)). The accelerated kinds reach O(1/t^2), the flows
+    only about t^-0.55 over [50, 400]."""
+
+    def test_criterion(self):
+        t0 = time.perf_counter()
+        n, L = 200, 1.0
+        A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        q = np.zeros(n)
+        q[0] = -L / 4.0
+        p = CompositeProblem(Quadratic(L / 4.0 * A, q, m=0.0, L=L),
+                             BoxIndicator(np.full(n, -10.0),
+                                          np.full(n, 10.0)))
+        x_star = 1.0 - np.arange(1, n + 1) / (n + 1.0)
+        f_star = p.objective(x_star)
+        mu, alpha, tol = 1.0 / (2.0 * L), 1.0 / L, 1e-9
+        gaps, slopes = {}, {}
+        for kind in ("acc_fb", "acc_dr", "fb_flow", "dr_flow"):
+            spec = DynamicsSpec(kind, p, mu, ConvexSchedule(alpha=alpha))
+            traj = integrate(spec, t_end=400.0, tol=tol, x_star=x_star,
+                             f_star=f_star)
+            assert np.abs(traj.primal).max() < 10.0     # the box is inactive
+            gaps[kind] = traj.observables["objective_gap"][-1]
+            slopes[kind] = certify_sublinear(traj, (50.0, 400.0)).fitted
+            if kind == "fb_flow":   # linear: x' = -alpha (Q x + q) from 0
+                exact = linear_flow_solution(p.f.Q, q, alpha, np.zeros(n),
+                                             traj.times)
+                assert np.abs(traj.primal - exact).max() <= 10.0 * tol
+        elapsed = time.perf_counter() - t0
+        acc = [gaps["acc_fb"], gaps["acc_dr"]]
+        flow = [gaps["fb_flow"], gaps["dr_flow"]]
+        # the separation check can fail: not with the kinds swapped
+        assert not separated(flow, acc)
+        ok = (separated(acc, flow)
+              and max(slopes["acc_fb"], slopes["acc_dr"]) <= -1.9
+              and min(slopes["fb_flow"], slopes["dr_flow"]) >= -0.7)
+        verdict("acceleration on the worst-case quadratic (n=200)", ok,
+                " ".join(f"{k}: gap={gaps[k]:.2e} slope={slopes[k]:.3f}"
+                         for k in gaps) + f" ({elapsed:.1f}s)")
 
 
 class TestExponentialRateBoxQp:

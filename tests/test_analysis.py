@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,8 @@ from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
                                 lyapunov_series)
 from splitflow.dynamics import strongly_convex_point
 from splitflow.envelopes import fb_envelope_value, generalized_gradient
-from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
+from splitflow.harness import (BenchmarkConfig, _example_setup, gen_lasso,
+                               gen_logistic, generate_problem)
 
 from conftest import SquaredNorm, make_logistic_l1, make_quadratic_l1
 from oracles import (decay_form_constant, decay_form_timevarying,
@@ -400,8 +402,9 @@ class TestLyapunovSeries:
         calls = self.count_calls(monkeypatch)
         V = lyapunov_series(traj, spec)
         assert calls == {"fb_envelope_value": [], "lyapunov_value": []}
-        direct = lyapunov_value(spec, traj.times, traj.states)
-        assert np.all(np.abs(V - direct) <= 1e-12 * (1.0 + np.abs(direct)))
+        # both evaluate the envelope on the same blocks of the same rows
+        np.testing.assert_array_equal(
+            V, lyapunov_value(spec, traj.times, traj.states))
         # the envelope term is the observable: shifting it shifts V by alpha
         shifted = dataclasses.replace(traj, observables=dict(
             traj.observables, envelope=traj.observables["envelope"] + 1.0))
@@ -423,11 +426,95 @@ class TestLyapunovSeries:
             traj = dataclasses.replace(traj, observables={})
         calls = self.count_calls(monkeypatch)
         V = lyapunov_series(traj, spec)
-        # one evaluation on the whole stack, without stacking the states
-        assert calls == {"fb_envelope_value": [(traj.times.size, 8)],
-                         "lyapunov_value": []}
+        # block-sized evaluations, without stacking the states
+        S, rows = traj.times.size, analysis._BLOCK_ROWS
+        assert calls == {"fb_envelope_value": [
+            (min(rows, S - i), 8) for i in range(0, S, rows)],
+            "lyapunov_value": []}
         np.testing.assert_array_equal(
             V, lyapunov_value(spec, traj.times, traj.states))
+        # the blocks cover every sample once, in order: at n = 8 they give
+        # the bits of one evaluation on the whole stack
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", S)
+        np.testing.assert_array_equal(V, lyapunov_series(traj, spec))
+
+
+class TestBoundedBlocks:
+    """The Lyapunov series is evaluated _BLOCK_ROWS rows at a time, so its
+    temporaries stay within a block times n, not the whole trace."""
+
+    @staticmethod
+    def trajectory_and_spec(kind, general):
+        if general:
+            p = gen_logistic(40, 60, seed=0)
+            alpha = 1.0 / p.f.L
+            sched = schedule_strongly_convex(alpha, p.f.m)
+            mu = math.sqrt(sched.gamma() * sched.beta()) / (2.0 * p.f.L)
+            case, theta, beta = GENERAL_STRONG, sched.theta(), sched.beta()
+        else:
+            p = gen_lasso(20, 60, seed=0)
+            mu, alpha = 0.5 / p.f.L, 1.0 / p.f.L
+            sched = ConvexSchedule(alpha=alpha)
+            case, theta, beta = QUAD_CONVEX, ConvexSchedule.theta, None
+        ref = solve_reference(p, mu, tol=1e-10)
+        traj = integrate(DynamicsSpec(kind, p, mu, sched), t_end=20.0,
+                         sample_dt=0.005, x_star=ref.x, f_star=ref.value)
+        lspec = make_lyapunov_spec(p, mu, alpha=alpha, case=case,
+                                   theta=theta, envelope_kind=kind[4:],
+                                   beta=beta, x_star=ref.x, f_star=ref.value)
+        return traj, lspec
+
+    @pytest.mark.parametrize("kind, general", [
+        (ACC_FB, False), (ACC_DR, False), (ACC_FB, True)],
+        ids=["acc_fb", "acc_dr", "general"])
+    def test_decay_check_peak_below_half_the_states(self, kind, general):
+        # whole-trace temporaries peaked at 1.03x the state bytes in the
+        # quadratic cases and 4.8x in the general one
+        traj, lspec = self.trajectory_and_spec(kind, general)
+        assert traj.times.size == 4001
+        state_bytes = traj.states.nbytes
+        tracemalloc.start()
+        try:
+            check_lyapunov_decay(traj, lspec)   # warms any cache
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            report = check_lyapunov_decay(traj, lspec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 0.5 * state_bytes, (peak, state_bytes)
+
+    @pytest.mark.parametrize("n", [8, 30, 120])
+    @pytest.mark.parametrize("case, envelope_kind", [
+        (QUAD_CONVEX, "fb"), (QUAD_STRONG, "dr"), (GENERAL_STRONG, "fb")])
+    def test_blocks_match_whole_stack(self, case, envelope_kind, n,
+                                      monkeypatch):
+        # 600 rows: two full blocks and a partial one
+        if case == GENERAL_STRONG:
+            p = make_logistic_l1(s=2 * n, n=n, seed=n)
+        else:
+            p = make_quadratic_l1(n=n, seed=n)
+        spec = make_lyapunov_spec(
+            p, 0.5 / p.f.L, alpha=0.1, case=case,
+            theta=ConvexSchedule.theta if case == QUAD_CONVEX else 0.3,
+            envelope_kind=envelope_kind,
+            beta=0.4 if case == GENERAL_STRONG else None,
+            x_star=np.zeros(n), f_star=0.0)
+        rng = np.random.default_rng(n)
+        t = np.sort(rng.uniform(0.0, 50.0, 600))
+        psi = rng.standard_normal((600, 2 * n))
+        V = lyapunov_value(spec, t, psi)
+        # one time for every state, as on a single point
+        np.testing.assert_array_equal(lyapunov_value(spec, t[0], psi),
+                                      lyapunov_value(spec, np.full(600, t[0]),
+                                                     psi))
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", 600)
+        whole = lyapunov_value(spec, t, psi)
+        if n <= 30:
+            np.testing.assert_array_equal(V, whole)
+        else:
+            assert np.all(np.abs(V - whole) <= 1e-12 * (1.0 + np.abs(whole)))
 
 
 class TestRateFits:
