@@ -24,7 +24,11 @@ operations:
   d += y``), swapping only operands of ``+`` and ``*``; the RMS norm
   divides by a stored sqrt(n); no array but the stepper's is written;
 - the dense-output powers of x are multiplied out one by one: the
-  sequential product that scipy's ``cumprod`` over ``np.tile`` computes.
+  sequential product that scipy's ``cumprod`` over ``np.tile`` computes;
+- tol (once, at construction) and each attempt's step size h enter the
+  array operations as float64 0-d arrays, which numpy takes without the
+  per-call conversion of a Python float: the same values; h stays a Python
+  float in the arithmetic on times.
 
 The field's evaluations are counted per attempted step, not per call.
 """
@@ -98,7 +102,7 @@ class Dopri5:
     """
 
     def __init__(self, fun, y0, t_end, tol):
-        self.fun, self.t_end, self.tol = fun, t_end, tol
+        self.fun, self.t_end, self.tol = fun, t_end, np.array(tol)
         self.t, self.y, self._abs_y = 0.0, y0, np.abs(y0)
         K = self.K = np.empty((7, y0.size))
         self.f = K[-1]          # the FSAL stage
@@ -132,18 +136,19 @@ class Dopri5:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
         return min(100 * h0, h1, interval)
 
-    def _attempt(self, h):
-        """Fill K[1:] for a step of size h from K[0] = f; return y_new."""
+    def _attempt(self, h, h_op):
+        """Fill K[1:] for a step of size h (h_op: the same as a 0-d array)
+        from K[0] = f; return y_new."""
         t, y, K, fun, d = self.t, self.y, self.K, self.fun, self._y_stage
         try:
             for s, K_new, K_s, a, c in self._stages:
                 K_s.dot(a, out=d)
-                d *= h
+                d *= h_op
                 d += y
                 fun(t + c * h, d, K_new)
             s = 6
             y_new = self._K_B.dot(B)
-            y_new *= h
+            y_new *= h_op
             y_new += y
             fun(t + h, y_new, self.f)
         except Exception:
@@ -169,13 +174,14 @@ class Dopri5:
                 return False
             t_new = min(t + h_abs, self.t_end)
             h = h_abs = t_new - t
-            y_new = self._attempt(h)
+            h_op = np.array(h)
+            y_new = self._attempt(h, h_op)
             abs_new = np.abs(y_new)
             scale = np.maximum(abs_y, abs_new, out=self._scale)
             scale *= tol
             scale += tol
             err = self._K_E.dot(E, out=self._err)
-            err *= h
+            err *= h_op
             err /= scale
             error_norm = math.sqrt(err.dot(err)) / self._sqrt_n
             if error_norm < 1:

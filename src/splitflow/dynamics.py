@@ -181,12 +181,18 @@ class DynamicsSpec:
         kind looked up once, at the first evaluation.
 
         G is ``generalized_gradient``'s expression without its per-call
-        check of mu, which ``__post_init__`` made once.
+        check of mu, which ``__post_init__`` made once. mu and alpha (-alpha
+        for the flows) are bound as float64 0-d arrays, which numpy takes as
+        ufunc operands without the per-call conversion of a Python float:
+        the same values, so the same bits. The oracles receive that mu. So
+        do -gamma and beta of a ``ConstantSchedule``; a time-varying
+        schedule's stay Python floats, as a 0-d array made per call would
+        cost what it saves.
         """
         f, g, sched = self.problem.f, self.problem.g, self.schedule
         f_grad, f_prox, g_prox = f.gradient, f.prox, g.prox
-        mu, alpha, n = float(self.mu), sched.alpha, self.problem.dim
-        beta, gamma = sched.beta, sched.gamma
+        mu, alpha = np.array(float(self.mu)), np.array(sched.alpha)
+        beta, gamma, n = sched.beta, sched.gamma, self.problem.dim
 
         def G_x(x):
             return (x - g_prox(x - mu * f_grad(x), mu)) / mu
@@ -196,15 +202,23 @@ class DynamicsSpec:
 
         G = G_z if self.kind in _DR_KINDS else G_x
         if self.kind in _FLOW_KINDS:
-            return lambda t, psi, out=None: np.multiply(-alpha, G(psi), out)
+            neg_alpha = np.array(-sched.alpha)
+            return lambda t, psi, out=None: np.multiply(neg_alpha, G(psi), out)
+
+        constant = ((np.array(-sched.gamma()), np.array(sched.beta()))
+                    if isinstance(sched, ConstantSchedule) else None)
 
         def second_order(t, psi, out=None):
-            if psi.ndim > 1 and np.ndim(t):   # times (S,) of a stack
-                t = np.asarray(t, dtype=float)[:, None]
+            if constant:
+                neg_gamma, b = constant
+            else:
+                if psi.ndim > 1 and np.ndim(t):   # times (S,) of a stack
+                    t = np.asarray(t, dtype=float)[:, None]
+                neg_gamma, b = -gamma(t), beta(t)
             pos, vel = psi[..., :n], psi[..., n:]
             out = np.empty_like(psi) if out is None else out
             out[..., :n] = vel
-            np.subtract(-gamma(t) * vel, alpha * G(pos + beta(t) * vel),
+            np.subtract(neg_gamma * vel, alpha * G(pos + b * vel),
                         out=out[..., n:])
             return out
 

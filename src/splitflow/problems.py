@@ -4,7 +4,11 @@ The smooth part f exposes value/gradient/Hessian-action oracles together
 with a strong convexity constant ``m`` and a gradient Lipschitz constant
 ``L``; the nonsmooth part g is accessed through its proximal operator.
 All oracles are pure functions of immutable problem data and are safe to
-call concurrently (internal factorization caches are idempotent).
+call concurrently. The only state is per-penalty caches, keyed by
+``float(mu)``: ``Quadratic`` keeps the Cholesky factor of I + mu Q with
+mu q, and ``L1`` its prox bounds -mu weight and mu weight as float64 0-d
+arrays. A cache entry is a function of mu alone, so filling one is
+idempotent.
 
 Every oracle takes a point ``(n,)`` or a stack of points ``(S, n)`` and
 returns one result per point. A custom f or g subclasses
@@ -180,26 +184,31 @@ class Quadratic(SmoothFunction):
         return self.Q
 
     def _shifted_factor(self, mu):
-        # Cholesky of (I + mu Q), cached per penalty value
+        """(Cholesky factor (c, lower) of I + mu Q, mu q), cached per mu."""
         _load_lapack()      # on a hit too: an unpickled cache comes along
         key = float(mu)
-        fac = self._prox_factors.get(key)
-        if fac is None:
-            fac = _cho_factor(np.eye(self.dim) + mu * self.Q)
-            self._prox_factors[key] = fac
-        return fac
+        entry = self._prox_factors.get(key)
+        if entry is None:
+            entry = (_cho_factor(np.eye(self.dim) + mu * self.Q), mu * self.q)
+            self._prox_factors[key] = entry
+        return entry
 
-    def solve_shifted(self, mu, rhs):
-        """Solve (I + mu Q) z = rhs, for one right-hand side or a stack."""
+    @staticmethod
+    def _solve(fac, rhs):
         # the LAPACK call of scipy's cho_solve, without its per-call checks
-        c, lower = self._shifted_factor(mu)
+        c, lower = fac
         z, info = _dpotrs(c, rhs.T, lower=lower)
         if info != 0:
             raise np.linalg.LinAlgError(f"potrs failed with info={info}")
         return z.T
 
+    def solve_shifted(self, mu, rhs):
+        """Solve (I + mu Q) z = rhs, for one right-hand side or a stack."""
+        return self._solve(self._shifted_factor(mu)[0], rhs)
+
     def prox(self, v, mu):
-        return self.solve_shifted(mu, v - mu * self.q)
+        fac, mu_q = self._shifted_factor(mu)
+        return self._solve(fac, v - mu_q)
 
 
 class LogisticRidge(SmoothFunction):
@@ -230,6 +239,7 @@ class LogisticRidge(SmoothFunction):
         self.A = A
         self.y = y
         self.ridge = ridge
+        self._ridge = np.array(ridge)   # a 0-d operand: no per-call conversion
         self.dim = A.shape[1]
         # numpy's gesdd, the LAPACK routine scipy's svdvals calls
         smax = np.linalg.svd(A, compute_uv=False)[0] if min(A.shape) else 0.0
@@ -243,7 +253,7 @@ class LogisticRidge(SmoothFunction):
 
     def gradient(self, x):
         s = _expit((self.A @ x.T).T)
-        return (self.A.T @ (s - self.y).T).T + self.ridge * x
+        return (self.A.T @ (s - self.y).T).T + self._ridge * x
 
     def hess_vec(self, x, v):
         s = _expit((self.A @ x.T).T)
@@ -288,14 +298,23 @@ class L1(NonsmoothFunction):
             raise ValueError(
                 f"l1 weight must be positive and finite, got {weight}")
         self.weight = weight
+        self._bounds = {}
 
     def value(self, x):
         return self.weight * np.sum(np.abs(x), axis=-1)
 
     def prox(self, v, mu):
-        """sign(v) max(|v| - t, 0), t = mu weight, as v - clip(v, -t, t)."""
-        t = mu * self.weight
-        return v - np.minimum(np.maximum(v, -t), t)
+        """sign(v) max(|v| - t, 0), t = mu weight, as v - clip(v, -t, t).
+
+        The bounds -t and t are float64 0-d arrays, cached per penalty value,
+        so the result is float64: a float32 v is not kept as float32 (no
+        caller passes one).
+        """
+        bounds = self._bounds.get(key := float(mu))
+        if bounds is None:
+            t = key * self.weight
+            bounds = self._bounds[key] = (np.array(-t), np.array(t))
+        return v - np.minimum(np.maximum(v, bounds[0]), bounds[1])
 
     def free_set(self, x):
         """Polish hook: mask x != 0, a copy of x, g's gradient on the mask."""

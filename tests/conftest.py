@@ -70,3 +70,16 @@ def make_logistic_l1(s=30, n=15, ridge=0.5, lam=0.3, seed=0):
     A = gen.standard_normal((s, n))
     y = (gen.uniform(size=s) < 0.5).astype(float)
     return CompositeProblem(LogisticRidge(A, y, ridge), L1(lam))
+
+
+def make_worst_case_quadratic(n=200, L=1.0):
+    """Nesterov's worst-case quadratic (Introductory Lectures on Convex
+    Optimization, 2004, Sec. 2.1.2): f = (L/8) x'Ax - (L/4) x_1 with
+    A = tridiag(-1, 2, -1) and m = 0, plus g the box [-10, 10]^n, which
+    stays inactive (x*_i = 1 - i/(n+1)). Returns the problem and x*."""
+    A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    q = np.zeros(n)
+    q[0] = -L / 4.0
+    p = CompositeProblem(Quadratic(L / 4.0 * A, q, m=0.0, L=L),
+                         BoxIndicator(np.full(n, -10.0), np.full(n, 10.0)))
+    return p, 1.0 - np.arange(1, n + 1) / (n + 1.0)

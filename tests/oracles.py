@@ -4,17 +4,22 @@ These deliberately avoid the library code paths they are checking:
 scalar proxes come from golden-section search on the prox objective,
 gradients from central finite differences, linear flows from the
 eigendecomposition solution of the ODE (with one 2x2 matrix exponential
-per eigenvalue for the second-order flows), the FB flow across l1 kinks
-from one matrix exponential per sign pattern, CSV text from Python's
-own ``'%.17e'`` formatting, one value at a time, and the quadratic-form
-blocks of the Lyapunov decay bound from the schedules' closed forms.
+per eigenvalue for the second-order flows under a constant schedule, and
+scipy's DOP853 on the decoupled eigenmodes under a time-varying one), the
+FB flow across l1 kinks from one matrix exponential per sign pattern, CSV
+text from Python's own ``'%.17e'`` formatting, one value at a time, the
+quadratic-form blocks of the Lyapunov decay bound from the schedules'
+closed forms, and the vector field written with every constant operand a
+Python float.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
+from scipy.special import expit
 
 from splitflow import ConvexSchedule
 
@@ -133,6 +138,82 @@ def second_order_flow_solution(Q, q, alpha, gamma, beta, psi0, ts,
     out[:, :n] = x_star + out[:, :n] @ V.T
     out[:, n:] = out[:, n:] @ V.T
     return out
+
+
+def mode_solution(Q, q, alpha, gamma, beta, ts, psi0=None, mu=None):
+    """States (len(ts), 2n) of the accelerated flows on f(x) = x'Qx/2 + q'x
+    with g inactive, under the schedule functions gamma(t) and beta(t),
+    from scipy's DOP853 at rtol 1e-13 (atol 1e-13); psi0 defaults to 0.
+
+    In the eigenbasis V of Q (eigenvalues lambda, c = V'q) the modes
+    decouple: u'' + gamma u' + alpha (lambda x + c) = 0, with x = w for
+    acc_fb (``mu=None``) and x = (w - mu c)/(1 + mu lambda), the prox of f
+    at w, for acc_dr (``mu`` given), where w = u + beta u'. For acc_dr the
+    mode state u is that of z. All 2n mode states go to one call.
+    """
+    lam, V = np.linalg.eigh(Q)
+    c = V.T @ q
+    n = lam.size
+    psi0 = np.zeros(2 * n) if psi0 is None else psi0
+    scale = 1.0 if mu is None else 1.0 / (1.0 + mu * lam)
+    shift = 0.0 if mu is None else mu * c
+
+    def field(t, y):
+        u, du = y[:n], y[n:]
+        x = (u + beta(t) * du - shift) * scale
+        return np.concatenate([du, -gamma(t) * du - alpha * (lam * x + c)])
+
+    y0 = np.concatenate([V.T @ psi0[:n], V.T @ psi0[n:]])
+    sol = solve_ivp(field, (0.0, ts[-1]), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-13, t_eval=ts)
+    return np.hstack([sol.y[:n].T @ V.T, sol.y[n:].T @ V.T])
+
+
+def python_float_g_prox(g, v, mu):
+    """g's prox with its bound as a Python float: soft thresholding as
+    v - clip(v, -t, t) with t = mu weight for l1, the clamp for a box."""
+    if g.kind == "l1":
+        t = float(mu) * g.weight
+        return v - np.minimum(np.maximum(v, -t), t)
+    return np.minimum(np.maximum(v, g.lower), g.upper)
+
+
+def python_float_f_prox(f, v, mu):
+    """A quadratic f's prox, (I + mu Q)^-1 (v - mu q), mu a Python float."""
+    mu = float(mu)
+    return f.solve_shifted(mu, v - mu * f.q)
+
+
+def python_float_gradient(f, x):
+    """f's gradient; a logistic f adds its ridge term as a Python float."""
+    if f.kind == "logistic_ridge":
+        s = expit((f.A @ x.T).T)
+        return (f.A.T @ (s - f.y).T).T + f.ridge * x
+    return (f.Q @ x.T).T + f.q
+
+
+def python_float_field(kind, problem, mu, schedule, t, psi):
+    """The vector field of ``kind`` at (t, psi), a point or a stack with
+    times (S,), with mu, alpha, gamma(t) and beta(t) as Python floats and
+    the python_float_* oracles: G_mu(x) = (x - prox_g(x - mu grad f(x)))/mu,
+    at prox_f(z) for the DR kinds."""
+    f, g, mu, alpha = problem.f, problem.g, float(mu), schedule.alpha
+
+    def G(x):
+        if kind in ("dr_flow", "acc_dr"):
+            x = python_float_f_prox(f, x, mu)
+        forward = x - mu * python_float_gradient(f, x)
+        return (x - python_float_g_prox(g, forward, mu)) / mu
+
+    if kind in ("fb_flow", "dr_flow"):
+        return -alpha * G(psi)
+    if psi.ndim > 1 and np.ndim(t):
+        t = np.asarray(t, dtype=float)[:, None]
+    n = problem.dim
+    pos, vel = psi[..., :n], psi[..., n:]
+    acc = (-schedule.gamma(t) * vel
+           - alpha * G(pos + schedule.beta(t) * vel))
+    return np.concatenate([vel, acc], axis=-1)
 
 
 def piecewise_fb_flow_solution(Q, q, lam, mu, alpha, x0, ts):

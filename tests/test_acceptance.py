@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from splitflow import (BoxIndicator, CompositeProblem, ConvexSchedule,
-                       DynamicsSpec, L1, Quadratic, certify_exponential,
+from splitflow import (CompositeProblem, ConvexSchedule, DynamicsSpec,
+                       L1, Quadratic, certify_exponential,
                        certify_sublinear, check_envelope_inequalities,
                        check_lyapunov_decay, dr_envelope, envelope_constants,
                        fb_envelope, fb_envelope_value, h_curve, integrate,
@@ -22,7 +22,7 @@ from splitflow.envelopes import _fb_kernel
 from splitflow.harness import gen_boxqp, gen_lasso, gen_logistic
 
 from conftest import (make_logistic_l1, make_quadratic_box, make_quadratic_l1,
-                      moreau_envelope)
+                      make_worst_case_quadratic, moreau_envelope)
 from oracles import (decay_form_constant, decay_form_timevarying,
                      fb_envelope_prox_form, finite_diff_grad,
                      linear_flow_solution, random_spd_matrix,
@@ -64,22 +64,15 @@ def separated(acc_gaps, flow_gaps, factor=20.0):
 
 
 class TestAccelerationWorstCase:
-    """Nesterov's worst-case quadratic (Introductory Lectures on Convex
-    Optimization, 2004, Sec. 2.1.2): f = (L/8) x'Ax - (L/4) x_1 with
-    A = tridiag(-1, 2, -1), g the box [-10, 10]^n, inactive at every sample
-    (x*_i = 1 - i/(n+1)). The accelerated kinds reach O(1/t^2), the flows
-    only about t^-0.55 over [50, 400]."""
+    """Nesterov's worst-case quadratic (``make_worst_case_quadratic``), its
+    box inactive at every sample. The accelerated kinds reach O(1/t^2), the
+    flows only about t^-0.55 over [50, 400]."""
 
     def test_criterion(self):
         t0 = time.perf_counter()
         n, L = 200, 1.0
-        A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        q = np.zeros(n)
-        q[0] = -L / 4.0
-        p = CompositeProblem(Quadratic(L / 4.0 * A, q, m=0.0, L=L),
-                             BoxIndicator(np.full(n, -10.0),
-                                          np.full(n, 10.0)))
-        x_star = 1.0 - np.arange(1, n + 1) / (n + 1.0)
+        p, x_star = make_worst_case_quadratic(n, L)
+        q = p.f.q
         f_star = p.objective(x_star)
         mu, alpha, tol = 1.0 / (2.0 * L), 1.0 / L, 1e-9
         gaps, slopes = {}, {}

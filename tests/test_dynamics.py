@@ -17,11 +17,13 @@ from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
 from splitflow.harness import BenchmarkConfig, _example_setup, generate_problem
 
-from conftest import (SquaredNorm, make_logistic_l1, make_quadratic_l1,
+from conftest import (SquaredNorm, make_logistic_l1, make_quadratic_box,
+                      make_quadratic_l1, make_worst_case_quadratic,
                       smooth_problem)
-from oracles import (linear_flow_solution, piecewise_fb_flow_solution,
-                     scalar_prox_l1,
-                     second_order_flow_solution, trace_csv_reference)
+from oracles import (linear_flow_solution, mode_solution,
+                     piecewise_fb_flow_solution, python_float_field,
+                     scalar_prox_l1, second_order_flow_solution,
+                     trace_csv_reference)
 
 
 class TestSchedules:
@@ -154,6 +156,85 @@ class TestVectorField:
         with pytest.raises(ParameterDomainError):
             DynamicsSpec(ACC_FB, p, 2 * bound, sched)
         DynamicsSpec(ACC_FB, p, bound, sched)  # at the bound: fine
+
+
+class TestPythonFloatBits:
+    """The field binds mu, alpha and a constant schedule's -gamma and beta
+    as float64 0-d arrays: with mu given as a float, a numpy scalar or a
+    0-d array, on a point and on a stack, it gives the bits of the field
+    with Python-float constants (``oracles.python_float_field``)."""
+
+    @pytest.mark.parametrize("as_mu", [float, np.float64, np.array])
+    @pytest.mark.parametrize("make, kinds", [
+        (make_quadratic_l1, (FB_FLOW, DR_FLOW, ACC_FB, ACC_DR)),
+        (make_quadratic_box, (FB_FLOW, DR_FLOW, ACC_FB, ACC_DR)),
+        (make_logistic_l1, (FB_FLOW, ACC_FB))],
+        ids=["quadratic_l1", "quadratic_box", "logistic_l1"])
+    def test_field(self, make, kinds, as_mu, rng):
+        p = make(n=9, seed=5)
+        mu = 0.05 / p.f.L
+        schedules = (ConvexSchedule(alpha=0.7),
+                     schedule_strongly_convex(1.0 / p.f.L, p.f.m))
+        for kind in kinds:
+            for sched in schedules:
+                spec = DynamicsSpec(kind, p, as_mu(mu), sched)
+                n = spec.state_dim
+                # magnitudes from 1e-3 to 3: some entries hit the prox's kinks
+                scale = 3.0 * 10.0 ** rng.uniform(-3.0, 0.0, n)
+                for t, psi in ((1.7, rng.standard_normal(n) * scale),
+                               (rng.uniform(0.0, 5.0, 4),
+                                rng.standard_normal((4, n)) * scale)):
+                    out = vector_field(spec, t, psi)
+                    ref = python_float_field(kind, p, mu, sched, t, psi)
+                    assert out.shape == ref.shape
+                    assert out.tobytes() == ref.tobytes(), (kind, sched)
+
+
+@lru_cache(maxsize=None)
+def worst_case_mode_errors(kind):
+    """Sample times and max |position - mode_solution| per sample of
+    ``kind`` on the worst-case quadratic (n = 200, L = 1, mu = 1/2,
+    alpha = 1, convex schedule, t_end 400, tol 1e-9), from zero."""
+    p, _ = make_worst_case_quadratic(200, 1.0)
+    spec = DynamicsSpec(kind, p, 0.5, ConvexSchedule(alpha=1.0))
+    traj = integrate(spec, t_end=400.0, tol=1e-9)
+    exact = mode_solution(p.f.Q, p.f.q, 1.0, ConvexSchedule.gamma,
+                          ConvexSchedule.beta, traj.times,
+                          mu=0.5 if kind == ACC_DR else None)
+    return traj.times, np.abs(traj.position - exact[:, :200]).max(axis=1)
+
+
+class TestAccModes:
+    """The accelerated kinds against the exact per-mode solution of the
+    convex-schedule ODE on the worst-case quadratic (g inactive)."""
+
+    @pytest.mark.parametrize("mu", [None, 0.2])
+    def test_mode_solution_matches_constant_schedule_expm(self, mu):
+        # the oracle itself, under a constant schedule, against the 2x2
+        # matrix exponentials of second_order_flow_solution
+        p = smooth_problem(n=5, seed=2)
+        psi0 = np.linspace(-1.0, 1.0, 10)
+        ts = np.linspace(0.0, 20.0, 11)
+        exact = second_order_flow_solution(p.f.Q, p.f.q, 0.3, 0.6, 0.4,
+                                           psi0, ts, mu=mu)
+        modes = mode_solution(p.f.Q, p.f.q, 0.3, lambda t: 0.6,
+                              lambda t: 0.4, ts, psi0=psi0, mu=mu)
+        assert np.max(np.abs(modes - exact)) <= 1e-11
+
+    @pytest.mark.parametrize("kind", [ACC_FB, ACC_DR])
+    def test_within_ten_tol_to_t100(self, kind):
+        times, err = worst_case_mode_errors(kind)
+        assert err[times <= 100.0].max() <= 10.0 * 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the global error grows past 10 tol after t = 100: max 14.6 tol "
+        "(acc_fb, at t = 397.0) and 15.9 tol (acc_dr, at t = 398.6), and "
+        "13.6 and 15.7 tol at the step end t = 400; see the CHANGES FOUND "
+        "line on the per-mode reference"))
+    def test_within_ten_tol_whole_run(self):
+        for kind in (ACC_FB, ACC_DR):
+            _, err = worst_case_mode_errors(kind)
+            assert err.max() <= 10.0 * 1e-9
 
 
 KINK_TOLS = (1e-6, 1e-8, 1e-10)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,17 @@ from splitflow import (ACC_FB, BoxIndicator, CompositeProblem,
 from splitflow.problems import _softplus
 
 from conftest import make_logistic_l1, make_quadratic_l1, moreau_envelope
-from oracles import finite_diff_grad, scalar_prox_box, scalar_prox_l1
+from oracles import (finite_diff_grad, python_float_f_prox,
+                     python_float_g_prox, python_float_gradient,
+                     scalar_prox_box, scalar_prox_l1)
+
+# mu as a caller may pass it: a Python float, a numpy scalar, a 0-d array
+MU_FORMS = pytest.mark.parametrize("as_mu", [float, np.float64, np.array])
+
+
+def assert_same_bits(out, ref):
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
 
 
 class TestProxG:
@@ -164,7 +175,7 @@ class TestProxF:
         f = Quadratic(random_spd_matrix(n, 0.5, 4.0, rng),
                       rng.standard_normal(n))
         mu = 0.3
-        fac = f._shifted_factor(mu)
+        fac = f._shifted_factor(mu)[0]
         for v in (rng.standard_normal(n), rng.standard_normal((7, n))):
             assert np.array_equal(f.solve_shifted(mu, v),
                                   sla.cho_solve(fac, v.T).T)
@@ -175,6 +186,51 @@ class TestProxF:
         problem = make_logistic_l1()
         with pytest.raises(UnsupportedOperationError):
             problem.f.prox(np.zeros(problem.dim), 0.1)
+
+
+class TestPythonFloatBits:
+    """The oracles bind their constants as float64 0-d arrays (mu q, the l1
+    bounds, the ridge weight): each ufunc takes the same values as with the
+    Python floats of the ``python_float_*`` oracles, so gives the same bits,
+    on a point and on a stack."""
+
+    @staticmethod
+    def points(rng, n):
+        # magnitudes from 1e-3 to 1, so that the l1 prox zeroes some entries
+        scale = 10.0 ** rng.uniform(-3.0, 0.0, n)
+        return (rng.standard_normal(n) * scale,
+                rng.standard_normal((5, n)) * scale)
+
+    @MU_FORMS
+    def test_l1_prox(self, as_mu, rng):
+        g = L1(0.7)
+        for mu in (0.3, 1e-3, 0.0):
+            for v in self.points(rng, 9):
+                assert_same_bits(g.prox(v, as_mu(mu)),
+                                 python_float_g_prox(g, v, mu))
+
+    @MU_FORMS
+    def test_quadratic_prox(self, as_mu, rng):
+        f = make_quadratic_l1(n=9, seed=3).f
+        for mu in (0.05, 0.09):
+            for v in self.points(rng, 9):
+                assert_same_bits(f.prox(v, as_mu(mu)),
+                                 python_float_f_prox(f, v, mu))
+
+    def test_logistic_gradient(self, rng):
+        f = make_logistic_l1(n=9, seed=3).f
+        for x in self.points(rng, 9):
+            assert_same_bits(f.gradient(x), python_float_gradient(f, x))
+
+    @MU_FORMS
+    def test_unpickled_l1_with_filled_cache(self, as_mu, rng):
+        g = L1(0.7)
+        g.prox(np.zeros(9), 0.3)
+        restored = pickle.loads(pickle.dumps(g))
+        assert list(restored._bounds) == [0.3]
+        for v in self.points(rng, 9):
+            assert_same_bits(restored.prox(v, as_mu(0.3)),
+                             python_float_g_prox(g, v, 0.3))
 
 
 class TestSoftplus:
