@@ -28,7 +28,15 @@ operations:
 - tol (once, at construction) and each attempt's step size h enter the
   array operations as float64 0-d arrays, which numpy takes without the
   per-call conversion of a Python float: the same values; h stays a Python
-  float in the arithmetic on times.
+  float in the arithmetic on times;
+- each attempt checks its stages K with one dot product against zeros,
+  not with ``np.isfinite``: 0 v is +-0 for a finite v and nan for +-inf or
+  nan, and ddot adds every term, so the sum is nonzero exactly when K holds
+  a non-finite value, row 1 (which B and E weight by 0) included; unlike a
+  sum of squares it cannot overflow on finite values. ``np.vdot`` takes it,
+  because ``ndarray.dot`` reports 0 inf as an invalid-value RuntimeWarning;
+  ``np.isfinite`` runs only to raise. Only the check differs, not the
+  values.
 
 The field's evaluations are counted per attempted step, not per call.
 """
@@ -109,6 +117,7 @@ class Dopri5:
         self._y_stage, self._scale, self._err = np.empty((3, y0.size))
         self._stages = tuple((s, K[s], K[:s].T, a, c) for s, a, c in _STAGES)
         self._K_B, self._K_E = K[:-1].T, K.T
+        self._K_flat, self._zeros = K.reshape(-1), np.zeros(K.size)
         self._sqrt_n = y0.size ** 0.5
         self.n_steps = self.n_rejected = 0
         self.h_min, self.h_max = np.inf, 0.0
@@ -146,19 +155,22 @@ class Dopri5:
                 d *= h_op
                 d += y
                 fun(t + c * h, d, K_new)
-            s = 6
             y_new = self._K_B.dot(B)
             y_new *= h_op
             y_new += y
+            s = 6
             fun(t + h, y_new, self.f)
         except Exception:
             self.nfev += s
             # an oracle may raise on a state built from a non-finite stage
-            # (a user-defined prox may): report the stage instead
+            # (a user-defined prox may), and so may y_new's product on an
+            # infinite row 1 under an error filter for RuntimeWarnings, after
+            # 5 evaluations: report the stage instead
             _finite(K[:s])
             raise
         self.nfev += 6
-        _finite(K)
+        if np.vdot(self._K_flat, self._zeros) != 0:   # nan: a non-finite stage
+            _finite(K)
         return y_new
 
     def step(self):

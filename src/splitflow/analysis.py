@@ -438,7 +438,8 @@ def check_envelope_inequalities(problem, mu, seed=0):
     x, xh = pairs[:, 0], pairs[:, 1]
     m, L = f.m, f.L
     lower_coef = m * m * (1.0 - mu * L) / (2.0 * L)
-    _, _, G, _, fmu = _fb_kernel(problem, x, mu)
+    _, p, _, fmu = _fb_kernel(problem, x, mu)
+    G = (x - p) / mu
     slack = 1e-8 * (1.0 + np.abs(fmu))
     d = x - xh
     upper_rhs = _dot(G, d) - 0.5 * m * _dot(d, d) - 0.5 * mu * _dot(G, G)

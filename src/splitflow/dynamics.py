@@ -282,7 +282,7 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
         if primal is not position:
             primal[rows] = problem.f.prox(position[rows], mu)
         if observables:
-            _, p, _, gp, env[rows] = _fb_kernel(problem, primal[rows], mu)
+            _, p, gp, env[rows] = _fb_kernel(problem, primal[rows], mu)
             obj_prox[rows] = problem.f.value(p) + gp
             if x_star is not None:
                 diff = primal[rows] - x_star

@@ -75,29 +75,29 @@ def generalized_gradient(problem, x, mu):
 
 
 def _fb_kernel(problem, x, mu):
-    """Shared FB computation at x: (grad f, prox point p, G_mu, g(p), value).
+    """Shared FB computation at x: (grad f, prox point p, g(p), value).
 
     x is a point (n,) or a stack (S, n); the values then have shape (S,).
     The value is the FB envelope in its Moreau-envelope form
     f(x) + g(p) + ||p - (x - mu grad f(x))||^2 / (2 mu)
-    - (mu/2) ||grad f(x)||^2. mu is not validated here.
+    - (mu/2) ||grad f(x)||^2. mu is not validated here. The gradient map
+    G_mu = (x - p)/mu is left to the callers that use it.
     """
     f, g = problem.f, problem.g
     gf = f.gradient(x)
     forward = x - mu * gf
     p = g.prox(forward, mu)
-    G = (x - p) / mu
     gp = g.value(p)
     diff = p - forward
     value = (f.value(x) + gp + _dot(diff, diff) / (2.0 * mu)
              - 0.5 * mu * _dot(gf, gf))
-    return gf, p, G, gp, value
+    return gf, p, gp, value
 
 
 def fb_envelope_value(problem, x, mu):
     """FB envelope value only (no Hessian action required)."""
     mu = check_mu_domain(mu, problem.f.L)
-    return _fb_kernel(problem, x, mu)[4]
+    return _fb_kernel(problem, x, mu)[3]
 
 
 def fb_envelope(problem, x, mu):
@@ -107,7 +107,8 @@ def fb_envelope(problem, x, mu):
     gradient = (I - mu hess f(x)) G_mu(x)
     """
     mu = check_mu_domain(mu, problem.f.L)
-    _, p, G, _, value = _fb_kernel(problem, x, mu)
+    _, p, _, value = _fb_kernel(problem, x, mu)
+    G = (x - p) / mu
     gradient = G - mu * problem.f.hess_vec(x, G)
     return EnvelopeEval(value=value, gradient=gradient, gen_grad=G,
                         prox_point=p)
@@ -126,7 +127,8 @@ def dr_envelope(problem, z, mu):
         raise UnsupportedOperationError(
             "DR envelope needs prox of the smooth part (a quadratic f)")
     x_hat = f.prox(z, mu)
-    _, _, G, _, value = _fb_kernel(problem, x_hat, mu)
+    _, p, _, value = _fb_kernel(problem, x_hat, mu)
+    G = (x_hat - p) / mu
     gradient = 2.0 * f.solve_shifted(mu, G) - G
     return EnvelopeEval(value=value, gradient=gradient, gen_grad=G,
                         prox_point=x_hat)

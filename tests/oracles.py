@@ -9,8 +9,9 @@ scipy's DOP853 on the decoupled eigenmodes under a time-varying one), the
 FB flow across l1 kinks from one matrix exponential per sign pattern, CSV
 text from Python's own ``'%.17e'`` formatting, one value at a time, the
 quadratic-form blocks of the Lyapunov decay bound from the schedules'
-closed forms, and the vector field written with every constant operand a
-Python float.
+closed forms, the vector field written with every constant operand a
+Python float, and the smooth oracles with every matrix product written
+``(M @ x.T).T``, for a point and a stack alike.
 """
 
 import math
@@ -22,6 +23,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from splitflow import ConvexSchedule
+from splitflow.problems import _dot, _softplus
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -186,10 +188,34 @@ def python_float_f_prox(f, v, mu):
 
 def python_float_gradient(f, x):
     """f's gradient; a logistic f adds its ridge term as a Python float."""
-    if f.kind == "logistic_ridge":
-        s = expit((f.A @ x.T).T)
-        return (f.A.T @ (s - f.y).T).T + f.ridge * x
-    return (f.Q @ x.T).T + f.q
+    return matmul_oracles(f)["gradient"](x, None)
+
+
+def matmul_oracles(f):
+    """value, gradient and hess_vec of a quadratic or logistic f, each a
+    function of (x, v), with every matrix product ``(M @ x.T).T``: the
+    matmul ufunc on a point as on a stack."""
+    if f.kind == "quadratic":
+        Q, q = f.Q, f.q
+        return {"value": lambda x, v: 0.5 * _dot(x, (Q @ x.T).T) + _dot(q, x),
+                "gradient": lambda x, v: (Q @ x.T).T + q,
+                "hess_vec": lambda x, v: (Q @ v.T).T}
+    A, y, ridge = f.A, f.y, f.ridge
+
+    def value(x, v):
+        t = (A @ x.T).T
+        return np.sum(_softplus(t) - y * t, axis=-1) + 0.5 * ridge * _dot(x, x)
+
+    def gradient(x, v):
+        s = expit((A @ x.T).T)
+        return (A.T @ (s - y).T).T + ridge * x
+
+    def hess_vec(x, v):
+        s = expit((A @ x.T).T)
+        w = s * (1.0 - s)
+        return (A.T @ (w * (A @ v.T).T).T).T + ridge * v
+
+    return {"value": value, "gradient": gradient, "hess_vec": hess_vec}
 
 
 def python_float_field(kind, problem, mu, schedule, t, psi):

@@ -310,7 +310,7 @@ class TestGradientOracles:
             fd = finite_diff_grad(lambda z: dr_envelope(p, z, mu).value, v)
             worst["dr"] = max(worst["dr"], np.linalg.norm(fd - dv.gradient)
                               / (1 + np.linalg.norm(dv.gradient)))
-            v1 = _fb_kernel(p, v, mu)[4]
+            v1 = _fb_kernel(p, v, mu)[3]
             v2 = fb_envelope_prox_form(p, v, mu)
             worst["equiv"] = max(worst["equiv"],
                                  abs(v1 - v2) / (1 + abs(v1)))

@@ -500,6 +500,45 @@ class TestIntegrate:
         assert partial.meta["rhs_calls"] == g.calls == 2
         assert partial.meta["n_steps"] == 0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("stage", range(1, 7))
+    def test_stage_check_sees_each_row(self, monkeypatch, stage, bad):
+        # a field of t alone, so that exactly one stage row of the third
+        # attempted step holds a non-finite value, in one component; row 1
+        # is weighted 0 in both the solution and the error estimate
+        calls = []
+
+        def field(spec, t, psi, out=None):
+            calls.append(t)
+            out[:] = np.cos(t + np.arange(psi.size))
+            if len(calls) == 2 + 6 * 2 + stage:
+                out[1] = bad
+            return out
+
+        monkeypatch.setattr("splitflow.dynamics.vector_field", field)
+        spec = DynamicsSpec(FB_FLOW, smooth_problem(n=3), 0.1,
+                            ConvexSchedule(alpha=1.0))
+        with pytest.raises(IntegrationFailure, match="non-finite") as exc:
+            integrate(spec, t_end=10.0, sample_dt=0.1)
+        meta = exc.value.partial.meta
+        attempts = meta["n_steps"] + meta["n_rejected"] + 1
+        assert attempts == 3
+        # an infinite row 1 makes y_new's product (0 inf) raise under the
+        # suite's RuntimeWarning filter, before the sixth evaluation
+        early = stage == 1 and np.isinf(bad)
+        assert meta["rhs_calls"] == len(calls) == 2 + 6 * attempts - early
+
+    def test_stage_check_takes_squares_beyond_float_range(self):
+        # |K| ~ 1e200: a sum of squares of the stages would overflow, the
+        # stage check must not
+        y0 = np.array([1e200, -2e200, 3e200])
+        own = dynamics_module.Dopri5(
+            lambda t, y, out: np.multiply(y, -1.0, out=out), y0, 5.0, 1e-9)
+        while own.t < 5.0:
+            assert own.step()
+        assert own.n_steps > 3
+        np.testing.assert_allclose(own.y, y0 * np.exp(-5.0), rtol=1e-7)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_piecewise_oracle_matches_dop853(self, seed):
         # the oracle against scipy's DOP853 at its tightest tolerance, on a

@@ -97,7 +97,7 @@ class TestFbEnvelope:
         mu = 0.08
         for _ in range(100):
             x = 3.0 * rng.standard_normal(p.dim)
-            value = _fb_kernel(p, x, mu)[4]
+            value = _fb_kernel(p, x, mu)[3]
             expected = fb_envelope_prox_form(p, x, mu)
             assert abs(value - expected) <= 1e-10 * (1 + abs(value))
 

@@ -13,7 +13,7 @@ from splitflow import (ACC_FB, BoxIndicator, CompositeProblem,
 from splitflow.problems import _softplus
 
 from conftest import make_logistic_l1, make_quadratic_l1, moreau_envelope
-from oracles import (finite_diff_grad, python_float_f_prox,
+from oracles import (finite_diff_grad, matmul_oracles, python_float_f_prox,
                      python_float_g_prox, python_float_gradient,
                      scalar_prox_box, scalar_prox_l1)
 
@@ -231,6 +231,43 @@ class TestPythonFloatBits:
         for v in self.points(rng, 9):
             assert_same_bits(restored.prox(v, as_mu(0.3)),
                              python_float_g_prox(g, v, 0.3))
+
+
+class TestPointProducts:
+    """A point takes ``M.dot(x)``, a stack ``(M @ x.T).T``: every product of
+    the value, gradient and Hessian-action oracles must keep the bits of
+    ``(M @ x.T).T`` at the dimensions of the benchmark's Lyapunov problems.
+    On the strided 209-row last block of a (2001, 2n) trajectory ``.dot``
+    rounds differently, so that layout pins that stacks keep ``@``."""
+
+    @staticmethod
+    def inputs(layout, n, rng):
+        if layout == "point":
+            return rng.standard_normal(n), rng.standard_normal(n)
+        if layout == "stage_view":      # position and velocity of a state
+            psi = rng.standard_normal(2 * n)
+            return psi[:n], psi[n:]
+        if layout == "strided_point":
+            both = rng.standard_normal((n, 2))
+            return both[:, 0], both[:, 1]
+        if layout == "stack":
+            return rng.standard_normal((2, 256, n))
+        states = rng.standard_normal((2001, 2 * n))     # "last_block"
+        return states[1792:, :n], states[1792:, n:]
+
+    @pytest.mark.parametrize("layout", ["point", "stage_view",
+                                        "strided_point", "stack",
+                                        "last_block"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic_ridge"])
+    @pytest.mark.parametrize("n", [12, 16, 30])
+    def test_matches_matmul(self, n, kind, layout, rng):
+        f = (make_quadratic_l1(n=n, seed=n).f if kind == "quadratic"
+             else make_logistic_l1(s=20, n=n, seed=n).f)
+        x, v = self.inputs(layout, n, rng)
+        for name, want in matmul_oracles(f).items():
+            got = f.hess_vec(x, v) if name == "hess_vec" else getattr(
+                f, name)(x)
+            assert_same_bits(np.asarray(got), np.asarray(want(x, v)))
 
 
 class TestSoftplus:

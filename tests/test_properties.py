@@ -53,7 +53,7 @@ problem_kinds = st.sampled_from(["quadratic_l1", "quadratic_box",
 def test_kernel_value_matches_prox_form(kind, seed, x, frac):
     p = problem_for(kind, seed)
     mu = frac / p.f.L
-    value = _fb_kernel(p, x, mu)[4]
+    value = _fb_kernel(p, x, mu)[3]
     expected = fb_envelope_prox_form(p, x, mu)
     assert abs(value - expected) <= 1e-10 * (1.0 + abs(value))
 
@@ -65,7 +65,7 @@ def test_envelope_below_objective_on_domain(kind, seed, x, frac):
     mu = frac / p.f.L
     if kind == "quadratic_box":
         x = np.clip(x, -1.0, 1.0)       # dom g is the box
-    value = _fb_kernel(p, x, mu)[4]
+    value = _fb_kernel(p, x, mu)[3]
     F = p.objective(x)
     assert value <= F + 1e-10 * (1.0 + abs(F))
 
