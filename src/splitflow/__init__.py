@@ -13,10 +13,8 @@ from .analysis import (CertificateReport, LyapunovSpec, certify_exponential,
                        h_curve, lyapunov_value, make_lyapunov_spec,
                        solve_reference)
 from .dynamics import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, ConstantSchedule,
-                       ConvexSchedule, DynamicsSpec, Trajectory,
-                       discrete_dr_step, discrete_fb_step, integrate,
-                       run_discrete, schedule_strongly_convex,
-                       vector_field)
+                       ConvexSchedule, DynamicsSpec, Trajectory, integrate,
+                       run_discrete, schedule_strongly_convex, vector_field)
 from .envelopes import (EnvelopeConstants, EnvelopeEval, dr_envelope,
                         envelope_constants, fb_envelope, fb_envelope_value,
                         forward_prox_point, generalized_gradient)

@@ -188,7 +188,7 @@ def solve_reference(problem, mu, tol=1e-12):
                         y = x.copy()
                         t_mom = 1.0
 
-    x_best, gn = best if best is not None else (x, consider(x))
+    x_best, gn = best       # set by the first check
     if gn > tol:
         raise RuntimeError(
             f"reference solve stalled at ||G_mu|| = {gn:.3e} > tol = {tol:.1e}")

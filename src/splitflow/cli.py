@@ -3,7 +3,7 @@
 Subcommands:
   run       full benchmark from a JSON config, traces + report to a directory
   certify   fit a rate certificate from an exported trace CSV
-  verify    standalone verification suites (lemma3 | conditions | hcurve)
+  verify    standalone verification suites (lemma3 | hcurve)
   envelope  one-shot envelope/gradient evaluation at a point
 
 Exit codes: 0 when all certificates pass, 2 on certificate failure,
@@ -23,7 +23,8 @@ import numpy as np
 
 from . import analysis, envelopes, harness
 from .dynamics import read_trace_csv
-from .problems import CompositeProblem, L1, Quadratic, load_problem
+from .problems import (CompositeProblem, L1, Quadratic, _check_vector,
+                       load_problem)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -83,35 +84,25 @@ def _cmd_verify(args):
                   f"worst_slack={report.worst_slack:.3e}")
             all_pass &= report.passed
         return EXIT_OK if all_pass else EXIT_CERT_FAIL
-    if args.suite == "conditions":
-        d = analysis.h_curve(np.linspace(0.01, 1.0, args.grid)).details
-        keys = ("w", "i", "ii", "iii_residual")
-        rows = [dict(zip(keys, row))
-                for row in zip(*(d[k].tolist() for k in keys))]
-        all_pass = bool(np.all(d["i"] & d["ii"] & (d["iii_residual"] <= 0.0)))
-        with open(os.path.join(args.out, "conditions.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(rows, fh)
-        print(f"conditions: {'PASS' if all_pass else 'FAIL'} on "
-              f"{len(rows)}-point grid")
-        return EXIT_OK if all_pass else EXIT_CERT_FAIL
-    if args.suite == "hcurve":
-        grid = (np.arange(1, args.grid + 1)) / args.grid
-        report = analysis.h_curve(grid)
-        analysis.write_h_curve_csv(report, os.path.join(args.out, "hcurve.csv"))
-        report.write(os.path.join(args.out, "hcurve.json"),
-                     details_path=os.path.join(args.out, "hcurve_details.json"))
-        print(f"hcurve: {'PASS' if report.passed else 'FAIL'} "
-              f"max_h={report.fitted:.6e}")
-        return EXIT_OK if report.passed else EXIT_CERT_FAIL
-    raise ValueError(f"unknown verify suite {args.suite!r}")
+    grid = (np.arange(1, args.grid + 1)) / args.grid     # suite "hcurve"
+    report = analysis.h_curve(grid)
+    analysis.write_h_curve_csv(report, os.path.join(args.out, "hcurve.csv"))
+    report.write(os.path.join(args.out, "hcurve.json"),
+                 details_path=os.path.join(args.out, "hcurve_details.json"))
+    print(f"hcurve: {'PASS' if report.passed else 'FAIL'} "
+          f"max_h={report.fitted:.6e}")
+    return EXIT_OK if report.passed else EXIT_CERT_FAIL
 
 
 def _cmd_envelope(args):
     problem = load_problem(args.problem)
     with open(args.point, "r", encoding="utf-8") as fh:
         text = fh.read().replace("\n", ",")
-    point = np.array([float(v) for v in text.split(",") if v.strip()])
+    point = _check_vector([float(v) for v in text.split(",") if v.strip()],
+                          "point")
+    if point.size != problem.dim:
+        raise ValueError(f"point has {point.size} coordinates, the problem "
+                         f"has {problem.dim}")
     evaluate = (envelopes.fb_envelope if args.kind == "fb"
                 else envelopes.dr_envelope)
     ev = evaluate(problem, point, args.mu)
@@ -142,7 +133,7 @@ def build_parser():
     p_cert.set_defaults(func=_cmd_certify)
 
     p_ver = sub.add_parser("verify", help="standalone verification suites")
-    p_ver.add_argument("suite", choices=["lemma3", "conditions", "hcurve"])
+    p_ver.add_argument("suite", choices=["lemma3", "hcurve"])
     p_ver.add_argument("--grid", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", required=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._csvfmt import write_csv
 from ._dopri5 import Dopri5
-from .envelopes import _fb_kernel, check_mu_domain, generalized_gradient
+from .envelopes import _fb_kernel, check_mu_domain
 from .exceptions import (IntegrationFailure, ParameterDomainError,
                          UnsupportedOperationError)
 from .problems import _finite_scalar
@@ -36,7 +36,7 @@ __all__ = [
     "schedule_strongly_convex",
     "DynamicsSpec", "vector_field",
     "Trajectory", "integrate",
-    "discrete_fb_step", "discrete_dr_step", "run_discrete",
+    "run_discrete",
     "export_trajectory_csv", "read_trace_csv",
 ]
 
@@ -92,11 +92,6 @@ class ConstantSchedule:
         self._beta = _finite_scalar("beta", beta)
         self._theta = _finite_scalar("theta", theta)
 
-    @property
-    def rate(self):
-        """Certified exponential decay rate; equal to theta."""
-        return self._theta
-
     def gamma(self, t=0.0):
         return self._gamma
 
@@ -108,7 +103,7 @@ class ConstantSchedule:
 
     def __repr__(self):
         return (f"ConstantSchedule(alpha={self.alpha:.6g}, gamma={self._gamma:.6g}, "
-                f"beta={self._beta:.6g}, theta={self._theta:.6g}, rate={self.rate:.6g})")
+                f"beta={self._beta:.6g}, theta={self._theta:.6g})")
 
 
 def strongly_convex_point(w):
@@ -209,12 +204,7 @@ class DynamicsSpec:
                     if isinstance(sched, ConstantSchedule) else None)
 
         def second_order(t, psi, out=None):
-            if constant:
-                neg_gamma, b = constant
-            else:
-                if psi.ndim > 1 and np.ndim(t):   # times (S,) of a stack
-                    t = np.asarray(t, dtype=float)[:, None]
-                neg_gamma, b = -gamma(t), beta(t)
+            neg_gamma, b = constant or (-gamma(t), beta(t))
             pos, vel = psi[..., :n], psi[..., n:]
             out = np.empty_like(psi) if out is None else out
             out[..., :n] = vel
@@ -227,7 +217,7 @@ class DynamicsSpec:
 
 def vector_field(spec, t, psi, out=None):
     """Right-hand side of the selected dynamics at time t and state psi, or
-    at times (S,) and a stack of states (S, state_dim), written into
+    at one time t and a stack of states (S, state_dim), written into
     ``out`` (float, psi's shape, apart from psi) and returned, or into one
     new array; psi and the arrays oracles return are never written.
 
@@ -380,17 +370,21 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
         # vector_field is looked up here, once, so that a replaced or
         # wrapped module-level field is the one the stepper calls
         solver = Dopri5(partial(vector_field, spec), psi0, float(t_end), tol)
-        while solver.t < t_end:
-            if not solver.step():
-                _fail("adaptive step-size underflow")
-            # every grid point this step reached, in one dense-output call
-            end = bisect_right(grid_points, solver.t + 1e-12)
-            if end > idx:
-                ys = solver.dense(grid[idx:end])
-                if not np.isfinite(ys).all():
-                    _fail("non-finite state sample")
-                samples[idx + 1:end + 1] = ys
-                idx = end
+        # a non-finite stage makes the step's products signal invalid values
+        # (0 inf, where B weights stage row 1 by 0) before the stage check
+        # reports it; the check and the sample check below catch every one
+        with np.errstate(invalid="ignore"):
+            while solver.t < t_end:
+                if not solver.step():
+                    _fail("adaptive step-size underflow")
+                # every grid point this step reached, in one dense-output call
+                end = bisect_right(grid_points, solver.t + 1e-12)
+                if end > idx:
+                    ys = solver.dense(grid[idx:end])
+                    if not np.isfinite(ys).all():
+                        _fail("non-finite state sample")
+                    samples[idx + 1:end + 1] = ys
+                    idx = end
     except FloatingPointError as exc:
         if solver is None:      # raised by the stepper's constructor
             meta["rhs_calls"] = exc.nfev
@@ -402,38 +396,28 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 # discrete baselines
 # ---------------------------------------------------------------------------
 
-def discrete_fb_step(problem, x, alpha_bar, mu):
-    """One forward-backward step x - alpha_bar G_mu(x).
-
-    With alpha_bar = mu this is the proximal gradient (ISTA) update.
-    """
-    mu = check_mu_domain(mu, problem.f.L)
-    return x - alpha_bar * generalized_gradient(problem, x, mu)
-
-
-def discrete_dr_step(problem, z, mu):
-    """One Douglas-Rachford step z - prox_f(z) + prox_g(2 prox_f(z) - z)."""
-    mu = _finite_scalar("penalty mu", mu, positive=True)
-    if problem.f.kind != "quadratic":
-        raise UnsupportedOperationError("DR step requires prox of the smooth part")
-    xh = problem.f.prox(z, mu)
-    return z - xh + problem.g.prox(2.0 * xh - z, mu)
-
-
 def run_discrete(problem, kind, mu, n_steps, x_star=None, f_star=None):
     """Iterate a discrete splitting n_steps >= 0 times from zero and package
     the iterates as a Trajectory, iterate k at time k.
 
-    fb_discrete is ISTA (step size mu); dr_discrete is Douglas-Rachford.
+    fb_discrete is ISTA, x - mu G_mu(x), formed as written (the prox point
+    alone rounds differently); dr_discrete is Douglas-Rachford,
+    z - prox_f(z) + prox_g(2 prox_f(z) - z). mu is checked once, here.
     """
     if n_steps < 0:
         raise ParameterDomainError(f"n_steps must be >= 0, got {n_steps}")
+    f, g = problem.f, problem.g
     if kind == "fb_discrete":
-        mu = check_mu_domain(mu, problem.f.L)
-        step = partial(discrete_fb_step, problem, alpha_bar=mu, mu=mu)
+        mu = check_mu_domain(mu, f.L)
+
+        def step(x):
+            return x - mu * ((x - g.prox(x - mu * f.gradient(x), mu)) / mu)
     elif kind == "dr_discrete":
         mu = _finite_scalar("penalty mu", mu, positive=True)
-        step = partial(discrete_dr_step, problem, mu=mu)
+
+        def step(z):
+            xh = f.prox(z, mu)
+            return z - xh + g.prox(2.0 * xh - z, mu)
     else:
         raise ValueError(f"unknown discrete kind {kind!r}")
     iterates = [np.zeros(problem.dim)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterDomainError, UnsupportedOperationError
+from .exceptions import ParameterDomainError
 from .problems import _dot
 
 __all__ = [
@@ -44,13 +44,8 @@ def check_mu_domain(mu, L):
 class EnvelopeConstants:
     """Smoothness / strong convexity constants of an envelope function."""
 
-    envelope_kind: str
     L_tilde: float
     m_tilde: float
-
-    @property
-    def kappa_tilde(self):
-        return np.inf if self.m_tilde == 0 else self.L_tilde / self.m_tilde
 
 
 @dataclass(frozen=True)
@@ -119,13 +114,11 @@ def dr_envelope(problem, z, mu):
 
     value    = FB envelope at prox_{mu f}(z)
     gradient = (2 jac prox_{mu f}(z) - I) G_mu(prox_{mu f}(z))
-    for a quadratic f (the paper's DR case), whose jac prox is (I + mu Q)^-1
+    for a quadratic f (the paper's DR case), whose jac prox is (I + mu Q)^-1;
+    any other f has no prox and raises UnsupportedOperationError
     """
     mu = check_mu_domain(mu, problem.f.L)
     f = problem.f
-    if f.kind != "quadratic":
-        raise UnsupportedOperationError(
-            "DR envelope needs prox of the smooth part (a quadratic f)")
     x_hat = f.prox(z, mu)
     _, p, _, value = _fb_kernel(problem, x_hat, mu)
     G = (x_hat - p) / mu
@@ -154,4 +147,4 @@ def envelope_constants(m, L, mu, kind):
                   (1.0 - mu * L) * L / (1.0 + mu * L) ** 2)
     else:
         raise ValueError(f"unknown envelope kind {kind!r}")
-    return EnvelopeConstants(envelope_kind=kind, L_tilde=L_t, m_tilde=m_t)
+    return EnvelopeConstants(L_tilde=L_t, m_tilde=m_t)

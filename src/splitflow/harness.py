@@ -372,7 +372,8 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
             sched = dynamics.ConvexSchedule(alpha=alpha_flow)
         else:
             sched = _EXAMPLES[config.example].accelerated(problem, kind, mu)
-            rho = getattr(sched, "rate", None)    # None: convex schedule
+            rho = (sched.theta() if isinstance(sched, dynamics.ConstantSchedule)
+                   else None)           # None: convex schedule
         spec = dynamics.DynamicsSpec(kind, problem, mu, sched)
         traj = dynamics.integrate(spec, t_end=config.t_end, tol=config.tol,
                                   sample_dt=config.sample_dt,

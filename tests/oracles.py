@@ -219,8 +219,8 @@ def matmul_oracles(f):
 
 
 def python_float_field(kind, problem, mu, schedule, t, psi):
-    """The vector field of ``kind`` at (t, psi), a point or a stack with
-    times (S,), with mu, alpha, gamma(t) and beta(t) as Python floats and
+    """The vector field of ``kind`` at (t, psi), a point or a stack at one
+    time t, with mu, alpha, gamma(t) and beta(t) as Python floats and
     the python_float_* oracles: G_mu(x) = (x - prox_g(x - mu grad f(x)))/mu,
     at prox_f(z) for the DR kinds."""
     f, g, mu, alpha = problem.f, problem.g, float(mu), schedule.alpha
@@ -233,8 +233,6 @@ def python_float_field(kind, problem, mu, schedule, t, psi):
 
     if kind in ("fb_flow", "dr_flow"):
         return -alpha * G(psi)
-    if psi.ndim > 1 and np.ndim(t):
-        t = np.asarray(t, dtype=float)[:, None]
     n = problem.dim
     pos, vel = psi[..., :n], psi[..., n:]
     acc = (-schedule.gamma(t) * vel

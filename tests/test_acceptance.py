@@ -100,6 +100,70 @@ class TestAccelerationWorstCase:
                          for k in gaps) + f" ({elapsed:.1f}s)")
 
 
+def decay_time(times, dist_sq, fraction):
+    """First time at which dist_sq falls to ``fraction`` of its start,
+    interpolated log-linearly between the samples around it."""
+    r, level = np.log(dist_sq / dist_sq[0]), math.log(fraction)
+    i = int(np.argmax(r <= level))
+    assert r[i] <= level, f"the run ends before dist^2 reaches {fraction:g}"
+    return times[i - 1] + ((times[i] - times[i - 1])
+                           * (r[i - 1] - level) / (r[i - 1] - r[i]))
+
+
+class TestAccelerationKappaSweep:
+    """Strongly convex box QPs (n = 60, seed 1) at kappa = 10, 100, 1000.
+    A run's rate is ln(1e8) over the time dist^2 takes to fall from 1e-2 to
+    1e-10 of its start. Its exponent in kappa must lie within 0.1 of the
+    theoretical rate's: about -1/2 for the accelerated kinds (theta of
+    their schedules), -1 for the flows (alpha m = 1/kappa). The runs end at
+    30 sqrt(kappa) and 10 kappa, past the 1e-10 crossings (at most about
+    23 sqrt(kappa) and 8 kappa)."""
+
+    KAPPAS = (10.0, 100.0, 1000.0)
+    SWAP = {"acc_fb": "fb_flow", "acc_dr": "dr_flow",
+            "fb_flow": "acc_fb", "dr_flow": "acc_dr"}
+
+    def test_criterion(self):
+        t0 = time.perf_counter()
+        rates = {kind: [] for kind in self.SWAP}
+        theory = {kind: [] for kind in self.SWAP}
+        for kappa in self.KAPPAS:
+            p = gen_boxqp(60, kappa, seed=1)
+            mu = 1.0 / (2.0 * p.f.L)
+            x_star = solve_reference(p, mu, tol=1e-12).x
+            for kind in self.SWAP:
+                if kind.startswith("acc_"):
+                    c = envelope_constants(p.f.m, p.f.L, mu, kind[4:])
+                    sched = schedule_strongly_convex(1.0 / c.L_tilde,
+                                                     c.m_tilde)
+                    rho, t_end = sched.theta(), 30.0 * math.sqrt(kappa)
+                else:
+                    sched = ConvexSchedule(alpha=1.0 / p.f.L)
+                    rho, t_end = p.f.m / p.f.L, 10.0 * kappa
+                traj = integrate(DynamicsSpec(kind, p, mu, sched),
+                                 t_end=t_end, x_star=x_star)
+                d = traj.observables["dist_sq"]
+                span = (decay_time(traj.times, d, 1e-10)
+                        - decay_time(traj.times, d, 1e-2))
+                rates[kind].append(math.log(1e8) / span)
+                theory[kind].append(rho)
+        elapsed = time.perf_counter() - t0
+        log_kappa = np.log(self.KAPPAS)
+        fitted = {k: np.polyfit(log_kappa, np.log(v), 1)[0]
+                  for k, v in rates.items()}
+        expected = {k: np.polyfit(log_kappa, np.log(v), 1)[0]
+                    for k, v in theory.items()}
+        # the check can fail: every kind's, with the runs swapped
+        assert all(abs(fitted[self.SWAP[kind]] - expected[kind]) > 0.1
+                   for kind in self.SWAP)
+        ok = all(abs(fitted[kind] - expected[kind]) <= 0.1
+                 for kind in self.SWAP)
+        verdict("kappa exponents (box QP n=60, kappa 10-1e3)", ok,
+                " ".join(f"{k}: fitted={fitted[k]:.3f} "
+                         f"theory={expected[k]:.3f}" for k in self.SWAP)
+                + f" ({elapsed:.1f}s)")
+
+
 class TestExponentialRateBoxQp:
     def test_criterion(self):
         t0 = time.perf_counter()
@@ -115,8 +179,8 @@ class TestExponentialRateBoxQp:
             spec = DynamicsSpec(kind, p, mu, sched)
             traj = integrate(spec, t_end=650.0, sample_dt=0.5,
                              x_star=ref.x, f_star=ref.value)
-            rep = certify_exponential(traj, sched.rate, (65.0, 520.0))
-            results[kind] = (rep.fitted, sched.rate, rep.passed)
+            rep = certify_exponential(traj, sched.theta(), (65.0, 520.0))
+            results[kind] = (rep.fitted, sched.theta(), rep.passed)
         elapsed = time.perf_counter() - t0
         ok = all(r[2] for r in results.values()) and elapsed <= 60.0
         verdict("exponential rate (box QP n=50 kappa=1e3)", ok,
@@ -136,11 +200,11 @@ class TestExponentialRateLogistic:
         spec = DynamicsSpec("acc_fb", p, mu, sched)
         traj = integrate(spec, t_end=500.0, sample_dt=0.5,
                          x_star=ref.x, f_star=ref.value)
-        rep = certify_exponential(traj, sched.rate, (50.0, 450.0))
+        rep = certify_exponential(traj, sched.theta(), (50.0, 450.0))
         elapsed = time.perf_counter() - t0
         ok = rep.passed and elapsed <= 120.0
         verdict("exponential rate (l1-logistic 40x80)", ok,
-                f"fitted={rep.fitted:.4f} rho={sched.rate:.4f} "
+                f"fitted={rep.fitted:.4f} rho={sched.theta():.4f} "
                 f"({elapsed:.1f}s)")
 
 

@@ -8,10 +8,10 @@ from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
                        CompositeProblem, ConstantSchedule, ConvexSchedule,
                        DynamicsSpec, IntegrationFailure, L1,
                        ParameterDomainError, Quadratic,
-                       UnsupportedOperationError, discrete_dr_step,
-                       discrete_fb_step, dr_envelope, generalized_gradient,
-                       integrate, run_discrete, schedule_strongly_convex,
-                       solve_reference, vector_field)
+                       UnsupportedOperationError, dr_envelope,
+                       generalized_gradient, integrate, run_discrete,
+                       schedule_strongly_convex, solve_reference,
+                       vector_field)
 from splitflow import dynamics as dynamics_module
 from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
@@ -56,19 +56,18 @@ class TestSchedules:
     def test_strongly_convex_boundary(self):
         s = schedule_strongly_convex(1.0, 1.0)
         assert s.gamma() == 1.0 and s.beta() == 0.0
-        assert s.rate == pytest.approx(0.5, rel=1e-15)
+        assert s.theta() == pytest.approx(0.5, rel=1e-15)
 
     def test_strongly_convex_quarter(self):
         s = schedule_strongly_convex(1.0, 0.25)
         assert s.gamma() == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert s.beta() == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert s.rate == pytest.approx(0.375, rel=1e-14)
+        assert s.theta() == pytest.approx(0.375, rel=1e-14)
 
     def test_theta_equals_rate(self, rng):
         for _ in range(100):
             x = float(rng.uniform(1e-6, 1.0))
             s = schedule_strongly_convex(1.0, x)
-            assert s.theta() == pytest.approx(s.rate, rel=1e-12)
             assert s.gamma() + s.beta() == 1.0
         # the rate w - w^2/2 is the damping average (gamma + w^2 beta)/2
         for w in np.linspace(1e-3, 1.0, 1000):
@@ -138,7 +137,6 @@ class TestVectorField:
                                                      ConvexSchedule(1.0)),
             "acc_dr": lambda p, z, mu: DynamicsSpec(ACC_DR, p, mu,
                                                     ConvexSchedule(1.0)),
-            "discrete_dr_step": discrete_dr_step,
             "dr_discrete": lambda p, z, mu: run_discrete(p, "dr_discrete",
                                                          mu, 3),
             "dr_envelope": dr_envelope,
@@ -182,7 +180,7 @@ class TestPythonFloatBits:
                 # magnitudes from 1e-3 to 3: some entries hit the prox's kinks
                 scale = 3.0 * 10.0 ** rng.uniform(-3.0, 0.0, n)
                 for t, psi in ((1.7, rng.standard_normal(n) * scale),
-                               (rng.uniform(0.0, 5.0, 4),
+                               (rng.uniform(0.0, 5.0),
                                 rng.standard_normal((4, n)) * scale)):
                     out = vector_field(spec, t, psi)
                     ref = python_float_field(kind, p, mu, sched, t, psi)
@@ -523,10 +521,10 @@ class TestIntegrate:
         meta = exc.value.partial.meta
         attempts = meta["n_steps"] + meta["n_rejected"] + 1
         assert attempts == 3
-        # an infinite row 1 makes y_new's product (0 inf) raise under the
-        # suite's RuntimeWarning filter, before the sixth evaluation
-        early = stage == 1 and np.isinf(bad)
-        assert meta["rhs_calls"] == len(calls) == 2 + 6 * attempts - early
+        # an infinite row 1 makes y_new's product signal 0 inf, which the
+        # suite's RuntimeWarning filter would raise before the sixth
+        # evaluation; integrate lets the stage check report it
+        assert meta["rhs_calls"] == len(calls) == 2 + 6 * attempts
 
     def test_stage_check_takes_squares_beyond_float_range(self):
         # |K| ~ 1e200: a sum of squares of the stages would overflow, the
@@ -666,64 +664,84 @@ class TestEquilibria:
 
 
 class TestDiscreteSteps:
+    """What run_discrete iterates: iterate k + 1 is the ISTA or DR update
+    at iterate k, from zero."""
+
     def test_fb_fixed_point(self):
+        # the last iterate reaches the reference, a fixed point of the update
         p = make_quadratic_l1()
         mu = 0.05
         ref = solve_reference(p, mu, tol=1e-12)
-        out = discrete_fb_step(p, ref.x, mu, mu)
-        assert np.linalg.norm(out - ref.x) <= 1e-10
+        x = run_discrete(p, "fb_discrete", mu, 600).position
+        assert np.linalg.norm(x[-1] - ref.x) <= 1e-10
+        assert np.linalg.norm(
+            x[-1] - mu * generalized_gradient(p, x[-1], mu) - x[-1]) <= 1e-10
 
-    def test_fb_reduces_to_gradient_step(self, rng):
+    def test_fb_reduces_to_gradient_step(self):
         p = smooth_problem()
-        x = rng.standard_normal(4)
-        out = discrete_fb_step(p, x, 0.2, 0.1)
-        np.testing.assert_allclose(out, x - 0.2 * p.f.gradient(x), atol=1e-13)
+        x = run_discrete(p, "fb_discrete", 0.1, 5).position
+        for k in range(5):
+            np.testing.assert_allclose(x[k + 1],
+                                       x[k] - 0.1 * p.f.gradient(x[k]),
+                                       atol=1e-13)
 
-    def test_fb_lasso_step_is_soft_threshold(self, rng):
+    def test_fb_lasso_step_is_soft_threshold(self):
+        # iterate k + 1 is x - mu G_mu(x) at iterate k, bit for bit; the first
+        # is the soft threshold of the forward step from zero
         p = make_quadratic_l1(n=6, seed=15)
         mu = 0.05
-        x = rng.standard_normal(6)
-        out = discrete_fb_step(p, x, mu, mu)
-        fwd = x - mu * p.f.gradient(x)
+        x = run_discrete(p, "fb_discrete", mu, 8).position
+        for k in range(8):
+            np.testing.assert_array_equal(
+                x[k + 1], x[k] - mu * generalized_gradient(p, x[k], mu))
+        fwd = -mu * p.f.gradient(np.zeros(6))
         expected = [scalar_prox_l1(v, mu, p.g.weight) for v in fwd]
-        np.testing.assert_allclose(out, expected, atol=2e-7)
+        np.testing.assert_allclose(x[1], expected, atol=2e-7)
 
     def test_dr_fixed_point(self):
+        # the last iterate reaches z* = x* + mu grad f(x*), and its primal x*
         p = make_quadratic_l1()
         mu = 0.05
         ref = solve_reference(p, mu, tol=1e-12)
         z_star = ref.x + mu * p.f.gradient(ref.x)
-        out = discrete_dr_step(p, z_star, mu)
-        assert np.linalg.norm(out - z_star) <= 1e-9
+        traj = run_discrete(p, "dr_discrete", mu, 600)
+        assert np.linalg.norm(traj.position[-1] - z_star) <= 1e-9
+        assert np.linalg.norm(traj.primal[-1] - ref.x) <= 1e-9
 
-    def test_dr_equals_gradient_map_form(self, rng):
+    def test_dr_equals_gradient_map_form(self):
+        # iterate k + 1 is z - prox_f(z) + prox_g(2 prox_f(z) - z) at iterate
+        # k, bit for bit, and z - mu G_mu(prox_f(z)) to rounding
         p = make_quadratic_l1()
         mu = 0.05
-        for _ in range(10):
-            z = 2.0 * rng.standard_normal(p.dim)
-            out = discrete_dr_step(p, z, mu)
-            xh = p.f.prox(z, mu)
-            expected = z - mu * generalized_gradient(p, xh, mu)
-            np.testing.assert_allclose(out, expected, atol=1e-11)
+        z = run_discrete(p, "dr_discrete", mu, 10).position
+        for k in range(10):
+            xh = p.f.prox(z[k], mu)
+            np.testing.assert_array_equal(
+                z[k + 1], z[k] - xh + p.g.prox(2.0 * xh - z[k], mu))
+            np.testing.assert_allclose(
+                z[k + 1], z[k] - mu * generalized_gradient(p, xh, mu),
+                atol=1e-11)
 
     def test_dr_one_dim_against_bruteforce(self):
         p = CompositeProblem(Quadratic(np.array([[2.0]]), np.array([-1.0])),
                              L1(0.5))
         mu = 0.2
-        z = np.array([1.5])
-        xh_expected = (z - mu * (-1.0)) / (1 + mu * 2.0)
-        out = discrete_dr_step(p, z, mu)
-        refl = 2 * xh_expected - z
-        pg = scalar_prox_l1(refl[0], mu, 0.5)
-        np.testing.assert_allclose(out, z - xh_expected + pg, atol=2e-7)
+        z = run_discrete(p, "dr_discrete", mu, 2).position
+        for k in range(2):
+            xh_expected = (z[k] - mu * (-1.0)) / (1 + mu * 2.0)
+            refl = 2 * xh_expected - z[k]
+            pg = scalar_prox_l1(refl[0], mu, 0.5)
+            np.testing.assert_allclose(z[k + 1], z[k] - xh_expected + pg,
+                                       atol=2e-7)
+        assert z[1, 0] != 0.0
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0, -1.0])
     def test_dr_mu_domain(self, mu):
+        # refused once, before the first iterate, by either kind
         p = make_quadratic_l1()
-        with pytest.raises(ParameterDomainError):
-            discrete_dr_step(p, np.ones(p.dim), mu)
-        with pytest.raises(ParameterDomainError):
-            run_discrete(p, "dr_discrete", mu, 3)
+        for kind in ("dr_discrete", "fb_discrete"):
+            with pytest.raises(ParameterDomainError):
+                run_discrete(p, kind, mu, 3)
 
     def test_iterate_k_at_time_k(self):
         p = make_quadratic_l1()

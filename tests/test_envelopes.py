@@ -166,7 +166,6 @@ class TestEnvelopeConstants:
         c = envelope_constants(0.0, 4.0, 0.1, "fb")
         assert c.m_tilde == 0.0
         assert c.L_tilde == pytest.approx(2.0 / 0.1, rel=1e-14)
-        assert c.kappa_tilde == np.inf
 
     def test_condition_number_bound(self, rng):
         # for mu = 1/(kL), k >= 2, and kappa >= 2: kappa~ <= 2 k kappa
@@ -178,7 +177,7 @@ class TestEnvelopeConstants:
             mu = 1.0 / (k * L)
             for kind in ("fb", "dr"):
                 c = envelope_constants(m, L, mu, kind)
-                assert c.kappa_tilde <= 2.0 * k * kappa * (1 + 1e-9)
+                assert c.L_tilde / c.m_tilde <= 2.0 * k * kappa * (1 + 1e-9)
 
     def test_ordering(self, rng):
         for _ in range(20):

@@ -693,20 +693,17 @@ class TestCli:
         assert (tmp_path / "hcurve.csv").read_bytes() == (
             b"w,h\n" + percent_e_csv(block, "\n"))
 
-    def test_verify_conditions(self, tmp_path):
-        code = cli_main(["verify", "conditions", "--grid", "100",
-                         "--out", str(tmp_path)])
-        assert code == 0
-
-    def test_verify_conditions_rows_are_h_curve_points(self, tmp_path):
-        assert cli_main(["verify", "conditions", "--grid", "50",
+    def test_verify_suites_are_lemma3_and_hcurve(self, tmp_path, capsys):
+        # the per-point rows of the rate conditions are hcurve's details
+        assert cli_main(["verify", "hcurve", "--grid", "50",
                          "--out", str(tmp_path)]) == 0
-        rows = json.loads((tmp_path / "conditions.json").read_text())
-        details = h_curve(np.linspace(0.01, 1.0, 50)).details
-        for key in ("w", "i", "ii", "iii_residual"):
-            assert [row[key] for row in rows] == details[key].tolist()
+        details = json.loads((tmp_path / "hcurve_details.json").read_text())
+        assert {"w", "i", "ii", "iii_residual"} <= set(details)
+        with pytest.raises(SystemExit):
+            cli_main(["verify", "conditions", "--out", str(tmp_path)])
+        assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["conditions", "hcurve"])
+    @pytest.mark.parametrize("suite", ["hcurve"])
     def test_verify_refuses_empty_grid(self, suite, tmp_path, capsys):
         code = cli_main(["verify", suite, "--grid", "0",
                          "--out", str(tmp_path)])
@@ -732,6 +729,22 @@ class TestCli:
         assert code == 0
         parsed = json.loads(capsys.readouterr().out)
         assert "value" in parsed and len(parsed["gradient"]) == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5,nan,1.0,0.0", "non-finite"), ("0.5,-0.25,inf,0.0", "non-finite"),
+        ("0.5,-0.25,1.0", "3 coordinates")])
+    def test_envelope_refuses_bad_point(self, tmp_path, capsys, text,
+                                        message):
+        from conftest import make_quadratic_l1
+        ppath = tmp_path / "p.json"
+        save_problem(make_quadratic_l1(n=4, seed=1), ppath)
+        point = tmp_path / "x.csv"
+        point.write_text(text + "\n")
+        code = cli_main(["envelope", "--problem", str(ppath), "--point",
+                         str(point), "--mu", "0.05"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     def test_runtime_error_exit_code(self, tmp_path):
         code = cli_main(["run", "--config", str(tmp_path / "missing.json"),

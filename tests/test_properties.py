@@ -98,6 +98,7 @@ S = 5
 STACK = settings(derandomize=True, max_examples=10, deadline=None)
 stacks = arrays(np.float64, (S, N), elements=finite)
 times = arrays(np.float64, S, elements=st.floats(0.0, 50.0))
+one_time = st.floats(0.0, 50.0)
 
 
 def assert_rows_match(stacked, rows):
@@ -166,19 +167,20 @@ def test_envelope_gradient_stack_equals_rows(rows, envelope, kind, seed, x,
 
 @pytest.mark.parametrize("kind", [FB_FLOW, DR_FLOW, ACC_FB, ACC_DR])
 @STACK
-@given(seeds, times, stacks, stacks, mu_fractions)
+@given(seeds, one_time, stacks, stacks, mu_fractions)
 def test_vector_field_stack_equals_rows(kind, seed, t, pos, vel, frac):
-    # and on the stack and each row, the field written into a buffer is the
-    # buffer, holding the bytes of the allocating call
+    # a stack shares one time t; on the stack and on each row, the field
+    # written into a buffer is the buffer, holding the bytes of the
+    # allocating call
     p = make_quadratic_l1(n=N, seed=seed)
     spec = DynamicsSpec(kind, p, frac / p.f.L, ConvexSchedule(alpha=0.5))
     psi = pos if kind in (FB_FLOW, DR_FLOW) else np.hstack([pos, vel])
     stacked = vector_field(spec, t, psi)
-    rows = [vector_field(spec, ti, row) for ti, row in zip(t, psi)]
+    rows = [vector_field(spec, t, row) for row in psi]
     assert_rows_match(stacked, rows)
-    for ti, state, value in zip([t, *t], [psi, *psi], [stacked, *rows]):
+    for state, value in zip([psi, *psi], [stacked, *rows]):
         buf = np.full_like(state, np.nan)
-        assert vector_field(spec, ti, state, out=buf) is buf
+        assert vector_field(spec, t, state, out=buf) is buf
         assert buf.tobytes() == value.tobytes()
 
 
