@@ -423,26 +423,39 @@ def _workers(n_kinds):
     return min(n_kinds, len(os.sched_getaffinity(0))) if alone else 1
 
 
+def _shares(kinds, w):
+    """Each of ``w`` processes' kinds (0: the caller) in config order: ranked
+    continuous, DR, accelerated first and snake-dealt from the last child."""
+    ranked = sorted(kinds, key=lambda k: (
+        k not in dynamics._FLOW_KINDS + dynamics._ACC_KINDS,
+        k not in dynamics._Z_KINDS, k not in dynamics._ACC_KINDS))
+    snake = [*range(w - 1, -1, -1), *range(w)]
+    owner = {kind: snake[j % (2 * w)] for j, kind in enumerate(ranked)}
+    return [tuple(k for k in kinds if owner[k] == i) for i in range(w)]
+
+
 def _run_dynamics(config, problem, setup, reference, out_dir):
     """Every dynamics' record, in config order, and the number w of processes
-    that ran them: the caller runs ``kinds[0::w]``, and forked child i runs
-    ``kinds[i::w]`` and sends its records back pickled over a pipe."""
+    that ran them: ``worker`` i runs ``_shares(kinds, w)[i]``, a forked child
+    (i >= 1) sending its records back pickled over a pipe."""
     kinds = tuple(dict.fromkeys(config.dynamics))
     if problem.f.kind == "quadratic" and set(kinds) & set(dynamics._Z_KINDS):
         _load_lapack()      # before the thread count; the children inherit it
     w = _workers(len(kinds))
+    shares = _shares(kinds, w)
 
-    def run(share):
+    def run(worker):
         records = {}
-        for kind in share:
+        for kind in shares[worker]:
             try:
                 records[kind] = _run_one(config, problem, kind, setup,
                                          reference, out_dir)
             except Exception as exc:                    # noqa: BLE001
                 records[kind] = {"error": f"{type(exc).__name__}: {exc}"}
+            records[kind]["worker"] = worker
         return records
 
-    children = {}                        # pid -> (pipe read end, share)
+    children = {}                        # pid -> (pipe read end, worker)
     try:
         for i in range(1, w):
             r, wr = os.pipe()
@@ -455,21 +468,22 @@ def _run_dynamics(config, problem, setup, reference, out_dir):
             if pid == 0:                 # the child never returns
                 try:
                     with os.fdopen(wr, "wb") as fh:
-                        pickle.dump(run(kinds[i::w]), fh)
+                        pickle.dump(run(i), fh)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(wr)
-            children[pid] = (os.fdopen(r, "rb"), kinds[i::w])
-        records = run(kinds[0::w])
+            children[pid] = (os.fdopen(r, "rb"), i)
+        records = run(0)
         sent = {pid: fh.read() for pid, (fh, _) in children.items()}
         for pid, data in sent.items():   # every pipe is read before waitpid
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            fh, share = children.pop(pid)
+            fh, i = children.pop(pid)
             fh.close()
             records.update(pickle.loads(data) if code == 0 else {
                 kind: {"error": f"ChildProcessError: worker exited with "
-                                f"status {code}"} for kind in share})
+                                f"status {code}", "worker": i}
+                for kind in shares[i]})
     finally:                             # after an exception in the caller
         for pid, (fh, _) in children.items():
             fh.close()
@@ -496,11 +510,12 @@ def run_benchmark(config, out_dir=None):
 
     The dynamics are independent, so on Linux ``workers`` = min(number of
     dynamics, usable CPUs) processes run them: this one and forked children,
-    each taking every ``workers``-th dynamics in config order. Records equal
-    the serial ones but for their timings, which each process measures for
-    itself. Forking a process with another OS thread can deadlock the child,
-    so the run is serial then, as it is without ``os.fork``: a BLAS thread
-    pool is such a thread (``OPENBLAS_NUM_THREADS=1`` avoids it).
+    in fixed cost-balanced shares; a record's ``worker`` names its process
+    (0: this one). Records equal the serial ones but for ``worker`` and the
+    timings, which each process measures for itself. Forking a process with
+    another OS thread can deadlock the child, so the run is serial then, as
+    it is without ``os.fork``: a BLAS thread pool is such a thread
+    (``OPENBLAS_NUM_THREADS=1`` avoids it).
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -12,7 +12,7 @@ from splitflow import (BenchmarkConfig, BenchmarkReport, LambdaRule,
                        gen_boxqp, gen_lasso, gen_logistic, h_curve,
                        run_benchmark, save_problem, solve_reference)
 from splitflow.cli import _default_inequality_problems, main as cli_main
-from splitflow.harness import (BOX_QP, LOGISTIC, _example_setup,
+from splitflow.harness import (BOX_QP, LOGISTIC, _example_setup, _shares,
                                generate_problem)
 
 from oracles import finite_diff_grad, percent_e_csv
@@ -416,8 +416,12 @@ class TestRunBenchmark:
 
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# record keys in which a forked run may differ from a serial one: the
+# timings each process measures for itself, and the worker that ran it
 _TIMING_KEYS = ("wall_clock", "integrate_s", "observables_s", "certify_s",
-                "export_s")
+                "export_s", "worker")
+_README_KINDS = ("acc_fb", "acc_dr", "fb_flow", "dr_flow", "fb_discrete",
+                 "dr_discrete")
 _FORKED_CONFIG = ("harness.BenchmarkConfig(dims=(8, 20), dynamics=("
                   "'acc_fb', 'acc_dr', 'fb_flow', 'fb_discrete'), t_end=20.0,"
                   " sample_dt=0.5, window=(2.0, 20.0))")
@@ -519,11 +523,13 @@ print(json.dumps([forked.to_dict(), serial.to_dict()]))
                 k: v for k, v in rec.items() if k not in _TIMING_KEYS}
 
     def test_dead_child_gives_error_records(self):
-        # the child running kinds[1::w] exits at its first kind
+        # acc_dr, ranked first, goes to the last child, which exits there;
+        # six kinds, so that its share is not the old kinds[w-1::w]
         report, left = _single_threaded_run(f"""
 import json, os
 from splitflow import harness
-cfg = {_FORKED_CONFIG}
+cfg = harness.BenchmarkConfig(dims=(8, 20), dynamics={_README_KINDS!r},
+    t_end=20.0, sample_dt=0.5, window=(2.0, 20.0))
 run_one = harness._run_one
 def dying(config, problem, kind, *rest):
     if kind == "acc_dr":
@@ -539,13 +545,19 @@ except ChildProcessError:
 print(json.dumps([report.to_dict(), left]))
 """)
         w = report["problem"]["workers"]
-        kinds = list(report["dynamics"])
-        assert w >= 2 and kinds[1] == "acc_dr"
-        for kind in kinds[1::w]:
-            assert report["dynamics"][kind] == {"error": (
-                "ChildProcessError: worker exited with status 3")}
-        for kind in kinds[0::w]:
-            assert "error" not in report["dynamics"][kind]
+        assert w >= 2 and list(report["dynamics"]) == list(_README_KINDS)
+        shares = _shares(_README_KINDS, w)
+        assert "acc_dr" in shares[-1]
+        assert shares[-1] != _README_KINDS[w - 1::w]
+        for i, share in enumerate(shares):
+            for kind in share:
+                rec = report["dynamics"][kind]
+                assert rec["worker"] == i
+                if i == w - 1:
+                    assert rec == {"error": "ChildProcessError: worker "
+                                   "exited with status 3", "worker": i}
+                else:
+                    assert "error" not in rec, rec
         assert not left
 
     def test_other_thread_keeps_run_serial(self):
@@ -613,6 +625,41 @@ print(json.dumps([[p.f.L, p.f.ridge + 0.25 * float(svdvals(p.f.A)[0]) ** 2]
 """)
     assert len(pairs) == 20
     assert [L for L, _ in pairs] == [ref for _, ref in pairs]
+
+
+@pytest.mark.parametrize("w", range(1, 7))
+def test_shares_partition_the_kinds(w):
+    # every kind in exactly one share, in config order, the same every call
+    # and whatever the config order
+    shares = _shares(_README_KINDS, w)
+    assert len(shares) == w and shares == _shares(_README_KINDS, w)
+    assert [set(share) for share in _shares(_README_KINDS[::-1], w)] == [
+        set(share) for share in shares]
+    dealt = sorted(kind for share in shares for kind in share)
+    assert dealt == sorted(_README_KINDS)
+    for share in shares:
+        assert list(share) == [k for k in _README_KINDS if k in share]
+
+
+def test_shares_balance_dr_and_fb():
+    # a DR kind costs 1.6-1.9x its FB twin: at w = 2 each process gets one
+    # continuous kind of each family, the costliest (acc_dr) going to the
+    # child; at w = 3 no process gets two of the three costliest
+    caller, child = _shares(_README_KINDS, 2)
+    for share in (caller, child):
+        assert len(set(share) & {"acc_dr", "dr_flow"}) == 1
+        assert len(set(share) & {"acc_fb", "fb_flow"}) == 1
+    assert "acc_dr" in child
+    for share in _shares(_README_KINDS, 3):
+        assert len(set(share) & {"acc_dr", "dr_flow", "acc_fb"}) == 1
+
+
+def test_serial_records_name_worker_0(monkeypatch):
+    monkeypatch.setattr("splitflow.harness._workers", lambda n_kinds: 1)
+    cfg = BenchmarkConfig(dims=(8, 20), dynamics=("acc_fb", "fb_discrete"),
+                          t_end=2.0, sample_dt=0.5, window=(0.5, 2.0))
+    report = run_benchmark(cfg)
+    assert [rec["worker"] for rec in report.dynamics.values()] == [0, 0]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

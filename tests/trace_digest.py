@@ -41,9 +41,10 @@ import numpy as np                                      # noqa: E402
 import workloads                                        # noqa: E402
 from splitflow import harness                           # noqa: E402
 
-# report.json keys that measure time or count worker processes
+# report.json keys that measure time, count worker processes or name the
+# process that ran a record
 VOLATILE = ("wall_clock", "generate_s", "reference_s", "integrate_s",
-            "observables_s", "certify_s", "export_s", "workers")
+            "observables_s", "certify_s", "export_s", "workers", "worker")
 
 
 def _feed(h, value):
