@@ -12,9 +12,9 @@ from .analysis import (CertificateReport, LyapunovSpec, certify_exponential,
                        check_envelope_inequalities, check_lyapunov_decay,
                        h_curve, lyapunov_value, make_lyapunov_spec,
                        solve_reference)
-from .dynamics import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, ConstantSchedule,
-                       ConvexSchedule, DynamicsSpec, Trajectory, integrate,
-                       run_discrete, schedule_strongly_convex, vector_field)
+from .dynamics import (ConstantSchedule, ConvexSchedule, DynamicsSpec,
+                       Trajectory, integrate, run_discrete,
+                       schedule_strongly_convex, vector_field)
 from .envelopes import (EnvelopeConstants, EnvelopeEval, dr_envelope,
                         envelope_constants, fb_envelope, fb_envelope_value,
                         forward_prox_point, generalized_gradient)

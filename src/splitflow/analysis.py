@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _BLOCK_ROWS, acc_fb_mu_bound, strongly_convex_point
+from .dynamics import (_BLOCK_ROWS, _KINDS, _TIME_OFFSET, acc_fb_mu_bound,
+                       strongly_convex_point)
 from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
@@ -324,7 +325,7 @@ def lyapunov_series(traj, spec):
     """
     env = traj.observables.get("envelope")
     if (spec.case == GENERAL_STRONG or traj.mu != spec.mu
-            or traj.kind != "acc_" + spec.envelope_kind):
+            or _KINDS.get(traj.kind) != (2, spec.envelope_kind)):
         env = None
     return _lyapunov(spec, traj.times, traj.position, traj.velocity, env)
 
@@ -380,9 +381,10 @@ def _window_series(traj, key, t_window):
 
 
 def certify_sublinear(traj, t_window):
-    """Fit log(gap) against log(t + 3); certified when slope <= -2 + 0.2."""
+    """Fit log(gap) against log(t + 3), the convex schedule's offset;
+    certified when slope <= -2 + 0.2."""
     t, gap = _window_series(traj, "objective_gap", t_window)
-    slope, intercept = np.polyfit(np.log(t + 3.0), np.log(gap), 1)
+    slope, intercept = np.polyfit(np.log(t + _TIME_OFFSET), np.log(gap), 1)
     threshold = -1.8
     passed = bool(slope <= threshold)
     return CertificateReport(

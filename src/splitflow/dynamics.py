@@ -1,12 +1,13 @@
 """Splitting flows, their accelerated second-order variants, and baselines.
 
-Four vector fields are available:
+Four vector fields are available, and two discrete baselines:
 
   fb_flow : x' = -alpha G_mu(x)
   dr_flow : z' = -alpha G_mu(prox_{mu f}(z))
   acc_fb  : x'' + gamma(t) x' + alpha G_mu(x + beta(t) x') = 0
   acc_dr  : z'' + gamma(t) z' + alpha G_mu(prox_{mu f}(z + beta(t) z')) = 0,
             with output map x = prox_{mu f}(z)
+  fb_discrete, dr_discrete : ISTA and Douglas-Rachford iterations
 
 Integration uses an embedded Dormand-Prince 5(4) stepper (``_dopri5``,
 scipy's RK45 reproduced bit for bit) with dense output sampled on a uniform
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -25,13 +27,12 @@ import numpy as np
 
 from ._csvfmt import write_csv
 from ._dopri5 import Dopri5
-from .envelopes import _fb_kernel, check_mu_domain
+from .envelopes import DR, FB, _fb_kernel, check_mu_domain
 from .exceptions import (IntegrationFailure, ParameterDomainError,
                          UnsupportedOperationError)
 from .problems import _finite_scalar
 
 __all__ = [
-    "FB_FLOW", "DR_FLOW", "ACC_FB", "ACC_DR",
     "ConvexSchedule", "ConstantSchedule",
     "schedule_strongly_convex",
     "DynamicsSpec", "vector_field",
@@ -40,16 +41,13 @@ __all__ = [
     "export_trajectory_csv", "read_trace_csv",
 ]
 
-FB_FLOW = "fb_flow"
-DR_FLOW = "dr_flow"
-ACC_FB = "acc_fb"
-ACC_DR = "acc_dr"
-
-_FLOW_KINDS = (FB_FLOW, DR_FLOW)
-_ACC_KINDS = (ACC_FB, ACC_DR)
-_DR_KINDS = (DR_FLOW, ACC_DR)
-# kinds whose state z is mapped to the primal point x = prox_{mu f}(z)
-_Z_KINDS = _DR_KINDS + ("dr_discrete",)
+# every dynamics kind: its order (2 accelerated second-order dynamics, 1
+# flow, 0 discrete iteration) and its splitting, FB, or DR for a state z
+# that is mapped to the primal point x = prox_{mu f}(z)
+_Kind = namedtuple("_Kind", "order splitting")
+_KINDS = {"fb_flow": _Kind(1, FB), "dr_flow": _Kind(1, DR),
+          "acc_fb": _Kind(2, FB), "acc_dr": _Kind(2, DR),
+          "fb_discrete": _Kind(0, FB), "dr_discrete": _Kind(0, DR)}
 
 # rows per block when post-processing a trace, so that no temporary spans
 # the whole (samples x columns) trace: the DR primal map and the
@@ -146,15 +144,16 @@ class DynamicsSpec:
     schedule: object
 
     def __post_init__(self):
-        if self.kind not in _FLOW_KINDS + _ACC_KINDS:
+        if self.kind not in _KINDS or _KINDS[self.kind].order == 0:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
         check_mu_domain(self.mu, self.problem.f.L)
-        if self.kind in _DR_KINDS and self.problem.f.kind != "quadratic":
+        if (_KINDS[self.kind].splitting == DR
+                and self.problem.f.kind != "quadratic"):
             raise UnsupportedOperationError(
                 f"{self.kind} requires prox of the smooth part")
         # for non-quadratic strongly convex f with a constant schedule, the
         # accelerated FB flow is certified only for mu <= sqrt(gamma beta)/(2L)
-        if (self.kind == ACC_FB
+        if (self.kind == "acc_fb"
                 and isinstance(self.schedule, ConstantSchedule)
                 and self.problem.f.kind != "quadratic"):
             bound = acc_fb_mu_bound(self.schedule.gamma(),
@@ -167,7 +166,7 @@ class DynamicsSpec:
     @property
     def state_dim(self):
         n = self.problem.dim
-        return 2 * n if self.kind in _ACC_KINDS else n
+        return 2 * n if _KINDS[self.kind].order == 2 else n
 
     @cached_property
     def _rhs(self):
@@ -195,8 +194,9 @@ class DynamicsSpec:
         def G_z(z):     # G_mu at x = prox_{mu f}(z)
             return G_x(f_prox(z, mu))
 
-        G = G_z if self.kind in _DR_KINDS else G_x
-        if self.kind in _FLOW_KINDS:
+        order, splitting = _KINDS[self.kind]
+        G = G_z if splitting == DR else G_x
+        if order == 1:
             neg_alpha = np.array(-sched.alpha)
             return lambda t, psi, out=None: np.multiply(neg_alpha, G(psi), out)
 
@@ -246,11 +246,6 @@ class Trajectory:
     observables: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def states(self):
-        """Full ODE state samples, (S, state_dim)."""
-        return np.hstack([self.position, self.velocity])
-
 
 def _sample_grid(t_end, sample_dt):
     n = int(math.ceil(t_end / sample_dt - 1e-9))
@@ -265,7 +260,8 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
                 meta, observables=True):
     """Package samples of a continuous or discrete run as a Trajectory."""
     t0 = time.perf_counter()
-    primal = np.empty_like(position) if kind in _Z_KINDS else position
+    primal = (np.empty_like(position) if _KINDS[kind].splitting == DR
+              else position)
     obj_prox, env, dist = np.empty((3, position.shape[0]))
     for i in range(0, position.shape[0], _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
@@ -407,12 +403,12 @@ def run_discrete(problem, kind, mu, n_steps, x_star=None, f_star=None):
     if n_steps < 0:
         raise ParameterDomainError(f"n_steps must be >= 0, got {n_steps}")
     f, g = problem.f, problem.g
-    if kind == "fb_discrete":
+    if _KINDS.get(kind) == (0, FB):
         mu = check_mu_domain(mu, f.L)
 
         def step(x):
             return x - mu * ((x - g.prox(x - mu * f.gradient(x), mu)) / mu)
-    elif kind == "dr_discrete":
+    elif _KINDS.get(kind) == (0, DR):
         mu = _finite_scalar("penalty mu", mu, positive=True)
 
         def step(z):
@@ -445,7 +441,7 @@ def export_trajectory_csv(traj, path):
     number of bytes written.
     """
     n = traj.primal.shape[1]
-    has_z = traj.kind in _Z_KINDS
+    has_z = _KINDS[traj.kind].splitting == DR
     nv = traj.velocity.shape[1]
     header = ["t"] + [f"x_{i+1}" for i in range(n)]
     blocks = [traj.times[:, None], traj.primal]

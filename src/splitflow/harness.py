@@ -42,9 +42,6 @@ LASSO = "lasso_l1"
 BOX_QP = "box_qp"
 LOGISTIC = "logistic_l1"
 
-_ALL_DYNAMICS = ("fb_flow", "dr_flow", "acc_fb", "acc_dr",
-                 "fb_discrete", "dr_discrete")
-
 
 def _numbers(values, kind=numbers.Real):
     """True for a tuple or list of finite numbers of ``kind`` (not bools);
@@ -208,10 +205,10 @@ class BenchmarkConfig:
         if w is not None and not (_numbers(w) and len(w) == 2 and w[0] < w[1]):
             raise ValueError(
                 f"config window must be two finite numbers a < b, got {w!r}")
-        if not (isinstance(kinds, (tuple, list))
-                and all(k in _ALL_DYNAMICS for k in kinds)):
+        if not (isinstance(kinds, (tuple, list)) and all(
+                isinstance(k, str) and k in dynamics._KINDS for k in kinds)):
             raise ValueError("config dynamics must be a list of "
-                             f"{list(_ALL_DYNAMICS)}, got {kinds!r}")
+                             f"{list(dynamics._KINDS)}, got {kinds!r}")
         if not kinds:
             raise ValueError("config dynamics must not be empty: it lists "
                              "no dynamics")
@@ -288,9 +285,8 @@ class BenchmarkReport:
 # ---------------------------------------------------------------------------
 
 def _envelope_schedule(problem, kind, mu):
-    env_kind = envelopes.FB if kind == "acc_fb" else envelopes.DR
     consts = envelopes.envelope_constants(problem.f.m, problem.f.L, mu,
-                                          env_kind)
+                                          dynamics._KINDS[kind].splitting)
     return dynamics.schedule_strongly_convex(1.0 / consts.L_tilde,
                                              consts.m_tilde)
 
@@ -344,7 +340,7 @@ def _example_setup(config, problem):
     """Per-example penalty, flow time scale, and certification plan."""
     example = _EXAMPLES[config.example]
     a, b = window = config.window or example.window(config.t_end)
-    for discrete in {kind.endswith("_discrete") for kind in config.dynamics}:
+    for discrete in {dynamics._KINDS[k].order == 0 for k in config.dynamics}:
         times = np.arange(math.ceil(config.t_end) + 1) if discrete else (
             np.append(0.0, dynamics._sample_grid(config.t_end, _finite_scalar(
                 "sample_dt", config.sample_dt, positive=True))))
@@ -362,13 +358,14 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
     rho = alpha_flow * problem.f.m if problem.f.m > 0 else None
     t0 = time.perf_counter()
     phases = {}
-    if kind in ("fb_discrete", "dr_discrete"):
+    order = dynamics._KINDS[kind].order
+    if order == 0:
         # step h = 1/L is h/alpha_flow = 1 unit of flow time: iterate k at t = k
         traj = dynamics.run_discrete(problem, kind, mu,
                                      int(math.ceil(config.t_end)),
                                      x_star=x_star, f_star=f_star)
     else:
-        if kind in ("fb_flow", "dr_flow"):
+        if order == 1:
             sched = dynamics.ConvexSchedule(alpha=alpha_flow)
         else:
             sched = _EXAMPLES[config.example].accelerated(problem, kind, mu)
@@ -426,9 +423,10 @@ def _workers(n_kinds):
 def _shares(kinds, w):
     """Each of ``w`` processes' kinds (0: the caller) in config order: ranked
     continuous, DR, accelerated first and snake-dealt from the last child."""
+    table = dynamics._KINDS
     ranked = sorted(kinds, key=lambda k: (
-        k not in dynamics._FLOW_KINDS + dynamics._ACC_KINDS,
-        k not in dynamics._Z_KINDS, k not in dynamics._ACC_KINDS))
+        table[k].order == 0, table[k].splitting != envelopes.DR,
+        table[k].order != 2))
     snake = [*range(w - 1, -1, -1), *range(w)]
     owner = {kind: snake[j % (2 * w)] for j, kind in enumerate(ranked)}
     return [tuple(k for k in kinds if owner[k] == i) for i in range(w)]
@@ -439,7 +437,8 @@ def _run_dynamics(config, problem, setup, reference, out_dir):
     that ran them: ``worker`` i runs ``_shares(kinds, w)[i]``, a forked child
     (i >= 1) sending its records back pickled over a pipe."""
     kinds = tuple(dict.fromkeys(config.dynamics))
-    if problem.f.kind == "quadratic" and set(kinds) & set(dynamics._Z_KINDS):
+    if problem.f.kind == "quadratic" and any(
+            dynamics._KINDS[k].splitting == envelopes.DR for k in kinds):
         _load_lapack()      # before the thread count; the children inherit it
     w = _workers(len(kinds))
     shares = _shares(kinds, w)

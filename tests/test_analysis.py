@@ -7,15 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from splitflow import (ACC_DR, ACC_FB, BoxIndicator, CompositeProblem,
-                       ConvexSchedule, DynamicsSpec, L1,
-                       NeedsReferenceError, NonsmoothFunction,
-                       ParameterDomainError, Quadratic,
-                       WindowTooLateError,
-                       certify_exponential, certify_sublinear,
-                       check_conditions, check_envelope_inequalities,
-                       check_lyapunov_decay, envelope_constants, h_curve,
-                       integrate, lyapunov_value,
+from splitflow import (BoxIndicator, CompositeProblem, ConvexSchedule,
+                       DynamicsSpec, L1, NeedsReferenceError,
+                       NonsmoothFunction, ParameterDomainError, Quadratic,
+                       WindowTooLateError, certify_exponential,
+                       certify_sublinear, check_conditions,
+                       check_envelope_inequalities, check_lyapunov_decay,
+                       envelope_constants, h_curve, integrate, lyapunov_value,
                        make_lyapunov_spec, schedule_strongly_convex,
                        solve_reference)
 from splitflow import analysis
@@ -240,7 +238,7 @@ class TestLyapunovDecay:
         mu = 1.0 / (2.0 * p.f.L)
         alpha = 1.0 / p.f.L
         ref = solve_reference(p, mu, tol=1e-12)
-        spec_dyn = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=alpha))
+        spec_dyn = DynamicsSpec("acc_fb", p, mu, ConvexSchedule(alpha=alpha))
         traj = integrate(spec_dyn, t_end=30.0, sample_dt=0.005,
                          x_star=ref.x, f_star=ref.value)
         lspec = make_lyapunov_spec(p, mu, alpha=alpha, case=QUAD_CONVEX,
@@ -256,7 +254,7 @@ class TestLyapunovDecay:
         alpha = 1.0 / consts.L_tilde
         sched = schedule_strongly_convex(alpha, consts.m_tilde)
         ref = solve_reference(p, mu, tol=1e-12)
-        spec_dyn = DynamicsSpec(ACC_DR, p, mu, sched)
+        spec_dyn = DynamicsSpec("acc_dr", p, mu, sched)
         traj = integrate(spec_dyn, t_end=30.0, sample_dt=0.005,
                          x_star=ref.x, f_star=ref.value)
         lspec = make_lyapunov_spec(p, mu, alpha=alpha, case=QUAD_STRONG,
@@ -271,7 +269,7 @@ class TestLyapunovDecay:
         sched = schedule_strongly_convex(alpha, p.f.m)
         mu = math.sqrt(sched.gamma() * sched.beta()) / (2.0 * p.f.L)
         ref = solve_reference(p, mu, tol=1e-11)
-        spec_dyn = DynamicsSpec(ACC_FB, p, mu, sched)
+        spec_dyn = DynamicsSpec("acc_fb", p, mu, sched)
         traj = integrate(spec_dyn, t_end=30.0, sample_dt=0.005,
                          x_star=ref.x, f_star=ref.value)
         lspec = make_lyapunov_spec(p, mu, alpha=alpha, case=GENERAL_STRONG,
@@ -284,7 +282,7 @@ class TestLyapunovDecay:
         p = make_quadratic_l1(n=6, seed=9)
         mu = 0.05
         ref = solve_reference(p, mu, tol=1e-12)
-        spec_dyn = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
+        spec_dyn = DynamicsSpec("acc_fb", p, mu, ConvexSchedule(alpha=0.1))
         psi0 = np.concatenate([ref.x, np.zeros(p.dim)])
         traj = integrate(spec_dyn, psi0=psi0, t_end=2.0, sample_dt=0.05,
                          x_star=ref.x, f_star=ref.value)
@@ -302,7 +300,7 @@ class TestLyapunovDecay:
         alpha = 1.0 / consts.L_tilde
         sched = schedule_strongly_convex(alpha, consts.m_tilde)
         ref = solve_reference(p, mu, tol=1e-12)
-        traj = integrate(DynamicsSpec(ACC_FB, p, mu, sched), t_end=25.0,
+        traj = integrate(DynamicsSpec("acc_fb", p, mu, sched), t_end=25.0,
                          sample_dt=0.01, x_star=ref.x, f_star=ref.value)
         lspec = make_lyapunov_spec(p, mu, alpha=alpha, case=QUAD_STRONG,
                                    theta=sched.theta(), x_star=ref.x,
@@ -322,7 +320,7 @@ class TestLyapunovDecay:
         mu = 1.0 / (2.0 * p.f.L)
         alpha = 1.0 / p.f.L
         sched = ConvexSchedule(alpha=alpha)
-        traj = integrate(DynamicsSpec(ACC_FB, p, mu, sched), t_end=20.0,
+        traj = integrate(DynamicsSpec("acc_fb", p, mu, sched), t_end=20.0,
                          sample_dt=0.05)
         H = fb_weight_matrix(p, mu)
         for i in range(1, traj.times.shape[0], 5):
@@ -342,8 +340,7 @@ class TestLyapunovDecay:
                                    theta=0.1, x_star=ref.x, f_star=ref.value)
         traj = SimpleNamespace(times=np.array([0.0, 1.0]),
                                position=np.zeros((2, 4)),
-                               velocity=np.zeros((2, 4)),
-                               states=np.zeros((2, 8)))
+                               velocity=np.zeros((2, 4)))
         with pytest.raises(ValueError):
             check_lyapunov_decay(traj, lspec)
 
@@ -358,7 +355,7 @@ class TestLyapunovSeries:
     def run(kind, case):
         p = make_quadratic_l1(n=8, m=1.0, L=8.0, lam=0.3, seed=13)
         mu = 1.0 / (2.0 * p.f.L)
-        env = "fb" if kind == ACC_FB else "dr"
+        env = "fb" if kind == "acc_fb" else "dr"
         if case == QUAD_CONVEX:
             alpha = 1.0 / p.f.L
             sched = ConvexSchedule(alpha=alpha)
@@ -395,7 +392,7 @@ class TestLyapunovSeries:
         return calls
 
     @pytest.mark.parametrize("case", [QUAD_CONVEX, QUAD_STRONG])
-    @pytest.mark.parametrize("kind", [ACC_FB, ACC_DR])
+    @pytest.mark.parametrize("kind", ["acc_fb", "acc_dr"])
     def test_own_envelope_is_reused(self, kind, case, monkeypatch):
         traj, lspec = self.run(kind, case)
         spec = lspec()
@@ -404,7 +401,8 @@ class TestLyapunovSeries:
         assert calls == {"fb_envelope_value": [], "lyapunov_value": []}
         # both evaluate the envelope on the same blocks of the same rows
         np.testing.assert_array_equal(
-            V, lyapunov_value(spec, traj.times, traj.states))
+            V, lyapunov_value(spec, traj.times,
+                              np.hstack([traj.position, traj.velocity])))
         # the envelope term is the observable: shifting it shifts V by alpha
         shifted = dataclasses.replace(traj, observables=dict(
             traj.observables, envelope=traj.observables["envelope"] + 1.0))
@@ -412,11 +410,11 @@ class TestLyapunovSeries:
                                    spec.alpha, rtol=1e-9)
 
     @pytest.mark.parametrize("kind, spec_args", [
-        (ACC_DR, dict(spec_mu=0.05)),
-        (ACC_DR, dict(envelope_kind="fb")),
-        (ACC_FB, dict(envelope_kind="dr")),
-        (ACC_FB, dict(spec_case=GENERAL_STRONG)),
-        (ACC_DR, None),
+        ("acc_dr", dict(spec_mu=0.05)),
+        ("acc_dr", dict(envelope_kind="fb")),
+        ("acc_fb", dict(envelope_kind="dr")),
+        ("acc_fb", dict(spec_case=GENERAL_STRONG)),
+        ("acc_dr", None),
     ], ids=["other_mu", "fb_spec_on_acc_dr", "dr_spec_on_acc_fb", "general",
             "no_observables"])
     def test_other_specs_are_recomputed(self, kind, spec_args, monkeypatch):
@@ -432,7 +430,8 @@ class TestLyapunovSeries:
             (min(rows, S - i), 8) for i in range(0, S, rows)],
             "lyapunov_value": []}
         np.testing.assert_array_equal(
-            V, lyapunov_value(spec, traj.times, traj.states))
+            V, lyapunov_value(spec, traj.times,
+                              np.hstack([traj.position, traj.velocity])))
         # the blocks cover every sample once, in order: at n = 8 they give
         # the bits of one evaluation on the whole stack
         monkeypatch.setattr(analysis, "_BLOCK_ROWS", S)
@@ -465,14 +464,14 @@ class TestBoundedBlocks:
         return traj, lspec
 
     @pytest.mark.parametrize("kind, general", [
-        (ACC_FB, False), (ACC_DR, False), (ACC_FB, True)],
+        ("acc_fb", False), ("acc_dr", False), ("acc_fb", True)],
         ids=["acc_fb", "acc_dr", "general"])
     def test_decay_check_peak_below_half_the_states(self, kind, general):
         # whole-trace temporaries peaked at 1.03x the state bytes in the
         # quadratic cases and 4.8x in the general one
         traj, lspec = self.trajectory_and_spec(kind, general)
         assert traj.times.size == 4001
-        state_bytes = traj.states.nbytes
+        state_bytes = traj.position.nbytes + traj.velocity.nbytes
         tracemalloc.start()
         try:
             check_lyapunov_decay(traj, lspec)   # warms any cache

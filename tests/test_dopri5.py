@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45
 
-from splitflow import (ACC_DR, ACC_FB, FB_FLOW, ConvexSchedule, DynamicsSpec,
-                       IntegrationFailure, gen_lasso, integrate,
-                       schedule_strongly_convex, vector_field)
+from splitflow import (ConvexSchedule, DynamicsSpec, IntegrationFailure,
+                       gen_lasso, integrate, schedule_strongly_convex,
+                       vector_field)
 from splitflow._dopri5 import Dopri5
 
 from conftest import make_quadratic_box, make_quadratic_l1, smooth_problem
@@ -55,23 +55,23 @@ def test_matches_scipy_rk45(case):
     tol, t_end, sample_dt = 1e-9, 10.0, 0.05
     if case in ("linear_flow", "ragged_end"):
         p = smooth_problem(n=5, seed=3)
-        spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=0.7))
+        spec = DynamicsSpec("fb_flow", p, 0.1, ConvexSchedule(alpha=0.7))
         psi0 = np.array([1.0, -2.0, 0.5, 0.0, 2.0])
         if case == "ragged_end":       # the last step and sample are clipped
             t_end, sample_dt = 1.05, 0.1
     elif case == "acc_fb_lasso":
         p = gen_lasso(10, 30, seed=0)
-        spec = DynamicsSpec(ACC_FB, p, 0.5 / p.f.L,
+        spec = DynamicsSpec("acc_fb", p, 0.5 / p.f.L,
                             ConvexSchedule(alpha=1.0 / p.f.L))
         psi0 = np.zeros(spec.state_dim)
     elif case == "acc_dr_box_qp":
         p = make_quadratic_box(n=12)
-        spec = DynamicsSpec(ACC_DR, p, 0.5 / p.f.L,
+        spec = DynamicsSpec("acc_dr", p, 0.5 / p.f.L,
                             schedule_strongly_convex(1.0 / p.f.L, p.f.m))
         psi0 = np.zeros(spec.state_dim)
     else:
         p = make_quadratic_l1(n=6, seed=2)
-        spec = DynamicsSpec(ACC_FB, p, 0.05, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("acc_fb", p, 0.05, ConvexSchedule(alpha=1.0))
         psi0 = np.full(spec.state_dim, 3.0)
         tol = 1e-6
     traj = integrate(spec, psi0=psi0, t_end=t_end, tol=tol,
@@ -80,7 +80,7 @@ def test_matches_scipy_rk45(case):
         lambda t, y, out=None: vector_field(spec, t, y, out), psi0, t_end,
         tol, traj.times[1:])
     assert traj.times[-1] == t_end == own.t
-    assert np.array_equal(traj.states, samples)
+    assert np.array_equal(np.hstack([traj.position, traj.velocity]), samples)
     assert traj.meta["rhs_calls"] == 2 + 6 * (traj.meta["n_steps"]
                                               + traj.meta["n_rejected"])
     assert (traj.meta["n_steps"], traj.meta["n_rejected"]) == (
@@ -98,7 +98,7 @@ def test_blow_up_fails_where_scipy_does(monkeypatch):
     monkeypatch.setattr("splitflow.dynamics.vector_field",
                         lambda spec, t, psi, out=None: np.multiply(
                             psi, psi, out=out))
-    spec = DynamicsSpec(FB_FLOW, smooth_problem(n=1), 0.1,
+    spec = DynamicsSpec("fb_flow", smooth_problem(n=1), 0.1,
                         ConvexSchedule(alpha=1.0))
     y0 = np.ones(1)
     with pytest.raises(IntegrationFailure,
@@ -112,4 +112,5 @@ def test_blow_up_fails_where_scipy_does(monkeypatch):
     assert partial.meta["n_steps"] == own.n_steps
     assert partial.meta["rhs_calls"] == 2 + 6 * (own.n_steps
                                                  + own.n_rejected)
-    assert np.array_equal(partial.states, samples)
+    assert np.array_equal(np.hstack([partial.position, partial.velocity]),
+                          samples)

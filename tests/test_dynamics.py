@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
-                       CompositeProblem, ConstantSchedule, ConvexSchedule,
-                       DynamicsSpec, IntegrationFailure, L1,
+from splitflow import (BoxIndicator, CompositeProblem, ConstantSchedule,
+                       ConvexSchedule, DynamicsSpec, IntegrationFailure, L1,
                        ParameterDomainError, Quadratic,
                        UnsupportedOperationError, dr_envelope,
                        generalized_gradient, integrate, run_discrete,
-                       schedule_strongly_convex, solve_reference,
-                       vector_field)
+                       schedule_strongly_convex, solve_reference, vector_field)
 from splitflow import dynamics as dynamics_module
 from splitflow.dynamics import (export_trajectory_csv, read_trace_csv,
                                 strongly_convex_point)
@@ -103,7 +101,7 @@ class TestVectorField:
         p = make_quadratic_l1()
         mu = 0.05
         ref = solve_reference(p, mu, tol=1e-12)
-        spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
+        spec = DynamicsSpec("acc_fb", p, mu, ConvexSchedule(alpha=0.1))
         psi = np.concatenate([ref.x, np.zeros(p.dim)])
         dpsi = vector_field(spec, 1.0, psi)
         assert np.linalg.norm(dpsi) <= 1e-10
@@ -111,7 +109,7 @@ class TestVectorField:
     def test_smooth_case_matches_inertial_ode(self, rng):
         p = smooth_problem()
         sched = schedule_strongly_convex(0.3, 0.5)
-        spec = DynamicsSpec(ACC_FB, p, 0.1, sched)
+        spec = DynamicsSpec("acc_fb", p, 0.1, sched)
         psi = rng.standard_normal(8)
         dpsi = vector_field(spec, 0.0, psi)
         pos, vel = psi[:4], psi[4:]
@@ -123,7 +121,7 @@ class TestVectorField:
     def test_fb_flow_one_dim_lasso(self):
         p = CompositeProblem(Quadratic(np.array([[1.0]]), np.zeros(1)),
                              L1(1.0))
-        spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p, 0.5, ConvexSchedule(alpha=1.0))
         dx = vector_field(spec, 0.0, np.array([2.0]))
         np.testing.assert_allclose(dx, [-3.0], atol=1e-13)
 
@@ -133,9 +131,9 @@ class TestVectorField:
         logistic = make_logistic_l1()
         generic = CompositeProblem(SquaredNorm(logistic.dim), logistic.g)
         entries = {
-            "dr_flow": lambda p, z, mu: DynamicsSpec(DR_FLOW, p, mu,
+            "dr_flow": lambda p, z, mu: DynamicsSpec("dr_flow", p, mu,
                                                      ConvexSchedule(1.0)),
-            "acc_dr": lambda p, z, mu: DynamicsSpec(ACC_DR, p, mu,
+            "acc_dr": lambda p, z, mu: DynamicsSpec("acc_dr", p, mu,
                                                     ConvexSchedule(1.0)),
             "dr_discrete": lambda p, z, mu: run_discrete(p, "dr_discrete",
                                                          mu, 3),
@@ -152,8 +150,8 @@ class TestVectorField:
         sched = schedule_strongly_convex(1.0 / p.f.L, p.f.m)
         bound = np.sqrt(sched.gamma() * sched.beta()) / (2 * p.f.L)
         with pytest.raises(ParameterDomainError):
-            DynamicsSpec(ACC_FB, p, 2 * bound, sched)
-        DynamicsSpec(ACC_FB, p, bound, sched)  # at the bound: fine
+            DynamicsSpec("acc_fb", p, 2 * bound, sched)
+        DynamicsSpec("acc_fb", p, bound, sched)  # at the bound: fine
 
 
 class TestPythonFloatBits:
@@ -164,9 +162,9 @@ class TestPythonFloatBits:
 
     @pytest.mark.parametrize("as_mu", [float, np.float64, np.array])
     @pytest.mark.parametrize("make, kinds", [
-        (make_quadratic_l1, (FB_FLOW, DR_FLOW, ACC_FB, ACC_DR)),
-        (make_quadratic_box, (FB_FLOW, DR_FLOW, ACC_FB, ACC_DR)),
-        (make_logistic_l1, (FB_FLOW, ACC_FB))],
+        (make_quadratic_l1, ("fb_flow", "dr_flow", "acc_fb", "acc_dr")),
+        (make_quadratic_box, ("fb_flow", "dr_flow", "acc_fb", "acc_dr")),
+        (make_logistic_l1, ("fb_flow", "acc_fb"))],
         ids=["quadratic_l1", "quadratic_box", "logistic_l1"])
     def test_field(self, make, kinds, as_mu, rng):
         p = make(n=9, seed=5)
@@ -198,7 +196,7 @@ def worst_case_mode_errors(kind):
     traj = integrate(spec, t_end=400.0, tol=1e-9)
     exact = mode_solution(p.f.Q, p.f.q, 1.0, ConvexSchedule.gamma,
                           ConvexSchedule.beta, traj.times,
-                          mu=0.5 if kind == ACC_DR else None)
+                          mu=0.5 if kind == "acc_dr" else None)
     return traj.times, np.abs(traj.position - exact[:, :200]).max(axis=1)
 
 
@@ -219,7 +217,7 @@ class TestAccModes:
                               lambda t: 0.4, ts, psi0=psi0, mu=mu)
         assert np.max(np.abs(modes - exact)) <= 1e-11
 
-    @pytest.mark.parametrize("kind", [ACC_FB, ACC_DR])
+    @pytest.mark.parametrize("kind", ["acc_fb", "acc_dr"])
     def test_within_ten_tol_to_t100(self, kind):
         times, err = worst_case_mode_errors(kind)
         assert err[times <= 100.0].max() <= 10.0 * 1e-9
@@ -230,7 +228,7 @@ class TestAccModes:
         "13.6 and 15.7 tol at the step end t = 400; see the CHANGES FOUND "
         "line on the per-mode reference"))
     def test_within_ten_tol_whole_run(self):
-        for kind in (ACC_FB, ACC_DR):
+        for kind in ("acc_fb", "acc_dr"):
             _, err = worst_case_mode_errors(kind)
             assert err.max() <= 10.0 * 1e-9
 
@@ -253,7 +251,7 @@ def kink_errors(seed):
     p, x0, ts = kink_case(seed)
     exact, switches = piecewise_fb_flow_solution(p.f.Q, p.f.q, 0.4, 0.1,
                                                  0.7, x0, ts)
-    spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=0.7))
+    spec = DynamicsSpec("fb_flow", p, 0.1, ConvexSchedule(alpha=0.7))
     errors = []
     for tol in KINK_TOLS:
         traj = integrate(spec, psi0=x0, t_end=10.0, tol=tol, sample_dt=0.25)
@@ -303,7 +301,7 @@ class PoisonedProx(BoxIndicator):
 class TestIntegrate:
     def test_matches_matrix_exponential(self):
         p = smooth_problem(n=5, seed=3)
-        spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=0.7))
+        spec = DynamicsSpec("fb_flow", p, 0.1, ConvexSchedule(alpha=0.7))
         x0 = np.array([1.0, -2.0, 0.5, 0.0, 2.0])
         traj = integrate(spec, psi0=x0, t_end=10.0, tol=1e-9, sample_dt=0.25)
         exact = linear_flow_solution(p.f.Q, p.f.q, 0.7, x0, traj.times)
@@ -313,7 +311,7 @@ class TestIntegrate:
         p = make_quadratic_l1()
         mu = 0.05
         ref = solve_reference(p, mu, tol=1e-12)
-        spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
+        spec = DynamicsSpec("acc_fb", p, mu, ConvexSchedule(alpha=0.1))
         psi0 = np.concatenate([ref.x, np.zeros(p.dim)])
         traj = integrate(spec, psi0=psi0, t_end=5.0, sample_dt=0.1)
         drift = np.linalg.norm(traj.position - ref.x[None, :], axis=1)
@@ -326,7 +324,7 @@ class TestIntegrate:
         mu = 1.0 / (2.0 * p.f.L)
         ref = solve_reference(p, mu, tol=1e-12)
         alpha = 0.5
-        spec = DynamicsSpec(FB_FLOW, p, mu, ConvexSchedule(alpha=alpha))
+        spec = DynamicsSpec("fb_flow", p, mu, ConvexSchedule(alpha=alpha))
         x0 = ref.x + np.ones(p.dim)
         traj = integrate(spec, psi0=x0, t_end=6.0, sample_dt=0.05,
                          x_star=ref.x, f_star=ref.value)
@@ -339,7 +337,7 @@ class TestIntegrate:
         # against the exact solution: the error stays within 10 tol and
         # falls with the tolerance
         p = smooth_problem(n=5, seed=3)
-        spec = DynamicsSpec(FB_FLOW, p, 0.1, ConvexSchedule(alpha=0.7))
+        spec = DynamicsSpec("fb_flow", p, 0.1, ConvexSchedule(alpha=0.7))
         x0 = np.array([1.0, -2.0, 0.5, 0.0, 2.0])
         errors = []
         for tol in (1e-6, 1e-8, 1e-10):
@@ -350,7 +348,7 @@ class TestIntegrate:
             assert errors[-1] <= 10.0 * tol
         assert errors[0] > errors[1] > errors[2]
 
-    @pytest.mark.parametrize("kind", [ACC_FB, ACC_DR])
+    @pytest.mark.parametrize("kind", ["acc_fb", "acc_dr"])
     def test_second_order_against_exact_solution(self, kind):
         # quadratic f, g = 0 and a constant schedule make both accelerated
         # flows linear; their exact solution is one 2x2 matrix exponential
@@ -367,8 +365,9 @@ class TestIntegrate:
                              sample_dt=0.25)
             exact = second_order_flow_solution(
                 p.f.Q, p.f.q, alpha, gamma, beta, psi0, traj.times,
-                mu=mu if kind == ACC_DR else None)
-            errors.append(np.max(np.abs(traj.states - exact)))
+                mu=mu if kind == "acc_dr" else None)
+            states = np.hstack([traj.position, traj.velocity])
+            errors.append(np.max(np.abs(states - exact)))
             assert errors[-1] <= 10.0 * tol
         assert errors[0] > errors[1] > errors[2]
 
@@ -397,7 +396,7 @@ class TestIntegrate:
             out *= np.nan if t > 4.0 else 1.0
             return out
         monkeypatch.setattr(dynamics_module, "Dopri5", Recording)
-        spec = DynamicsSpec(ACC_FB, p, mu, ConvexSchedule(alpha=0.1))
+        spec = DynamicsSpec("acc_fb", p, mu, ConvexSchedule(alpha=0.1))
         if case == "failure":
             monkeypatch.setattr(dynamics_module, "vector_field", field)
             with pytest.raises(IntegrationFailure, match="non-finite") as exc:
@@ -438,7 +437,7 @@ class TestIntegrate:
         # blow up the field after t > 0.5 via a poisoned prox
         p_bad = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
                                  PoisonedProx(after=40))
-        spec = DynamicsSpec(FB_FLOW, p_bad, 0.5, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p_bad, 0.5, ConvexSchedule(alpha=1.0))
         with pytest.raises(IntegrationFailure) as exc:
             integrate(spec, psi0=np.ones(2), t_end=10.0, sample_dt=0.1)
         assert exc.value.partial is not None
@@ -458,7 +457,7 @@ class TestIntegrate:
         monkeypatch.setattr("splitflow.dynamics.vector_field", counting)
         f = make_quadratic_l1().f
         p = CompositeProblem(f, PoisonedProx(after=40, refuse=True))
-        spec = DynamicsSpec(ACC_DR, p, 0.5 / f.L, ConvexSchedule(alpha=0.1))
+        spec = DynamicsSpec("acc_dr", p, 0.5 / f.L, ConvexSchedule(alpha=0.1))
         with pytest.raises(IntegrationFailure, match="non-finite") as exc:
             integrate(spec, psi0=np.ones(spec.state_dim), t_end=10.0)
         assert exc.value.partial.meta["n_steps"] > 0
@@ -469,7 +468,7 @@ class TestIntegrate:
         # failure keeps the one-sample partial and its field-call count
         p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)),
                              PoisonedProx(after=0))
-        spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p, 0.5, ConvexSchedule(alpha=1.0))
         calls = []
 
         def counting(spec, t, psi, out=None):
@@ -490,7 +489,7 @@ class TestIntegrate:
         # the first step: two evaluations, still a one-row partial
         g = PoisonedProx(after=1)
         p = CompositeProblem(Quadratic(np.eye(2), np.zeros(2)), g)
-        spec = DynamicsSpec(FB_FLOW, p, 0.5, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p, 0.5, ConvexSchedule(alpha=1.0))
         with pytest.raises(IntegrationFailure, match="non-finite") as exc:
             integrate(spec, psi0=np.ones(2), t_end=10.0, sample_dt=0.1)
         partial = exc.value.partial
@@ -514,7 +513,7 @@ class TestIntegrate:
             return out
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", field)
-        spec = DynamicsSpec(FB_FLOW, smooth_problem(n=3), 0.1,
+        spec = DynamicsSpec("fb_flow", smooth_problem(n=3), 0.1,
                             ConvexSchedule(alpha=1.0))
         with pytest.raises(IntegrationFailure, match="non-finite") as exc:
             integrate(spec, t_end=10.0, sample_dt=0.1)
@@ -573,14 +572,15 @@ class TestIntegrate:
 
     def test_deterministic(self):
         p = make_quadratic_l1(n=5, seed=11)
-        spec = DynamicsSpec(ACC_FB, p, 0.05, ConvexSchedule(alpha=0.1))
+        spec = DynamicsSpec("acc_fb", p, 0.05, ConvexSchedule(alpha=0.1))
         a = integrate(spec, t_end=2.0, sample_dt=0.01)
         b = integrate(spec, t_end=2.0, sample_dt=0.01)
-        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(np.hstack([a.position, a.velocity]),
+                                      np.hstack([b.position, b.velocity]))
 
     def test_tol_domain(self):
         p = make_quadratic_l1()
-        spec = DynamicsSpec(FB_FLOW, p, 0.05, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p, 0.05, ConvexSchedule(alpha=1.0))
         with pytest.raises(ParameterDomainError):
             integrate(spec, t_end=1.0, tol=1e-2)
 
@@ -589,7 +589,7 @@ class TestIntegrate:
         (np.nan, 0.1), (np.inf, 0.1)])
     def test_time_domain(self, t_end, sample_dt):
         p = make_quadratic_l1()
-        spec = DynamicsSpec(FB_FLOW, p, 0.05, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p, 0.05, ConvexSchedule(alpha=1.0))
         with pytest.raises(ParameterDomainError):
             integrate(spec, t_end=t_end, sample_dt=sample_dt)
 
@@ -601,13 +601,13 @@ class TestIntegrate:
 
         monkeypatch.setattr("splitflow.dynamics.vector_field", no_field)
         p = make_quadratic_l1(n=3)
-        spec = DynamicsSpec(ACC_FB, p, 0.05, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("acc_fb", p, 0.05, ConvexSchedule(alpha=1.0))
         psi0 = np.zeros(spec.state_dim)
         psi0[4] = bad
         with pytest.raises(ParameterDomainError, match="finite"):
             integrate(spec, psi0=psi0, t_end=1.0)
 
-    @pytest.mark.parametrize("kind", [FB_FLOW, ACC_FB])
+    @pytest.mark.parametrize("kind", ["fb_flow", "acc_fb"])
     def test_field_writes_into_no_oracle_output(self, kind):
         # oracles whose outputs alias other arrays give the states of
         # fresh-array oracles, and the caller's psi0 is left as it was
@@ -622,14 +622,15 @@ class TestIntegrate:
             runs.append(integrate(spec, psi0=psi0, t_end=5.0, sample_dt=0.1))
             assert np.array_equal(psi0, np.linspace(-1.0, 1.0, spec.state_dim))
         fresh, aliased = runs
-        assert np.array_equal(fresh.states, aliased.states)
+        assert np.array_equal(np.hstack([fresh.position, fresh.velocity]),
+                              np.hstack([aliased.position, aliased.velocity]))
         assert fresh.meta["rhs_calls"] == aliased.meta["rhs_calls"]
 
     def test_acc_dr_output_map_residual(self):
         p = make_quadratic_l1(n=8, seed=13)
         mu = 0.05
         sched = ConvexSchedule(alpha=0.1)
-        spec = DynamicsSpec(ACC_DR, p, mu, sched)
+        spec = DynamicsSpec("acc_dr", p, mu, sched)
         traj = integrate(spec, t_end=3.0, sample_dt=0.1)
         # reported x must satisfy the prox optimality condition against z
         for i in range(0, traj.times.shape[0], 7):
@@ -646,10 +647,10 @@ class TestEquilibria:
         z_star = ref.x + mu * p.f.gradient(ref.x)
         sched = ConvexSchedule(alpha=0.2)
         states = {
-            FB_FLOW: ref.x,
-            DR_FLOW: z_star,
-            ACC_FB: np.concatenate([ref.x, np.zeros(p.dim)]),
-            ACC_DR: np.concatenate([z_star, np.zeros(p.dim)]),
+            "fb_flow": ref.x,
+            "dr_flow": z_star,
+            "acc_fb": np.concatenate([ref.x, np.zeros(p.dim)]),
+            "acc_dr": np.concatenate([z_star, np.zeros(p.dim)]),
         }
         for kind, psi in states.items():
             spec = DynamicsSpec(kind, p, mu, sched)
@@ -657,10 +658,10 @@ class TestEquilibria:
 
     def test_trajectory_samples_sane(self):
         p = make_quadratic_l1(n=5, seed=25)
-        spec = DynamicsSpec(ACC_FB, p, 0.05, ConvexSchedule(alpha=0.1))
+        spec = DynamicsSpec("acc_fb", p, 0.05, ConvexSchedule(alpha=0.1))
         traj = integrate(spec, t_end=3.0, sample_dt=0.1)
         assert np.all(np.diff(traj.times) > 0)
-        assert np.all(np.isfinite(traj.states))
+        assert np.all(np.isfinite(np.hstack([traj.position, traj.velocity])))
 
 
 class TestDiscreteSteps:
@@ -758,7 +759,7 @@ class TestDiscreteSteps:
         traj = run_discrete(p, "fb_discrete", mu, 4000, x_star=ref.x,
                             f_star=ref.value)
         assert np.sqrt(traj.observables["dist_sq"][-1]) <= 1e-6
-        spec = DynamicsSpec(FB_FLOW, p, mu, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p, mu, ConvexSchedule(alpha=1.0))
         flow = integrate(spec, t_end=40.0, sample_dt=0.5, x_star=ref.x)
         assert np.linalg.norm(flow.position[-1] - traj.position[-1]) <= 1e-6
 
@@ -768,7 +769,7 @@ class TestTrajectoryCsv:
         p = make_quadratic_l1(n=4, seed=19)
         mu = 0.05
         ref = solve_reference(p, mu, tol=1e-12)
-        spec = DynamicsSpec(ACC_DR, p, mu, ConvexSchedule(alpha=0.1))
+        spec = DynamicsSpec("acc_dr", p, mu, ConvexSchedule(alpha=0.1))
         traj = integrate(spec, t_end=1.0, sample_dt=0.1, x_star=ref.x,
                          f_star=ref.value)
         path = tmp_path / "trace.csv"
@@ -799,12 +800,12 @@ class TestTrajectoryCsv:
             # field evaluations of the stepper's set-up
             p_bad = CompositeProblem(p.f, PoisonedProx(after=2))
             with pytest.raises(IntegrationFailure) as exc:
-                integrate(DynamicsSpec(FB_FLOW, p_bad, mu, sched),
+                integrate(DynamicsSpec("fb_flow", p_bad, mu, sched),
                           psi0=np.linspace(-1.0, 1.0, 4), t_end=1.0)
             traj = exc.value.partial
             assert traj.times.shape[0] == 1
         else:
-            kind = ACC_DR if case == "acc_dr" else FB_FLOW
+            kind = "acc_dr" if case == "acc_dr" else "fb_flow"
             known = {} if case == "no_reference" else dict(x_star=ref.x,
                                                            f_star=ref.value)
             traj = integrate(DynamicsSpec(kind, p, mu, sched), t_end=40.0,
@@ -835,10 +836,49 @@ class TestTrajectoryCsv:
 
     def test_header_and_precision(self, tmp_path):
         p = make_quadratic_l1(n=2, seed=21)
-        spec = DynamicsSpec(FB_FLOW, p, 0.05, ConvexSchedule(alpha=1.0))
+        spec = DynamicsSpec("fb_flow", p, 0.05, ConvexSchedule(alpha=1.0))
         traj = integrate(spec, t_end=0.5, sample_dt=0.25)
         path = tmp_path / "t.csv"
         export_trajectory_csv(traj, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x_1,x_2,objective_gap,dist_sq"
         assert "e" in lines[1].split(",")[1]
+
+
+# the six kinds, each with its splitting and whether it is accelerated
+SIX_KINDS = {"fb_flow": ("fb", False), "dr_flow": ("dr", False),
+             "acc_fb": ("fb", True), "acc_dr": ("dr", True),
+             "fb_discrete": ("fb", False), "dr_discrete": ("dr", False)}
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("kind", list(SIX_KINDS))
+    def test_trace_header(self, kind, tmp_path):
+        # z_* columns exactly for a DR kind, dr_discrete included, and v_*
+        # columns exactly for an accelerated one
+        p = make_quadratic_l1(n=3, seed=2)
+        if kind.endswith("discrete"):
+            traj = run_discrete(p, kind, 0.05, 2)
+        else:
+            spec = DynamicsSpec(kind, p, 0.05, ConvexSchedule(alpha=0.1))
+            traj = integrate(spec, t_end=0.5, sample_dt=0.25)
+        export_trajectory_csv(traj, tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", encoding="ascii") as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+        splitting, accelerated = SIX_KINDS[kind]
+        blocks = ["x"] + ["z"] * (splitting == "dr") + ["v"] * accelerated
+        assert header == ["t"] + [f"{b}_{i}" for b in blocks
+                                  for i in (1, 2, 3)] + [
+            "objective_gap", "dist_sq"]
+
+    @pytest.mark.parametrize("kind", ["warp_drive", "FB_FLOW", ["acc_fb"],
+                                      None])
+    def test_config_refuses_kind_outside_the_table(self, kind):
+        # from Python and from JSON, with a message naming the table's kinds
+        for build in (lambda: BenchmarkConfig(dynamics=("acc_fb", kind)),
+                      lambda: BenchmarkConfig.from_dict(dict(
+                          BenchmarkConfig().to_dict(),
+                          dynamics=["acc_fb", kind]))):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(list(SIX_KINDS)) in str(exc.value)

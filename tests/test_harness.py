@@ -650,6 +650,8 @@ def test_shares_balance_dr_and_fb():
         assert len(set(share) & {"acc_dr", "dr_flow"}) == 1
         assert len(set(share) & {"acc_fb", "fb_flow"}) == 1
     assert "acc_dr" in child
+    assert (caller, child) == (("acc_fb", "dr_flow", "fb_discrete"),
+                               ("acc_dr", "fb_flow", "dr_discrete"))
     for share in _shares(_README_KINDS, 3):
         assert len(set(share) & {"acc_dr", "dr_flow", "acc_fb"}) == 1
 

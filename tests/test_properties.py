@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splitflow import (ACC_DR, ACC_FB, DR_FLOW, FB_FLOW, BoxIndicator,
-                       CompositeProblem, ConvexSchedule, DynamicsSpec, L1,
-                       dr_envelope, fb_envelope, generalized_gradient,
-                       lyapunov_value, make_lyapunov_spec, solve_reference,
-                       vector_field)
+from splitflow import (BoxIndicator, CompositeProblem, ConvexSchedule,
+                       DynamicsSpec, L1, dr_envelope, fb_envelope,
+                       generalized_gradient, lyapunov_value,
+                       make_lyapunov_spec, solve_reference, vector_field)
 from splitflow._csvfmt import write_csv
 from splitflow.analysis import GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG
 from splitflow.envelopes import _fb_kernel
@@ -165,7 +164,7 @@ def test_envelope_gradient_stack_equals_rows(rows, envelope, kind, seed, x,
                       [envelope(p, row, mu).gradient for row in x])
 
 
-@pytest.mark.parametrize("kind", [FB_FLOW, DR_FLOW, ACC_FB, ACC_DR])
+@pytest.mark.parametrize("kind", ["fb_flow", "dr_flow", "acc_fb", "acc_dr"])
 @STACK
 @given(seeds, one_time, stacks, stacks, mu_fractions)
 def test_vector_field_stack_equals_rows(kind, seed, t, pos, vel, frac):
@@ -174,7 +173,7 @@ def test_vector_field_stack_equals_rows(kind, seed, t, pos, vel, frac):
     # allocating call
     p = make_quadratic_l1(n=N, seed=seed)
     spec = DynamicsSpec(kind, p, frac / p.f.L, ConvexSchedule(alpha=0.5))
-    psi = pos if kind in (FB_FLOW, DR_FLOW) else np.hstack([pos, vel])
+    psi = pos if kind in ("fb_flow", "dr_flow") else np.hstack([pos, vel])
     stacked = vector_field(spec, t, psi)
     rows = [vector_field(spec, t, row) for row in psi]
     assert_rows_match(stacked, rows)

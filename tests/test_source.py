@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import pickle
 import subprocess
@@ -39,6 +40,51 @@ def test_benchmark_span_targets_exist():
                if not hasattr(importlib.import_module(f"splitflow.{module}"),
                               name)]
     assert missing == []
+
+
+def _oracle_bindings():
+    """Every binding the span recorder may patch: each splitflow module's
+    names, each oracle class's own attributes and scipy's ``rk_step``."""
+    from scipy.integrate._ivp import rk
+
+    from splitflow import problems
+    owners = [m for k, m in sys.modules.items()
+              if k == "splitflow" or k.startswith("splitflow.")]
+    classes = [problems.SmoothFunction, problems.NonsmoothFunction]
+    while classes:
+        cls = classes.pop()
+        owners.append(cls)
+        classes.extend(cls.__subclasses__())
+    bindings = {(owner, attr): value for owner in owners
+                for attr, value in vars(owner).items()}
+    bindings[rk, "rk_step"] = rk.rk_step
+    return bindings
+
+
+def test_span_recorder_uninstall_restores_every_binding():
+    # the benchmark's ``--trace 1`` wraps each _FUNCTIONS entry wherever it
+    # is bound; uninstall must leave every binding as it found it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = _oracle_bindings()
+    recorder = spans.SpanRecorder()
+    recorder.install()
+    try:
+        during = _oracle_bindings()
+        patched = {key for key, value in before.items()
+                   if during[key] is not value}
+        homes = {(importlib.import_module(f"splitflow.{module}"), name)
+                 for module, names in spans._FUNCTIONS.items()
+                 for name in names}
+        assert homes <= patched
+    finally:
+        recorder.uninstall()
+    after = _oracle_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value
+            ] == []
 
 
 def _fresh_output(code):
@@ -186,7 +232,11 @@ def test_reexports_listed_in_module_all():
     reexports = [(node.module, alias.name) for node in tree.body
                  if isinstance(node, ast.ImportFrom) and node.level == 1
                  for alias in node.names if not alias.name.startswith("_")]
-    assert len(reexports) > 50
+    # the parse found every public name of the package namespace
+    package = importlib.import_module("splitflow")
+    assert {name for _, name in reexports} == {
+        name for name, value in vars(package).items()
+        if not name.startswith("_") and not isinstance(value, type(package))}
     unlisted = [f"{module}.{name}" for module, name in reexports
                 if name not in getattr(
                     importlib.import_module(f"splitflow.{module}"),
