@@ -95,18 +95,17 @@ class Dopri5:
     """Integrate y' = fun(t, y) from t = 0 towards ``t_end`` with relative
     and absolute tolerance ``tol``, where ``fun(t, y, out)`` writes into out.
 
-    The constructor evaluates the field at y0 and once more to select the first
-    step. After each :meth:`step`, ``t``, ``y`` and ``f = fun(t, y)`` (the row
-    K[6], rewritten by the next step) describe the end of the accepted step,
-    ``h`` is its size and :meth:`dense` interpolates in it. ``n_steps``,
-    ``n_rejected`` and ``h_min``/``h_max`` (inf and 0 before the first step)
-    count accepted and rejected steps and the range of accepted sizes. ``nfev``
-    counts the field's evaluations, a raising one included: 2 + 6 per attempted
-    step while nothing raises. A field value that is not finite raises
-    ``FloatingPointError``; each attempted step checks its stages once, before
-    its error is judged, or when an evaluation raises. When the constructor
-    raises it, the exception carries ``nfev``, since the caller has no stepper
-    to ask.
+    The constructor only allocates; :meth:`start` evaluates the field at y0
+    and once more to select the first step. After each :meth:`step`, ``t``,
+    ``y`` and ``f = fun(t, y)`` (the row K[6], rewritten by the next step)
+    describe the end of the accepted step, ``h`` is its size and :meth:`dense`
+    interpolates in it. ``n_steps``, ``n_rejected`` and ``h_min``/``h_max``
+    (inf and 0 before the first step) count accepted and rejected steps and
+    the range of accepted sizes. ``nfev`` counts the field's evaluations, a
+    raising one included: 2 + 6 per attempted step while nothing raises. A
+    field value that is not finite raises ``FloatingPointError``; each
+    attempted step checks its stages once, before its error is judged, or
+    when an evaluation raises.
     """
 
     def __init__(self, fun, y0, t_end, tol):
@@ -119,16 +118,15 @@ class Dopri5:
         self._K_B, self._K_E = K[:-1].T, K.T
         self._K_flat, self._zeros = K.reshape(-1), np.zeros(K.size)
         self._sqrt_n = y0.size ** 0.5
-        self.n_steps = self.n_rejected = 0
+        self.n_steps = self.n_rejected = self.nfev = 0
         self.h_min, self.h_max = np.inf, 0.0
+
+    def start(self):
+        """Evaluate the field at y0 and select the first step size."""
         self.nfev = 1
-        try:
-            _finite(fun(0.0, y0, self.f))
-            self.nfev = 2
-            self.h_abs = self._initial_step()
-        except FloatingPointError as exc:
-            exc.nfev = self.nfev
-            raise
+        _finite(self.fun(0.0, self.y, self.f))
+        self.nfev = 2
+        self.h_abs = self._initial_step()
 
     def _initial_step(self):
         y0, f0, tol, interval = self.y, self.f, self.tol, abs(self.t_end)

@@ -7,7 +7,7 @@ Four vector fields are available, and two discrete baselines:
   acc_fb  : x'' + gamma(t) x' + alpha G_mu(x + beta(t) x') = 0
   acc_dr  : z'' + gamma(t) z' + alpha G_mu(prox_{mu f}(z + beta(t) z')) = 0,
             with output map x = prox_{mu f}(z)
-  fb_discrete, dr_discrete : ISTA and Douglas-Rachford iterations
+  fb_discrete, dr_discrete : Euler steps of fb_flow and dr_flow at alpha = 1
 
 Integration uses an embedded Dormand-Prince 5(4) stepper (``_dopri5``,
 scipy's RK45 reproduced bit for bit) with dense output sampled on a uniform
@@ -150,7 +150,7 @@ class DynamicsSpec:
         if (_KINDS[self.kind].splitting == DR
                 and self.problem.f.kind != "quadratic"):
             raise UnsupportedOperationError(
-                f"{self.kind} requires prox of the smooth part")
+                "Douglas-Rachford splitting requires prox of the smooth part")
         # for non-quadratic strongly convex f with a constant schedule, the
         # accelerated FB flow is certified only for mu <= sqrt(gamma beta)/(2L)
         if (self.kind == "acc_fb"
@@ -342,15 +342,15 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
     samples = np.empty((grid.size + 1, spec.state_dim))   # psi0, grid samples
     samples[0] = psi0
     meta = {"tol": tol, "sample_dt": float(sample_dt), "method": "dopri5",
-            "n_steps": 0, "alpha": spec.schedule.alpha, "rhs_calls": 0,
-            "n_rejected": 0, "h_min": math.inf, "h_max": 0.0}
-    solver = None
+            "alpha": spec.schedule.alpha}
+    # vector_field is looked up here, once, so that a replaced or wrapped
+    # module-level field is the one the stepper calls
+    solver = Dopri5(partial(vector_field, spec), psi0, float(t_end), tol)
 
     def build(observables=True):
-        if solver is not None:
-            meta.update(n_steps=solver.n_steps, n_rejected=solver.n_rejected,
-                        h_min=float(solver.h_min), h_max=float(solver.h_max),
-                        rhs_calls=solver.nfev)
+        meta.update(n_steps=solver.n_steps, n_rejected=solver.n_rejected,
+                    h_min=float(solver.h_min), h_max=float(solver.h_max),
+                    rhs_calls=solver.nfev)
         # a failed run keeps a copy of its rows only
         block = samples if idx == grid.size else samples[:idx + 1].copy()
         n = spec.problem.dim
@@ -363,9 +363,7 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
 
     idx = 0
     try:
-        # vector_field is looked up here, once, so that a replaced or
-        # wrapped module-level field is the one the stepper calls
-        solver = Dopri5(partial(vector_field, spec), psi0, float(t_end), tol)
+        solver.start()
         # a non-finite stage makes the step's products signal invalid values
         # (0 inf, where B weights stage row 1 by 0) before the stage check
         # reports it; the check and the sample check below catch every one
@@ -382,8 +380,6 @@ def integrate(spec, psi0=None, t_end=10.0, tol=1e-9, sample_dt=None,
                     samples[idx + 1:end + 1] = ys
                     idx = end
     except FloatingPointError as exc:
-        if solver is None:      # raised by the stepper's constructor
-            meta["rhs_calls"] = exc.nfev
         _fail(str(exc))
     return build()
 
@@ -396,29 +392,22 @@ def run_discrete(problem, kind, mu, n_steps, x_star=None, f_star=None):
     """Iterate a discrete splitting n_steps >= 0 times from zero and package
     the iterates as a Trajectory, iterate k at time k.
 
-    fb_discrete is ISTA, x - mu G_mu(x), formed as written (the prox point
-    alone rounds differently); dr_discrete is Douglas-Rachford,
-    z - prox_f(z) + prox_g(2 prox_f(z) - z). mu is checked once, here.
+    Iterate k + 1 is the Euler step s + mu s' of the same splitting's flow at
+    alpha = 1, whose ``DynamicsSpec`` checks mu in (0, 1/L) and a DR kind's
+    quadratic f: fb_discrete is ISTA, x - mu G_mu(x), and dr_discrete is
+    z - mu G_mu(prox_{mu f}(z)), Douglas-Rachford up to rounding.
     """
     if n_steps < 0:
         raise ParameterDomainError(f"n_steps must be >= 0, got {n_steps}")
-    f, g = problem.f, problem.g
-    if _KINDS.get(kind) == (0, FB):
-        mu = check_mu_domain(mu, f.L)
-
-        def step(x):
-            return x - mu * ((x - g.prox(x - mu * f.gradient(x), mu)) / mu)
-    elif _KINDS.get(kind) == (0, DR):
-        mu = _finite_scalar("penalty mu", mu, positive=True)
-
-        def step(z):
-            xh = f.prox(z, mu)
-            return z - xh + g.prox(2.0 * xh - z, mu)
-    else:
+    if kind not in _KINDS or _KINDS[kind].order != 0:
         raise ValueError(f"unknown discrete kind {kind!r}")
+    flow = next(k for k, v in _KINDS.items()
+                if v == (1, _KINDS[kind].splitting))
+    field = DynamicsSpec(flow, problem, mu, ConvexSchedule(alpha=1.0))._rhs
+    mu = float(mu)
     iterates = [np.zeros(problem.dim)]
     for _ in range(n_steps):
-        iterates.append(step(iterates[-1]))
+        iterates.append(iterates[-1] + mu * field(0.0, iterates[-1]))
     positions = np.asarray(iterates)
     times = np.arange(positions.shape[0], dtype=float)
     return _trajectory(problem, kind, mu, times, positions, positions[:, :0],

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, dynamics, envelopes
 from .problems import (BoxIndicator, CompositeProblem, L1, LogisticRidge,
-                       Quadratic, _finite_scalar, _load_lapack)
+                       Quadratic, _finite_scalar)
 
 __all__ = [
     "LambdaRule",
@@ -360,7 +360,8 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
     phases = {}
     order = dynamics._KINDS[kind].order
     if order == 0:
-        # step h = 1/L is h/alpha_flow = 1 unit of flow time: iterate k at t = k
+        # an Euler step of size mu at alpha = 1 covers mu/alpha_flow (1/2 on
+        # lasso and box_qp) of flow time; iterate k is stored at t = k
         traj = dynamics.run_discrete(problem, kind, mu,
                                      int(math.ceil(config.t_end)),
                                      x_star=x_star, f_star=f_star)
@@ -380,8 +381,6 @@ def _run_one(config, problem, kind, setup, reference, out_dir):
     if setup["mode"] == "sublinear":
         cert = analysis.certify_sublinear(traj, setup["window"])
     else:
-        if rho is None:
-            raise ValueError(f"no theoretical rate available for {kind}")
         cert = analysis.certify_exponential(traj, rho, setup["window"])
     elapsed = time.perf_counter() - t0
     if phases:
@@ -439,7 +438,8 @@ def _run_dynamics(config, problem, setup, reference, out_dir):
     kinds = tuple(dict.fromkeys(config.dynamics))
     if problem.f.kind == "quadratic" and any(
             dynamics._KINDS[k].splitting == envelopes.DR for k in kinds):
-        _load_lapack()      # before the thread count; the children inherit it
+        # factored before the thread count; the children inherit the factor
+        problem.f.solve_shifted(setup["mu"], np.zeros(problem.dim))
     w = _workers(len(kinds))
     shares = _shares(kinds, w)
 

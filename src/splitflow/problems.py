@@ -8,7 +8,7 @@ call concurrently. The only state is per-penalty caches, keyed by
 ``float(mu)``: ``Quadratic`` keeps the Cholesky factor of I + mu Q with
 mu q, and ``L1`` its prox bounds -mu weight and mu weight as float64 0-d
 arrays. A cache entry is a function of mu alone, so filling one is
-idempotent.
+idempotent; a pickled ``Quadratic`` leaves its factors behind.
 
 Every oracle takes a point ``(n,)`` or a stack of points ``(S, n)`` and
 returns one result per point. A custom f or g subclasses
@@ -79,17 +79,7 @@ def _softplus(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-_cho_factor = _dpotrs = None    # bound by _load_lapack
-
-
-def _load_lapack():
-    """Bind scipy's Cholesky routines on first use: ``import scipy.linalg``
-    takes about 0.2 s. A process that forks with a DR kind calls this first,
-    so that its children inherit the module and its BLAS threads count."""
-    global _cho_factor, _dpotrs
-    if _dpotrs is None:     # bound last: once it is set, both are
-        from scipy.linalg import cho_factor, lapack
-        _cho_factor, _dpotrs = cho_factor, lapack.dpotrs
+_dpotrs = None      # scipy's LAPACK dpotrs, bound by the first factor built
 
 
 def _expit(t):
@@ -199,13 +189,20 @@ class Quadratic(SmoothFunction):
     def hessian(self, x):
         return self.Q
 
+    def __getstate__(self):
+        # a copy factors again, and so binds dpotrs in its own process
+        return dict(self.__dict__, _prox_factors={})
+
     def _shifted_factor(self, mu):
-        """(Cholesky factor (c, lower) of I + mu Q, mu q), cached per mu."""
-        _load_lapack()      # on a hit too: an unpickled cache comes along
+        """(Cholesky factor (c, lower) of I + mu Q, mu q), cached per mu; a
+        miss imports scipy.linalg (0.2 s the first time) and binds dpotrs."""
+        global _dpotrs
         key = float(mu)
         entry = self._prox_factors.get(key)
         if entry is None:
-            entry = (_cho_factor(np.eye(self.dim) + mu * self.Q), mu * self.q)
+            from scipy.linalg import cho_factor, lapack
+            _dpotrs = lapack.dpotrs
+            entry = (cho_factor(np.eye(self.dim) + mu * self.Q), mu * self.q)
             self._prox_factors[key] = entry
         return entry
 

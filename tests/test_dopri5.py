@@ -23,6 +23,7 @@ def side_by_side(fun, y0, t_end, tol, grid):
     ``grid`` (y0 first), each step's grid points in one dense call."""
     ref = RK45(fun, 0.0, y0, t_bound=t_end, rtol=tol, atol=tol)
     own = Dopri5(fun, y0, t_end, tol)
+    own.start()
     assert own.h_abs == ref.h_abs
     samples, idx, sizes = [y0[None, :]], 0, []
     while ref.status == "running":

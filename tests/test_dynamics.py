@@ -531,6 +531,7 @@ class TestIntegrate:
         y0 = np.array([1e200, -2e200, 3e200])
         own = dynamics_module.Dopri5(
             lambda t, y, out: np.multiply(y, -1.0, out=out), y0, 5.0, 1e-9)
+        own.start()
         while own.t < 5.0:
             assert own.step()
         assert own.n_steps > 3
@@ -710,18 +711,18 @@ class TestDiscreteSteps:
         assert np.linalg.norm(traj.primal[-1] - ref.x) <= 1e-9
 
     def test_dr_equals_gradient_map_form(self):
-        # iterate k + 1 is z - prox_f(z) + prox_g(2 prox_f(z) - z) at iterate
-        # k, bit for bit, and z - mu G_mu(prox_f(z)) to rounding
+        # iterate k + 1 is z - mu G_mu(prox_f(z)) at iterate k, bit for bit,
+        # and the classic z - prox_f(z) + prox_g(2 prox_f(z) - z) to rounding
         p = make_quadratic_l1()
         mu = 0.05
         z = run_discrete(p, "dr_discrete", mu, 10).position
         for k in range(10):
             xh = p.f.prox(z[k], mu)
             np.testing.assert_array_equal(
-                z[k + 1], z[k] - xh + p.g.prox(2.0 * xh - z[k], mu))
+                z[k + 1], z[k] - mu * generalized_gradient(p, xh, mu))
             np.testing.assert_allclose(
-                z[k + 1], z[k] - mu * generalized_gradient(p, xh, mu),
-                atol=1e-11)
+                z[k + 1], z[k] - xh + p.g.prox(2.0 * xh - z[k], mu),
+                rtol=0, atol=1e-12)
 
     def test_dr_one_dim_against_bruteforce(self):
         p = CompositeProblem(Quadratic(np.array([[2.0]]), np.array([-1.0])),
@@ -736,13 +737,23 @@ class TestDiscreteSteps:
                                        atol=2e-7)
         assert z[1, 0] != 0.0
 
-    @pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0, -1.0])
-    def test_dr_mu_domain(self, mu):
-        # refused once, before the first iterate, by either kind
+    @pytest.mark.parametrize("mu_L", [np.nan, np.inf, 0.0, -1.0, 1.0, 2.0])
+    def test_dr_mu_domain(self, mu_L):
+        # mu = mu_L/L outside (0, 1/L), the domain of every kind, is refused
+        # once, before the first iterate, by either kind
         p = make_quadratic_l1()
         for kind in ("dr_discrete", "fb_discrete"):
             with pytest.raises(ParameterDomainError):
-                run_discrete(p, kind, mu, 3)
+                run_discrete(p, kind, mu_L / p.f.L, 3)
+
+    def test_dr_discrete_on_logistic_names_the_splitting(self):
+        # refused before any iterate, by the DR flow's spec, with a message
+        # that names the splitting, not that flow
+        p = make_logistic_l1()
+        with pytest.raises(UnsupportedOperationError,
+                           match="Douglas-Rachford") as exc:
+            run_discrete(p, "dr_discrete", 0.5 / p.f.L, 0)
+        assert "dr_flow" not in str(exc.value)
 
     def test_iterate_k_at_time_k(self):
         p = make_quadratic_l1()

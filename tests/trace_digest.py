@@ -15,7 +15,14 @@ It prints two lines, ``<name> <digest> (<what it covers>)``:
 ``readme_config``
     ``splitflow run`` of the README's example config (lasso 20x100, all six
     dynamics, seed 0): ``report.json`` without the keys that time the run
-    or depend on the CPU count, and the six CSV traces.
+    or depend on the CPU count, and the six CSV traces;
+
+and a third, ``recorded <N> ops, <F> failed, max relative move <r>``: the
+benchmark's own check (``perfbench/run.py``'s ``problems_of``) of every
+``lyapunov_ensemble`` and ``lasso_export`` pool operation against
+``perfbench/recorded.json``, with the largest relative distance of a fitted
+rate or final gap from its recorded value. It reports; it does not gate,
+since another numpy build may move the values.
 
 BLAS runs on one thread, as in the benchmark, so that a change can be
 compared with its parent on any machine. Two runs of the same tree must
@@ -38,6 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np                                      # noqa: E402
 
+import run                                              # noqa: E402
 import workloads                                        # noqa: E402
 from splitflow import harness                           # noqa: E402
 
@@ -54,12 +62,16 @@ def _feed(h, value):
     h.update(a.tobytes())
 
 
-def lyapunov_digest():
+def lyapunov_digest(ops):
+    """The digest; each run's benchmark operation is appended to ``ops``."""
     h, count = hashlib.sha256(), 0
+    workload = workloads.WORKLOADS["lyapunov_ensemble"]
     for regime, make in workloads._REGIMES.items():
         for seed in range(workloads.POOL):
             problem = harness.generate_problem(make(seed))
-            ref, _, traj, rep = workloads._lyapunov_run(regime, seed, problem)
+            result = workloads._lyapunov_run(regime, seed, problem)
+            ops += workload.ops([(regime, seed, problem)], [result])
+            ref, _, traj, rep = result
             h.update(f"{regime}/{seed}/{traj.kind}".encode())
             for part in (traj.times, traj.position, traj.velocity,
                          traj.primal, rep.details["values"], rep.fitted,
@@ -96,11 +108,37 @@ def readme_digest():
                           f"{len(traces)} traces"
 
 
+def recorded_line(lyapunov_ops):
+    """Check the pool operations of both workloads as the benchmark does."""
+    workload = workloads.WORKLOADS["lasso_export"]
+    configs = workload.inputs(range(workloads.POOL))
+    ops = {"lyapunov_ensemble": lyapunov_ops,
+           "lasso_export": workload.ops(configs, workload.execute(configs,
+                                                                  None))}
+    recorded = run.load_recorded()
+    count = failed = 0
+    move = 0.0
+    for name, group in ops.items():
+        for op in group:
+            count += 1
+            failed += bool(run.problems_of(op, recorded[name]))
+            rec = recorded[name].get(op.key)
+            if op.error is None and rec is not None:
+                for key in ("fitted", "final_gap"):
+                    value, expected = getattr(op, key), rec[key]
+                    move = max(move, abs(value - expected) / abs(expected))
+    return f"recorded {count} ops, {failed} failed, " \
+           f"max relative move {move:.1e}"
+
+
 def main():
-    for name, digest in (("lyapunov_ensemble", lyapunov_digest),
+    lyapunov_ops = []
+    for name, digest in (("lyapunov_ensemble",
+                          lambda: lyapunov_digest(lyapunov_ops)),
                          ("readme_config", readme_digest)):
         value, covers = digest()
         print(f"{name} {value} ({covers})", flush=True)
+    print(recorded_line(lyapunov_ops), flush=True)
 
 
 if __name__ == "__main__":
