@@ -22,7 +22,7 @@ from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
                         fb_envelope_value, generalized_gradient)
 from .exceptions import (NeedsReferenceError, ParameterDomainError,
                          UnsupportedOperationError, WindowTooLateError)
-from .problems import _dot, _finite_scalar
+from .problems import _finite_scalar
 
 __all__ = [
     "CertificateReport",
@@ -137,7 +137,8 @@ def solve_reference(problem, mu, tol=1e-12):
     not polished. It is tried at every check when a Hessian costs no more
     than 25 iterations (quadratic f, or a logistic f with n <= 50), else
     every 200 iterations. A prox-gradient sweep from the polished point is
-    kept when it lowers the gradient-map norm.
+    kept when it lowers the gradient-map norm. Raises RuntimeError at the
+    first check whose norm is not finite, or when the last is above tol.
     """
     mu = check_mu_domain(mu, problem.f.L)
     f, g = problem.f, problem.g
@@ -145,7 +146,6 @@ def solve_reference(problem, mu, tol=1e-12):
     x = np.zeros(n)
     y = x.copy()
     t_mom = 1.0
-    best = None
     obj_prev = np.inf
     iterations = restarts = polishes = 0
     # a logistic Hessian (2 s n^2 flops) costs no more than 25 iterations'
@@ -153,13 +153,10 @@ def solve_reference(problem, mu, tol=1e-12):
     polish_each_check = (f.kind == "quadratic"
                          or f.kind == "logistic_ridge" and 2 * n <= 25 * 4)
 
-    def consider(z):
-        nonlocal best
-        gn = float(np.linalg.norm(generalized_gradient(problem, z, mu)))
-        if best is None or gn < best[1]:
-            best = (z.copy(), gn)
-        return gn
+    def grad_map_norm(z):
+        return float(np.linalg.norm(generalized_gradient(problem, z, mu)))
 
+    # each success breaks at its first check under tol: x is the best point
     for k in range(1, _REFERENCE_MAX_ITER + 1):
         iterations = k
         x_new = g.prox(y - mu * f.gradient(y), mu)
@@ -173,27 +170,29 @@ def solve_reference(problem, mu, tol=1e-12):
                 t_mom = 1.0
                 restarts += 1
             obj_prev = obj
-            if (gn_x := consider(x)) <= tol:
+            if (gn := grad_map_norm(x)) <= tol:
                 break
+            if not math.isfinite(gn):
+                raise RuntimeError(f"reference solve reached a non-finite "
+                                   f"||G_mu|| = {gn} at iteration {k}")
             if polish_each_check or k % 200 == 0:
                 polished = _polish(problem, x)
                 if polished is not None and np.all(np.isfinite(polished)):
                     # one prox-gradient sweep re-projects onto the model
                     swept = g.prox(polished - mu * f.gradient(polished), mu)
-                    # gn_x > tol here, so a sweep within tol is also lower
-                    if (gn_swept := consider(swept)) < gn_x:
-                        x = swept
+                    # gn > tol here, so a sweep within tol is also lower
+                    if (gn_swept := grad_map_norm(swept)) < gn:
+                        x, gn = swept, gn_swept
                         polishes += 1
-                        if gn_swept <= tol:
+                        if gn <= tol:
                             break
                         y = x.copy()
                         t_mom = 1.0
 
-    x_best, gn = best       # set by the first check
-    if gn > tol:
+    if not gn <= tol:
         raise RuntimeError(
             f"reference solve stalled at ||G_mu|| = {gn:.3e} > tol = {tol:.1e}")
-    return ReferenceSolution(x=x_best, value=problem.objective(x_best),
+    return ReferenceSolution(x=x, value=problem.objective(x),
                              grad_map_norm=gn, iterations=iterations,
                              restarts=restarts, polishes=polishes)
 
@@ -298,12 +297,12 @@ def _lyapunov(spec, t, psi1, psi2, env=None):
     if spec.case == GENERAL_STRONG:
         y = psi1 + spec.beta * psi2
         env = fb_envelope_value(spec.problem, y, spec.mu) - spec.e_star
-        return spec.alpha * env + 0.5 * _dot(r, r)
+        return spec.alpha * env + 0.5 * np.vecdot(r, r)
     if env is None:
         x = (spec.problem.f.prox(psi1, spec.mu)
              if spec.envelope_kind == DR else psi1)
         env = fb_envelope_value(spec.problem, x, spec.mu)
-    return spec.alpha * (env - spec.e_star) + 0.5 * _dot(r, (spec.H @ r.T).T)
+    return spec.alpha * (env - spec.e_star) + 0.5 * np.vecdot(r, (spec.H @ r.T).T)
 
 
 def lyapunov_value(spec, t, psi):
@@ -444,10 +443,11 @@ def check_envelope_inequalities(problem, mu, seed=0):
     G = (x - p) / mu
     slack = 1e-8 * (1.0 + np.abs(fmu))
     d = x - xh
-    upper_rhs = _dot(G, d) - 0.5 * m * _dot(d, d) - 0.5 * mu * _dot(G, G)
+    upper_rhs = (np.vecdot(G, d) - 0.5 * m * np.vecdot(d, d)
+                 - 0.5 * mu * np.vecdot(G, G))
     margin_u = (upper_rhs + slack) - (fmu - problem.objective(xh))
     ds = x - x_star
-    margin_l = (fmu - f_star + slack) - lower_coef * _dot(ds, ds)
+    margin_l = (fmu - f_star + slack) - lower_coef * np.vecdot(ds, ds)
     worst_upper, worst_lower = float(margin_u.min()), float(margin_l.min())
     worst = min(worst_upper, worst_lower)
     return CertificateReport(

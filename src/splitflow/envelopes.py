@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterDomainError
-from .problems import _dot
 
 __all__ = [
     "EnvelopeConstants",
@@ -84,8 +83,8 @@ def _fb_kernel(problem, x, mu):
     p = g.prox(forward, mu)
     gp = g.value(p)
     diff = p - forward
-    value = (f.value(x) + gp + _dot(diff, diff) / (2.0 * mu)
-             - 0.5 * mu * _dot(gf, gf))
+    value = (f.value(x) + gp + np.vecdot(diff, diff) / (2.0 * mu)
+             - 0.5 * mu * np.vecdot(gf, gf))
     return gf, p, gp, value
 
 

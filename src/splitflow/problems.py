@@ -59,11 +59,6 @@ def _check_vector(v, name="v"):
     return v
 
 
-def _dot(a, b):
-    """Last-axis inner product; on two vectors the BLAS dot of ``a @ b``."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
-
-
 def _apply(M, x):
     """M applied to each point of x: ``M.dot(x)`` on a point (n,), the gemv
     of ``M @ x`` without the matmul ufunc's dispatch; ``(M @ x.T).T`` on a
@@ -178,7 +173,7 @@ class Quadratic(SmoothFunction):
         self._prox_factors = {}
 
     def value(self, x):
-        return 0.5 * _dot(x, _apply(self.Q, x)) + _dot(self.q, x)
+        return 0.5 * np.vecdot(x, _apply(self.Q, x)) + np.vecdot(self.q, x)
 
     def gradient(self, x):
         return _apply(self.Q, x) + self.q
@@ -262,7 +257,7 @@ class LogisticRidge(SmoothFunction):
     def value(self, x):
         t = _apply(self.A, x)
         return (np.sum(_softplus(t) - self.y * t, axis=-1)
-                + 0.5 * self.ridge * _dot(x, x))
+                + 0.5 * self.ridge * np.vecdot(x, x))
 
     def gradient(self, x):
         s = _expit(_apply(self.A, x))

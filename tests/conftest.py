@@ -72,6 +72,27 @@ def make_logistic_l1(s=30, n=15, ridge=0.5, lam=0.3, seed=0):
     return CompositeProblem(LogisticRidge(A, y, ridge), L1(lam))
 
 
+def make_planted_logistic(ridge, seed=0):
+    """Logistic ridge regression with a planted spectrum, g = 0 as the box
+    [-inf, inf], and a start x0 ~ N(0, I). A = U diag(s) V' is 60 x 20 with
+    s log-uniform on [1e-3, 2], s_1 = 0 and s_20 = 2, so the curvature along
+    V's first column is exactly the ridge and kappa = L/m = 1/ridge + 1.
+    Labels are Bernoulli draws from a Gaussian logit model. Returns the
+    problem and x0."""
+    gen = np.random.default_rng(seed)
+    U = np.linalg.qr(gen.standard_normal((60, 20)))[0]
+    V = np.linalg.qr(gen.standard_normal((20, 20)))[0]
+    s = np.sort(np.exp(gen.uniform(np.log(1e-3), np.log(2.0), 20)))
+    s[0], s[-1] = 0.0, 2.0
+    A = (U * s) @ V.T
+    with np.errstate(over="ignore"):     # exp(-logit) = inf gives p = 0
+        p = 1.0 / (1.0 + np.exp(-A @ gen.standard_normal(20)))
+    y = (gen.uniform(size=60) < p).astype(float)
+    return (CompositeProblem(LogisticRidge(A, y, ridge),
+                             BoxIndicator(-np.inf, np.inf)),
+            gen.standard_normal(20))
+
+
 def make_worst_case_quadratic(n=200, L=1.0):
     """Nesterov's worst-case quadratic (Introductory Lectures on Convex
     Optimization, 2004, Sec. 2.1.2): f = (L/8) x'Ax - (L/4) x_1 with

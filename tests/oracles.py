@@ -10,8 +10,9 @@ FB flow across l1 kinks from one matrix exponential per sign pattern, CSV
 text from Python's own ``'%.17e'`` formatting, one value at a time, the
 quadratic-form blocks of the Lyapunov decay bound from the schedules'
 closed forms, the vector field written with every constant operand a
-Python float, and the smooth oracles with every matrix product written
-``(M @ x.T).T``, for a point and a stack alike.
+Python float, the smooth oracles with every matrix product written
+``(M @ x.T).T``, for a point and a stack alike, and row-wise inner
+products as a batched matmul of 1 x n rows with n x 1 columns.
 """
 
 import math
@@ -23,9 +24,15 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from splitflow import ConvexSchedule
-from splitflow.problems import _dot, _softplus
+from splitflow.problems import _softplus
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def matmul_dot(a, b):
+    """Last-axis inner product as a batched matmul; on two vectors the BLAS
+    dot of ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
 
 
 def golden_section_min(fun, lo, hi, tol=1e-12):
@@ -197,14 +204,16 @@ def matmul_oracles(f):
     matmul ufunc on a point as on a stack."""
     if f.kind == "quadratic":
         Q, q = f.Q, f.q
-        return {"value": lambda x, v: 0.5 * _dot(x, (Q @ x.T).T) + _dot(q, x),
+        return {"value": lambda x, v: (0.5 * matmul_dot(x, (Q @ x.T).T)
+                                       + matmul_dot(q, x)),
                 "gradient": lambda x, v: (Q @ x.T).T + q,
                 "hess_vec": lambda x, v: (Q @ v.T).T}
     A, y, ridge = f.A, f.y, f.ridge
 
     def value(x, v):
         t = (A @ x.T).T
-        return np.sum(_softplus(t) - y * t, axis=-1) + 0.5 * ridge * _dot(x, x)
+        return (np.sum(_softplus(t) - y * t, axis=-1)
+                + 0.5 * ridge * matmul_dot(x, x))
 
     def gradient(x, v):
         s = expit((A @ x.T).T)

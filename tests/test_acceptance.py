@@ -21,7 +21,8 @@ from splitflow.analysis import (GENERAL_STRONG, QUAD_CONVEX, QUAD_STRONG,
 from splitflow.envelopes import _fb_kernel
 from splitflow.harness import gen_boxqp, gen_lasso, gen_logistic
 
-from conftest import (make_logistic_l1, make_quadratic_box, make_quadratic_l1,
+from conftest import (make_logistic_l1, make_planted_logistic,
+                      make_quadratic_box, make_quadratic_l1,
                       make_worst_case_quadratic, moreau_envelope)
 from oracles import (decay_form_constant, decay_form_timevarying,
                      fb_envelope_prox_form, finite_diff_grad,
@@ -110,6 +111,23 @@ def decay_time(times, dist_sq, fraction):
                            * (r[i - 1] - level) / (r[i - 1] - r[i]))
 
 
+def judge_kappa_exponents(name, kappas, rates, theory, swap, elapsed):
+    """Each kind's rate exponent in kappa must lie within 0.1 of its
+    theoretical rate's, and every swapped pairing must miss by more."""
+    log_kappa = np.log(kappas)
+    fitted = {k: np.polyfit(log_kappa, np.log(v), 1)[0]
+              for k, v in rates.items()}
+    expected = {k: np.polyfit(log_kappa, np.log(v), 1)[0]
+                for k, v in theory.items()}
+    # the check can fail: every kind's, with the runs swapped
+    assert all(abs(fitted[swap[kind]] - expected[kind]) > 0.1
+               for kind in swap)
+    ok = all(abs(fitted[kind] - expected[kind]) <= 0.1 for kind in swap)
+    verdict(name, ok, " ".join(f"{k}: fitted={fitted[k]:.3f} "
+                               f"theory={expected[k]:.3f}" for k in swap)
+            + f" ({elapsed:.1f}s)")
+
+
 class TestAccelerationKappaSweep:
     """Strongly convex box QPs (n = 60, seed 1) at kappa = 10, 100, 1000.
     A run's rate is ln(1e8) over the time dist^2 takes to fall from 1e-2 to
@@ -147,21 +165,54 @@ class TestAccelerationKappaSweep:
                         - decay_time(traj.times, d, 1e-2))
                 rates[kind].append(math.log(1e8) / span)
                 theory[kind].append(rho)
-        elapsed = time.perf_counter() - t0
-        log_kappa = np.log(self.KAPPAS)
-        fitted = {k: np.polyfit(log_kappa, np.log(v), 1)[0]
-                  for k, v in rates.items()}
-        expected = {k: np.polyfit(log_kappa, np.log(v), 1)[0]
-                    for k, v in theory.items()}
-        # the check can fail: every kind's, with the runs swapped
-        assert all(abs(fitted[self.SWAP[kind]] - expected[kind]) > 0.1
-                   for kind in self.SWAP)
-        ok = all(abs(fitted[kind] - expected[kind]) <= 0.1
-                 for kind in self.SWAP)
-        verdict("kappa exponents (box QP n=60, kappa 10-1e3)", ok,
-                " ".join(f"{k}: fitted={fitted[k]:.3f} "
-                         f"theory={expected[k]:.3f}" for k in self.SWAP)
-                + f" ({elapsed:.1f}s)")
+        judge_kappa_exponents("kappa exponents (box QP n=60, kappa 10-1e3)",
+                              self.KAPPAS, rates, theory, self.SWAP,
+                              time.perf_counter() - t0)
+
+
+class TestAccelerationKappaSweepLogistic:
+    """The general strongly convex case, FB only: planted-spectrum logistic
+    problems (``conftest.make_planted_logistic``, seed 1) at ridge 0.1,
+    0.01 and 0.001, so kappa = 11, 101 and 1001. Each run starts at the
+    problem's random x0 with zero velocity; from zero the flat direction
+    is never excited. A run's rate is ln(1e6) over the time dist^2 takes to
+    fall from 1e-2 to 1e-8 of its start. Its exponent in kappa must lie
+    within 0.1 of the theoretical rate's: theta of acc_fb's schedule (about
+    -0.467 over these kappas), alpha m = 1/kappa for fb_flow. The runs end
+    at 60 sqrt(kappa) and 25 kappa, at tol 1e-10."""
+
+    RIDGES = (0.1, 0.01, 0.001)
+    SWAP = {"acc_fb": "fb_flow", "fb_flow": "acc_fb"}
+
+    def test_criterion(self):
+        t0 = time.perf_counter()
+        rates = {kind: [] for kind in self.SWAP}
+        theory = {kind: [] for kind in self.SWAP}
+        kappas = []
+        for ridge in self.RIDGES:
+            p, x0 = make_planted_logistic(ridge, seed=1)
+            m, L = p.f.m, p.f.L
+            kappas.append(L / m)
+            x_star = solve_reference(p, 1.0 / (2.0 * L), tol=1e-12).x
+            for kind in self.SWAP:
+                if kind == "acc_fb":
+                    sched = schedule_strongly_convex(1.0 / L, m)
+                    mu = math.sqrt(sched.gamma() * sched.beta()) / (2.0 * L)
+                    rho, t_end = sched.theta(), 60.0 * math.sqrt(L / m)
+                    psi0 = np.concatenate([x0, np.zeros_like(x0)])
+                else:
+                    sched, mu = ConvexSchedule(alpha=1.0 / L), 1.0 / (2.0 * L)
+                    rho, t_end, psi0 = m / L, 25.0 * L / m, x0
+                traj = integrate(DynamicsSpec(kind, p, mu, sched), psi0=psi0,
+                                 t_end=t_end, tol=1e-10, x_star=x_star)
+                d = traj.observables["dist_sq"]
+                span = (decay_time(traj.times, d, 1e-8)
+                        - decay_time(traj.times, d, 1e-2))
+                rates[kind].append(math.log(1e6) / span)
+                theory[kind].append(rho)
+        judge_kappa_exponents(
+            "kappa exponents (planted logistic 60x20, kappa 11-1e3)",
+            kappas, rates, theory, self.SWAP, time.perf_counter() - t0)
 
 
 class TestExponentialRateBoxQp:

@@ -10,8 +10,8 @@ import pytest
 from splitflow import (BoxIndicator, CompositeProblem, ConvexSchedule,
                        DynamicsSpec, L1, NeedsReferenceError,
                        NonsmoothFunction, ParameterDomainError, Quadratic,
-                       WindowTooLateError, certify_exponential,
-                       certify_sublinear, check_conditions,
+                       SmoothFunction, WindowTooLateError,
+                       certify_exponential, certify_sublinear, check_conditions,
                        check_envelope_inequalities, check_lyapunov_decay,
                        envelope_constants, h_curve, integrate, lyapunov_value,
                        make_lyapunov_spec, schedule_strongly_convex,
@@ -158,6 +158,26 @@ class TestSolveReference:
         p = CompositeProblem(SquaredNorm(3), L1(0.5))
         assert analysis._polish(p, x) is None
         assert analysis._polish(make_logistic_l1(n=3), x) is not None
+
+    def test_non_finite_gradient_map_raises_at_first_check(self):
+        # nan > tol is False: a nan gradient once ran all 200,000 iterations
+        # and returned x = nan with grad_map_norm = nan
+        class NanGradient(SmoothFunction):
+            L, dim, calls = 1.0, 3, 0
+
+            def value(self, x):
+                return 0.5 * np.sum(x * x, axis=-1)
+
+            def gradient(self, x):
+                self.calls += 1
+                return np.full_like(x, np.nan)
+
+        f = NanGradient()
+        with pytest.raises(RuntimeError,
+                           match=r"non-finite \|\|G_mu\|\| = nan at "
+                                 r"iteration 25$"):
+            solve_reference(CompositeProblem(f, L1(0.1)), 0.5)
+        assert f.calls == 26    # 25 iterations and the check's gradient map
 
 
 class TestLyapunovValue:

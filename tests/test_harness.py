@@ -714,7 +714,7 @@ class TestCli:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["pass"]
 
-    @pytest.mark.parametrize("rho", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("rho", ["-1", "0", "nan", None])
     def test_certify_refuses_bad_rate(self, tmp_path, capsys, rho):
         cfg = BenchmarkConfig(example=BOX_QP, dims=(0, 12), kappa=30.0,
                               seed=5, dynamics=("fb_flow",), t_end=20.0,
@@ -722,9 +722,29 @@ class TestCli:
         run_benchmark(cfg, out_dir=str(tmp_path))
         trace = str(tmp_path / "trace_fb_flow.csv")
         code = cli_main(["certify", "--trace", trace, "--mode", "exponential",
-                         "--rho", rho, "--window", "2,18"])
+                         "--window", "2,18"]
+                        + ([] if rho is None else ["--rho", rho]))
         assert code == 1
-        assert "ParameterDomainError" in capsys.readouterr().err
+        assert ("exponential mode requires --rho" if rho is None
+                else "ParameterDomainError") in capsys.readouterr().err
+
+    def test_run_reports_unsupported_kind(self, tmp_path, capsys):
+        # DR needs the prox of f, which a logistic f lacks: that kind's line
+        # names the error, the other kinds still run, and the run exits 1
+        cfg = BenchmarkConfig(example="logistic_l1", dims=(20, 12),
+                              ridge=0.3, seed=3,
+                              dynamics=("fb_flow", "acc_dr"), t_end=20.0,
+                              sample_dt=0.2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        code = cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] in (["fb_flow:", "PASS"],
+                                        ["fb_flow:", "FAIL"])
+        assert lines[1].startswith(
+            "acc_dr: ERROR UnsupportedOperationError: ")
 
     def test_verify_hcurve(self, tmp_path):
         code = cli_main(["verify", "hcurve", "--grid", "200",

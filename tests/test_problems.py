@@ -7,15 +7,17 @@ from scipy import linalg as sla
 
 from splitflow import (BoxIndicator, CompositeProblem, ConvexSchedule,
                        DynamicsSpec, L1, LogisticRidge, Quadratic,
-                       UnsupportedOperationError, gen_boxqp, integrate,
-                       problem_from_dict, problem_to_dict)
-
+                       UnsupportedOperationError, fb_envelope_value,
+                       gen_boxqp, integrate, lyapunov_value,
+                       make_lyapunov_spec, problem_from_dict, problem_to_dict)
+from splitflow.analysis import GENERAL_STRONG, QUAD_STRONG
+from splitflow.envelopes import _fb_kernel
 from splitflow.problems import _softplus
 
 from conftest import make_logistic_l1, make_quadratic_l1, moreau_envelope
-from oracles import (finite_diff_grad, matmul_oracles, python_float_f_prox,
-                     python_float_g_prox, python_float_gradient,
-                     scalar_prox_box, scalar_prox_l1)
+from oracles import (finite_diff_grad, matmul_dot, matmul_oracles,
+                     python_float_f_prox, python_float_g_prox,
+                     python_float_gradient, scalar_prox_box, scalar_prox_l1)
 
 # mu as a caller may pass it: a Python float, a numpy scalar, a 0-d array
 MU_FORMS = pytest.mark.parametrize("as_mu", [float, np.float64, np.array])
@@ -268,6 +270,60 @@ class TestPointProducts:
             got = f.hess_vec(x, v) if name == "hess_vec" else getattr(
                 f, name)(x)
             assert_same_bits(np.asarray(got), np.asarray(want(x, v)))
+
+
+class TestRowInnerProducts:
+    """The oracles, envelopes and certificates take every row-wise inner
+    product with ``np.vecdot``. It must keep the bits of the batched matmul
+    ``a[..., None, :] @ b[..., :, None]`` on vectors of any length, on
+    256-row blocks and on the strided 209-row last block of a (2001, 2n)
+    trajectory; ``np.einsum`` rounds some of those rows differently."""
+
+    def test_vectors(self, rng):
+        for n in range(1, 1001):
+            a, b = rng.standard_normal((2, n))
+            assert_same_bits(np.vecdot(a, b), matmul_dot(a, b))
+
+    @pytest.mark.parametrize("n", [12, 16, 30, 100])
+    def test_row_blocks(self, n, rng):
+        stack = rng.standard_normal((2, 256, n))
+        states = rng.standard_normal((2001, 2 * n))
+        last = states[1792:, :n], states[1792:, n:]
+        einsum_moved = False
+        for a, b in (stack, last, (last[0], last[0])):
+            want = matmul_dot(a, b)
+            assert_same_bits(np.vecdot(a, b), want)
+            einsum_moved |= (np.einsum("ij,ij->i", a, b).tobytes()
+                             != want.tobytes())
+        # the check can fail: einsum in place of vecdot would
+        assert einsum_moved
+
+    @pytest.mark.parametrize("n", [12, 16, 30])
+    def test_envelope_and_lyapunov_keep_the_bits(self, n, rng):
+        # the FB envelope value and both Lyapunov forms on the last block,
+        # each with its inner products written as the matmul oracle
+        p = make_quadratic_l1(n=n, seed=n)
+        mu = 0.5 / p.f.L
+        states = rng.standard_normal((2001, 2 * n))
+        x, v = states[1792:, :n], states[1792:, n:]
+        gf, prox, gp, value = _fb_kernel(p, x, mu)
+        diff = prox - (x - mu * gf)
+        assert_same_bits(value, p.f.value(x) + gp
+                         + matmul_dot(diff, diff) / (2.0 * mu)
+                         - 0.5 * mu * matmul_dot(gf, gf))
+        for case in (QUAD_STRONG, GENERAL_STRONG):
+            spec = make_lyapunov_spec(p, mu, alpha=0.1, case=case, theta=0.3,
+                                      beta=0.4, x_star=np.zeros(n),
+                                      f_star=0.0)
+            r = 0.3 * (x - spec.psi1_star) + v
+            if case == GENERAL_STRONG:
+                env = fb_envelope_value(p, x + 0.4 * v, mu) - spec.e_star
+                want = spec.alpha * env + 0.5 * matmul_dot(r, r)
+            else:
+                env = fb_envelope_value(p, x, mu) - spec.e_star
+                want = (spec.alpha * env
+                        + 0.5 * matmul_dot(r, (spec.H @ r.T).T))
+            assert_same_bits(lyapunov_value(spec, 0.0, states[1792:]), want)
 
 
 class TestSoftplus:
