@@ -3,8 +3,8 @@
 ``'%.17e' % v`` prints the 18 significant digits N of |v|, rounded to
 nearest from |v| 10^(17-e) with e = floor(log10 |v|), as ``d.ddd...de+XX``.
 CPython converts one value at a time (about 0.9 us per value, most of the
-cost of writing a trace with ``np.savetxt``). Here every step is a
-whole-array numpy operation:
+cost of writing a trace value by value). Here every step is a whole-array
+numpy operation:
 
 * |v| 10^(17-e) is formed as a double-double: Dekker's (1971) error-free
   product of |v| with the double nearest 10^(17-e), plus |v| times the
@@ -13,11 +13,13 @@ whole-array numpy operation:
   and the absolute error stays below 1e-13, so rounding it gives N
   exactly unless its fraction lies within 1e-6 of 1/2 (exact ties
   included);
-* a field is a fixed-width buffer of seven 4-byte words. Digits d2..d17
-  come from four passes of ``// 10000`` and fill words 1-4 from a table
-  of four-digit ASCII groups; sign, d0, d1 and the exponent are byte
-  pairs and quads looked up by d0 d1 and by e. Pad bytes are zero, and
-  are the only zero bytes, so one ``bytes.translate`` drops them all.
+* a field is a fixed-width buffer of seven 4-byte words, each filled by
+  one table lookup: word 0 (sign or pad, d0, ``.``, d1) by 100 signbit +
+  d0 d1; words 1-4 (digits d2..d17, from four passes of ``// 10000``) by
+  four-digit group; word 5 (``e``, sign, hundreds, tens) by e; word 6 by
+  e, its units digit OR'ed with the row's separator bytes. Pad bytes are
+  zero, and are the only zero bytes, so one ``bytes.translate`` drops
+  them all.
 
 Values this cannot decide are formatted by ``'%.17e' % v`` one by one:
 non-finite values, |v| outside [1e-280, 1e280), fractions within 1e-6 of a
@@ -43,14 +45,13 @@ _LOW, _HIGH = 1e-280, 1e280
 _E_MAX = 281                    # largest |e| there, log10 off by one included
 _SPLIT = 134217729.0            # 2^27 + 1, Dekker's splitting factor
 _WIDTH = 25                     # widest field: -d.<17 digits>e-XXX
-_U16 = np.dtype("<u2")          # a byte pair, first byte first
 _U32 = np.dtype("<u4")          # a byte quad, first byte first
 
 
 @functools.cache
 def _tables():
-    """Lookup tables, indexed by e + _E_MAX or by a two- or four-digit
-    number.
+    """Lookup tables, indexed by e + _E_MAX, by 100 signbit + d0 d1 or by
+    a four-digit number.
 
     Built on the first export rather than at import. ``hi``, ``head``,
     ``tail`` and ``lo`` hold hi + lo = 10^(17-e) to ~2^-106 relative and
@@ -70,20 +71,20 @@ def _tables():
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     four = np.stack(np.meshgrid(digits, digits, digits, digits,
                                 indexing="ij"), -1).reshape(-1, 4)
-    lead = np.zeros((100, 2), dtype=np.uint8)       # (pad, d0) of 10 d0 + d1
-    lead[:, 1] = four[:100, 2]
-    dot = np.full_like(lead, ord("."))              # (".", d1) of 10 d0 + d1
-    dot[:, 1] = four[:100, 3]
+    lead = np.zeros((2, 100, 4), dtype=np.uint8)    # sign or pad, d0, ".", d1
+    lead[1, :, 0] = ord("-")
+    lead[:, :, 1] = four[:100, 2]
+    lead[:, :, 2] = ord(".")
+    lead[:, :, 3] = four[:100, 3]
     e = np.arange(-_E_MAX, _E_MAX + 1)
-    exp = np.zeros((e.size, 6), dtype=np.uint8)     # "e", sign, h, t, u, pad
+    exp = np.zeros((e.size, 8), dtype=np.uint8)     # "e", sign, h, t, u, pads
     exp[:, 0] = ord("e")
     exp[:, 1] = np.where(e < 0, ord("-"), ord("+"))
     exp[:, 2] = np.where(abs(e) >= 100, ord("0") + abs(e) // 100, 0)
     exp[:, 3:5] = four[abs(e) % 100, 2:]
-    for name, table, dtype in (("four", four, _U32), ("lead", lead, _U16),
-                               ("dot", dot, _U16), ("exp4", exp[:, :4], _U32),
-                               ("exp2", exp[:, 4:], _U16)):
-        out[name] = np.ascontiguousarray(table).view(dtype).ravel()
+    for name, table in (("four", four), ("lead", lead.reshape(200, 4)),
+                        ("exp", exp[:, :4]), ("units", exp[:, 4:])):
+        out[name] = np.ascontiguousarray(table).view(_U32).ravel()
     for table in out.values():
         table.flags.writeable = False
     return out
@@ -134,14 +135,12 @@ def format_rows(block):
         buf[:, j] = t["four"].take(n - 10000 * q)
         n = q
     # n < 100 where N is sure; the rest is overwritten below
-    n = np.minimum(n, 99)
-    pairs = buf.view(_U16)
-    pairs[:, 0] = t["lead"].take(n) | np.signbit(v) * np.uint16(ord("-"))
-    pairs[:, 1] = t["dot"].take(n)
-    buf[:, 5] = t["exp4"].take(i)
+    buf[:, 0] = t["lead"].take(np.minimum(n, 99) + 100 * np.signbit(v))
+    buf[:, 5] = t["exp"].take(i)
     ends = b"\0,\0\0" * (n_cols - 1) + b"\0\r\n\0"     # (u, sep, sep, pad)
-    buf.reshape(n_rows, n_cols, 7)[..., 6] = np.frombuffer(ends, _U32)
-    pairs[:, 12] |= t["exp2"].take(i)
+    buf.reshape(n_rows, n_cols, 7)[..., 6] = (
+        t["units"].take(i).reshape(n_rows, n_cols)
+        | np.frombuffer(ends, _U32))
     out = buf.view(np.uint8)
     for k in np.flatnonzero(~fast):
         text = ("%.17e" % v[k]).encode("ascii")

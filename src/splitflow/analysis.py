@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvfmt import write_csv
 from .dynamics import (_BLOCK_ROWS, _KINDS, _TIME_OFFSET, acc_fb_mu_bound,
                        strongly_convex_point)
 from .envelopes import (DR, FB, _fb_kernel, check_mu_domain,
@@ -531,7 +532,6 @@ def h_curve(w_grid):
 
 def write_h_curve_csv(report, path):
     """Two-column CSV (w, h) suitable for external plotting: a ``w,h``
-    header, LF line endings and ``'%.17e'`` values."""
+    header, CRLF line endings and ``'%.17e'`` values, as in traces."""
     d = report.details
-    np.savetxt(path, np.column_stack([d["w"], d["h"]]), fmt="%.17e",
-               delimiter=",", header="w,h", comments="")
+    write_csv(path, ["w", "h"], [np.column_stack([d["w"], d["h"]])])

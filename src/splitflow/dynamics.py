@@ -272,7 +272,7 @@ def _trajectory(problem, kind, mu, times, position, velocity, x_star, f_star,
             obj_prox[rows] = problem.f.value(p) + gp
             if x_star is not None:
                 diff = primal[rows] - x_star
-                dist[rows] = np.einsum("ij,ij->i", diff, diff)
+                dist[rows] = np.vecdot(diff, diff)
     obs = {}
     if observables:
         obs = {"objective_of_prox": obj_prox, "envelope": env}

@@ -760,7 +760,7 @@ class TestCli:
         d = h_curve(np.arange(1, 51) / 50).details
         block = np.column_stack([d["w"], d["h"]])
         assert (tmp_path / "hcurve.csv").read_bytes() == (
-            b"w,h\n" + percent_e_csv(block, "\n"))
+            b"w,h\r\n" + percent_e_csv(block, "\r\n"))
 
     def test_verify_suites_are_lemma3_and_hcurve(self, tmp_path, capsys):
         # the per-point rows of the rate conditions are hcurve's details

@@ -277,6 +277,21 @@ def test_csv_edge_values_match_percent_e(rows, newline, log10_shift,
             == percent_e_csv(block, newline))
 
 
+@pytest.mark.parametrize("log10_shift", [0.0, -1.0, 1.0])
+def test_csv_edge_values_in_first_and_last_column(log10_shift, tmp_path,
+                                                   monkeypatch):
+    # a field's first word (sign, d0, ".", d1) and last word (exponent
+    # units and separator) at both ends of a row: each of the first and
+    # last columns holds every edge value, both signs included
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + log10_shift)
+    values = edge_values()
+    block = np.column_stack([values, np.roll(values, values.size // 2),
+                             values[::-1]])
+    assert (written(tmp_path / "edge.csv", block)
+            == percent_e_csv(block, "\r\n"))
+
+
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "rows.csv"

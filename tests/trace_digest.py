@@ -24,6 +24,16 @@ benchmark's own check (``perfbench/run.py``'s ``problems_of``) of every
 rate or final gap from its recorded value. It reports; it does not gate,
 since another numpy build may move the values.
 
+A fourth, ``converged at tol 1e-12: <workload> max <r> (<op> <quantity>),
+<K> of <N> ops beyond <MATCH_RTOL/10>; ...``, reruns the same pool
+operations with the integrator at tol 1e-12 and the same reference
+tolerances. Per workload it gives the largest relative distance of a
+recorded fitted rate or final gap from its rerun, with the operation and
+quantity, and the number of operations with either quantity farther from
+its rerun than a tenth of the benchmark's match tolerance. It tells how
+much of a recorded value is integration error; it reports and does not
+gate.
+
 BLAS runs on one thread, as in the benchmark, so that a change can be
 compared with its parent on any machine. Two runs of the same tree must
 print the same lines; CI runs it twice to check that.
@@ -34,8 +44,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses                                      # noqa: E402
 import hashlib                                          # noqa: E402
 import json                                             # noqa: E402
+import math                                             # noqa: E402
 import sys                                              # noqa: E402
 import tempfile                                         # noqa: E402
 from pathlib import Path                                # noqa: E402
@@ -47,7 +59,10 @@ import numpy as np                                      # noqa: E402
 
 import run                                              # noqa: E402
 import workloads                                        # noqa: E402
-from splitflow import harness                           # noqa: E402
+from splitflow import analysis, dynamics, harness       # noqa: E402
+
+# integrator tolerance of the converged reruns, the tightest integrate takes
+CONVERGED_TOL = 1e-12
 
 # report.json keys that measure time, count worker processes or name the
 # process that ran a record
@@ -108,13 +123,39 @@ def readme_digest():
                           f"{len(traces)} traces"
 
 
-def recorded_line(lyapunov_ops):
-    """Check the pool operations of both workloads as the benchmark does."""
+def lasso_ops(tol=None):
+    """The lasso_export pool operations, at the integrator tolerance
+    ``tol`` in place of the workload's own when it is given."""
     workload = workloads.WORKLOADS["lasso_export"]
     configs = workload.inputs(range(workloads.POOL))
-    ops = {"lyapunov_ensemble": lyapunov_ops,
-           "lasso_export": workload.ops(configs, workload.execute(configs,
-                                                                  None))}
+    if tol is not None:
+        configs = [dataclasses.replace(c, tol=tol) for c in configs]
+    return workload.ops(configs, workload.execute(configs, None))
+
+
+def _converged_lyapunov_run(regime, seed, problem):
+    """``workloads._lyapunov_run`` with the integrator at CONVERGED_TOL."""
+    spec, lyap, tol = workloads._lyapunov_case(regime, problem, seed)
+    ref = analysis.solve_reference(problem, spec.mu, tol=tol)
+    traj = dynamics.integrate(spec, t_end=workloads.LYAP_T_END,
+                              tol=CONVERGED_TOL,
+                              sample_dt=workloads.LYAP_SAMPLE_DT,
+                              x_star=ref.x, f_star=ref.value)
+    lspec = analysis.make_lyapunov_spec(problem, x_star=ref.x,
+                                        f_star=ref.value, **lyap)
+    return ref, tol, traj, analysis.check_lyapunov_decay(traj, lspec)
+
+
+def converged_lyapunov_ops():
+    """The lyapunov_ensemble pool operations at CONVERGED_TOL."""
+    workload = workloads.WORKLOADS["lyapunov_ensemble"]
+    cases = workload.inputs(range(workloads.POOL))
+    return workload.ops(cases, [
+        workloads._attempt(_converged_lyapunov_run, *case) for case in cases])
+
+
+def recorded_line(ops):
+    """Check the pool operations of both workloads as the benchmark does."""
     recorded = run.load_recorded()
     count = failed = 0
     move = 0.0
@@ -131,6 +172,28 @@ def recorded_line(lyapunov_ops):
            f"max relative move {move:.1e}"
 
 
+def converged_line(converged):
+    """Distance of each recorded value from its converged rerun."""
+    recorded = run.load_recorded()
+    limit = run.MATCH_RTOL / 10
+    parts = []
+    for name, group in converged.items():
+        worst, where, beyond = -1.0, None, 0
+        for op in group:
+            rec = recorded[name][op.key]
+            dists = ({"raised": math.inf} if op.error is not None else
+                     {key: abs(rec[key] - getattr(op, key))
+                      / abs(getattr(op, key))
+                      for key in ("fitted", "final_gap")})
+            key = max(dists, key=dists.get)
+            beyond += dists[key] > limit
+            if dists[key] > worst:
+                worst, where = dists[key], f"{op.key} {key}"
+        parts.append(f"{name} max {worst:.1e} ({where}), {beyond} of "
+                     f"{len(group)} ops beyond {limit:.0e}")
+    return f"converged at tol {CONVERGED_TOL:.0e}: " + "; ".join(parts)
+
+
 def main():
     lyapunov_ops = []
     for name, digest in (("lyapunov_ensemble",
@@ -138,7 +201,11 @@ def main():
                          ("readme_config", readme_digest)):
         value, covers = digest()
         print(f"{name} {value} ({covers})", flush=True)
-    print(recorded_line(lyapunov_ops), flush=True)
+    print(recorded_line({"lyapunov_ensemble": lyapunov_ops,
+                         "lasso_export": lasso_ops()}), flush=True)
+    print(converged_line({"lyapunov_ensemble": converged_lyapunov_ops(),
+                          "lasso_export": lasso_ops(CONVERGED_TOL)}),
+          flush=True)
 
 
 if __name__ == "__main__":
