@@ -19,7 +19,8 @@ numpy operation:
   four-digit group; word 5 (``e``, sign, hundreds, tens) by e; word 6 by
   e, its units digit OR'ed with the row's separator bytes. Pad bytes are
   zero, and are the only zero bytes, so one ``bytes.translate`` drops
-  them all.
+  them all. The word tables are ASCII strings printed by ``%`` and read
+  as byte quads.
 
 Values this cannot decide are formatted by ``'%.17e' % v`` one by one:
 non-finite values, |v| outside [1e-280, 1e280), fractions within 1e-6 of a
@@ -57,8 +58,9 @@ def _tables():
     ``tail`` and ``lo`` hold hi + lo = 10^(17-e) to ~2^-106 relative and
     head + tail = hi exactly, each part fitting 26 bits.
     """
+    exponents = range(-_E_MAX, _E_MAX + 1)
     pow10 = []
-    for e in range(-_E_MAX, _E_MAX + 1):
+    for e in exponents:
         # 10^(17-e) = num / den; int / int is correctly rounded
         num, den = 10 ** max(17 - e, 0), 10 ** max(e - 17, 0)
         hi = num / den
@@ -68,23 +70,19 @@ def _tables():
         head = c - (c - hi)
         pow10.append((hi, head, hi - head, lo))
     out = dict(zip(("hi", "head", "tail", "lo"), np.array(pow10).T.copy()))
-    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    four = np.stack(np.meshgrid(digits, digits, digits, digits,
-                                indexing="ij"), -1).reshape(-1, 4)
-    lead = np.zeros((2, 100, 4), dtype=np.uint8)    # sign or pad, d0, ".", d1
-    lead[1, :, 0] = ord("-")
-    lead[:, :, 1] = four[:100, 2]
-    lead[:, :, 2] = ord(".")
-    lead[:, :, 3] = four[:100, 3]
-    e = np.arange(-_E_MAX, _E_MAX + 1)
-    exp = np.zeros((e.size, 8), dtype=np.uint8)     # "e", sign, h, t, u, pads
-    exp[:, 0] = ord("e")
-    exp[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    exp[:, 2] = np.where(abs(e) >= 100, ord("0") + abs(e) // 100, 0)
-    exp[:, 3:5] = four[abs(e) % 100, 2:]
-    for name, table in (("four", four), ("lead", lead.reshape(200, 4)),
-                        ("exp", exp[:, :4]), ("units", exp[:, 4:])):
-        out[name] = np.ascontiguousarray(table).view(_U32).ravel()
+    two = ["%02d" % k for k in range(100)]
+    words = {
+        # a + a.join(two) is the hundred numbers a00 .. a99
+        "four": "".join(a + a.join(two) for a in two),
+        # sign or pad, d0, ".", d1
+        "lead": "".join("%s%s.%s" % (sign, *d) for sign in "\0-" for d in two),
+        # "e", sign, hundreds or pad, tens; then units and three pads
+        "exp": "".join("e%s%s%d" % ("-+"[k >= 0], abs(k) // 100 or "\0",
+                                    abs(k) // 10 % 10) for k in exponents),
+        "units": "".join("%d\0\0\0" % (abs(k) % 10) for k in exponents),
+    }
+    for name, text in words.items():
+        out[name] = np.frombuffer(text.encode("ascii"), _U32)
     for table in out.values():
         table.flags.writeable = False
     return out

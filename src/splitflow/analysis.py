@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,15 +61,10 @@ class CertificateReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self, details_path=None):
-        return {
-            "kind": self.kind,
-            "pass": bool(self.passed),
-            "fitted": self.fitted,
-            "theoretical": self.theoretical,
-            "worst_slack": self.worst_slack,
-            "n_samples": self.n_samples,
-            "details_path": details_path,
-        }
+        d = {("pass" if f.name == "passed" else f.name): getattr(self, f.name)
+             for f in fields(self) if f.name != "details"}
+        d["pass"] = bool(d["pass"])
+        return {**d, "details_path": details_path}
 
     def write(self, path, details_path=None):
         # numpy arrays and scalars reach json through their tolist()

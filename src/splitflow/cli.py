@@ -79,7 +79,8 @@ def _cmd_verify(args):
         for name, problem, mu in _default_inequality_problems(args.seed):
             report = analysis.check_envelope_inequalities(problem, mu,
                                                           seed=args.seed)
-            report.write(os.path.join(args.out, f"lemma3_{name}.json"))
+            path = os.path.join(args.out, f"lemma3_{name}")
+            report.write(f"{path}.json", details_path=f"{path}_details.json")
             print(f"lemma3[{name}]: {'PASS' if report.passed else 'FAIL'} "
                   f"worst_slack={report.worst_slack:.3e}")
             all_pass &= report.passed

@@ -227,14 +227,12 @@ class BenchmarkConfig:
         object.__setattr__(self, "seed", int(self.seed))   # 2.0 reads as 2
 
     def to_dict(self):
-        return {
-            "schema": SCHEMA_VERSION, "example": self.example,
-            "dims": list(self.dims), "kappa": self.kappa, "ridge": self.ridge,
-            "lambda_rule": self.lambda_rule.to_dict(), "seed": self.seed,
-            "dynamics": list(self.dynamics), "t_end": self.t_end,
-            "tol": self.tol, "sample_dt": self.sample_dt,
-            "window": list(self.window) if self.window else None,
-        }
+        d = {"schema": SCHEMA_VERSION}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            d[f.name] = (v.to_dict() if isinstance(v, LambdaRule)
+                         else list(v) if isinstance(v, tuple) else v)
+        return d
 
     @staticmethod
     def from_dict(d):
@@ -339,10 +337,11 @@ def generate_problem(config):
 def _example_setup(config, problem):
     """Per-example penalty, flow time scale, and certification plan."""
     example = _EXAMPLES[config.example]
-    a, b = window = config.window or example.window(config.t_end)
+    t_end = _finite_scalar("t_end", config.t_end, positive=True)
+    a, b = window = config.window or example.window(t_end)
     for discrete in {dynamics._KINDS[k].order == 0 for k in config.dynamics}:
-        times = np.arange(math.ceil(config.t_end) + 1) if discrete else (
-            np.append(0.0, dynamics._sample_grid(config.t_end, _finite_scalar(
+        times = np.arange(math.ceil(t_end) + 1) if discrete else (
+            np.append(0.0, dynamics._sample_grid(t_end, _finite_scalar(
                 "sample_dt", config.sample_dt, positive=True))))
         if np.count_nonzero((a <= times) & (times <= b)) < 2:
             family = "discrete" if discrete else "flow"
@@ -530,10 +529,8 @@ def run_benchmark(config, out_dir=None):
         "mu": setup["mu"], "alpha_flow": setup["alpha_flow"],
         "mode": setup["mode"], "window": list(setup["window"]),
         "f_star": reference.value,
-        "reference_grad_map_norm": reference.grad_map_norm,
-        "reference_iterations": reference.iterations,
-        "reference_restarts": reference.restarts,
-        "reference_polishes": reference.polishes,
+        **{f"reference_{f.name}": getattr(reference, f.name)
+           for f in fields(reference) if f.name not in ("x", "value")},
         "generate_s": t_generated - t_start,
         "reference_s": time.perf_counter() - t_generated,
     }

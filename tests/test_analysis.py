@@ -576,6 +576,17 @@ class TestRateFits:
         with pytest.raises(NeedsReferenceError):
             certify_sublinear(traj, (0.0, 1.0))
 
+    def test_json_keys_in_field_order(self):
+        # report.json's certificate: the fields but details, "passed" as
+        # "pass" and a JSON bool, then details_path
+        t = np.linspace(5.0, 300.0, 400)
+        report = certify_sublinear(synthetic_traj(t, gap=4.2 / (t + 3.0) ** 2),
+                                   (5.0, 300.0))
+        d = report.to_json_dict("details.json")
+        assert list(d) == ["kind", "pass", "fitted", "theoretical",
+                           "worst_slack", "n_samples", "details_path"]
+        assert d["pass"] is True and d["details_path"] == "details.json"
+
 
 class TestEnvelopeInequalities:
     def test_quadratic_l1(self):

@@ -235,9 +235,8 @@ class TestConfig:
         assert "config window must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
-        {"t_end": 5.0}, {"window": [300.0, 400.0]}, {"t_end": -1.0}],
-        ids=["default-window-after-t_end", "window-after-t_end",
-             "negative-t_end"])
+        {"t_end": 5.0}, {"window": [300.0, 400.0]}],
+        ids=["default-window-after-t_end", "window-after-t_end"])
     def test_window_outside_run_refused(self, overrides):
         # a window with no time in (0, t_end] would fail every record's fit
         # after all the integrations; it is refused before the reference
@@ -270,14 +269,22 @@ class TestConfig:
          r"of the discrete kinds"),
         (dict(window=[10.2, 10.8], dynamics=["acc_fb", "fb_discrete"]),
          "of the discrete kinds"),
-        (dict(sample_dt=0.0), "sample_dt must be finite and positive")],
+        (dict(sample_dt=0.0), "sample_dt must be finite and positive"),
+        *[(dict(t_end=t_end, window=[0.0, 1.0], dynamics=kinds),
+           "t_end must be finite and positive")
+          for t_end in (0.0, -1.0)
+          for kinds in (["acc_fb", "fb_flow"], ["fb_discrete"])]],
         ids=["flow-grid-too-coarse", "discrete-between-iterates",
-             "one-family-too-few", "zero-sample_dt"])
+             "one-family-too-few", "zero-sample_dt", "zero-t_end-flow",
+             "zero-t_end-discrete", "negative-t_end-flow",
+             "negative-t_end-discrete"])
     def test_sparse_window_refused_before_any_solve(self, monkeypatch,
                                                      overrides, message):
         # at t_end = 20 and sample_dt = 30 a flow samples t = 0 and 20 only,
         # so [10, 20] holds one sample, and [10.2, 10.8] holds no iterate;
-        # each such kind's fit would fail after the reference and the runs
+        # each such kind's fit would fail after the reference and the runs.
+        # The sample times are built from t_end, so t_end is checked first
+        # and named (a flow at t_end = 0 used to fail each record instead)
         calls = []
         for name in ("integrate", "run_discrete"):
             monkeypatch.setattr(f"splitflow.dynamics.{name}",
@@ -303,6 +310,17 @@ class TestConfig:
         cfg = BenchmarkConfig.from_dict(dict(
             BenchmarkConfig(example=BOX_QP).to_dict(), dims=[0, 12], seed=2.0))
         assert cfg.dims == (0, 12) and type(cfg.seed) is int and cfg.seed == 2
+
+    def test_to_dict_follows_fields(self):
+        # "schema", then every field in order, tuples and the rule as JSON
+        assert list(BenchmarkConfig().to_dict().items()) == [
+            ("schema", 1), ("example", "lasso_l1"), ("dims", [20, 100]),
+            ("kappa", 1000.0), ("ridge", 0.1),
+            ("lambda_rule", {"type": "fraction_of_max", "fraction": 0.1}),
+            ("seed", 0), ("dynamics", ["acc_fb", "acc_dr", "fb_flow"]),
+            ("t_end", 200.0), ("tol", 1e-9), ("sample_dt", 0.1),
+            ("window", None)]
+        assert BenchmarkConfig(window=(1, 5)).to_dict()["window"] == [1.0, 5.0]
 
     def test_readme_config_loads(self):
         # the README's schema block, its // comments stripped
@@ -393,6 +411,11 @@ class TestRunBenchmark:
             assert saved["dynamics"][kind]["export_bytes"] == (
                 trace.stat().st_size)
             assert in_memory.dynamics[kind]["export_bytes"] == 0
+        # the reference counters in ReferenceSolution's field order, then
+        # the solve's seconds
+        assert [k for k in saved["problem"] if k.startswith("reference_")] == [
+            "reference_grad_map_norm", "reference_iterations",
+            "reference_restarts", "reference_polishes", "reference_s"]
         ref = solve_reference(generate_problem(cfg), saved["problem"]["mu"],
                               tol=1e-12)
         assert [saved["problem"][f"reference_{k}"] for k in (
@@ -784,7 +807,16 @@ class TestCli:
         code = cli_main(["verify", "lemma3", "--seed", "0",
                          "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "lemma3_quadratic_l1.json").exists()
+        for name in ("quadratic_l1", "logistic_l1"):
+            # the margins of both inequalities reach the details file
+            report = json.loads((tmp_path / f"lemma3_{name}.json").read_text())
+            path = tmp_path / f"lemma3_{name}_details.json"
+            assert report["details_path"] == str(path)
+            details = json.loads(path.read_text())
+            assert set(details) == {"worst_upper_margin", "worst_lower_margin",
+                                    "grad_map_norm_at_ref"}
+            assert report["worst_slack"] == -min(
+                details["worst_upper_margin"], details["worst_lower_margin"])
 
     def test_envelope_oneshot(self, tmp_path, capsys):
         from conftest import make_quadratic_l1

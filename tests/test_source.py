@@ -226,20 +226,12 @@ def test_module_all_names_exist():
 
 
 def test_reexports_listed_in_module_all():
-    # every public name splitflow/__init__.py imports is in its module's
-    # __all__, so the two lists of public names cannot drift apart
-    path = ROOT / "src" / "splitflow" / "__init__.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    reexports = [(node.module, alias.name) for node in tree.body
-                 if isinstance(node, ast.ImportFrom) and node.level == 1
-                 for alias in node.names if not alias.name.startswith("_")]
-    # the parse found every public name of the package namespace
+    # the package's public names, submodules aside, are exactly the union
+    # of its modules' __all__, so each public name is listed once
     package = importlib.import_module("splitflow")
-    assert {name for _, name in reexports} == {
-        name for name, value in vars(package).items()
-        if not name.startswith("_") and not isinstance(value, type(package))}
-    unlisted = [f"{module}.{name}" for module, name in reexports
-                if name not in getattr(
-                    importlib.import_module(f"splitflow.{module}"),
-                    "__all__", ())]
-    assert unlisted == []
+    listed = {name for path in SOURCES if path.stem != "__init__"
+              for name in getattr(importlib.import_module(
+                  f"splitflow.{path.stem}"), "__all__", ())}
+    assert {name for name, value in vars(package).items()
+            if not name.startswith("_")
+            and not isinstance(value, type(package))} == listed
